@@ -16,92 +16,46 @@ All randomized checks are seeded and certified one-sided: ranks are exact,
 and sampling only ever moves verdicts toward the generic value.
 """
 
-from .algebra import Form, GradedMap, monomial_basis, rank_of_span, substitute_variable
-from .apolarity import ApolarSystem, apolar_complement, contract, dual_map_rank
-from .bundles import (
-    AnalysisError,
-    SplittingType,
-    restrict_to_line,
-    splitting_type,
-    verify_r4_theorem,
-    wlp_via_splitting,
-)
+from .algebra import Form, monomial_basis
+from .apolarity import apolar_complement, dual_map_rank
+from .bundles import splitting_type, verify_r4_theorem
 from .classify import (
-    ClassificationRecord,
-    ClassificationRun,
     build_named_example,
     canonical_form,
-    certify_candidate,
     classification_case_ideal,
     classification_case_system,
     enumerate_cubic_togliatti,
     four_prime_projections,
-    permutation_images,
 )
-from .osculating import (
-    LaplaceCount,
-    LinearSystem,
-    OsculatingReport,
-    homogeneous_jet_rank,
-    laplace_count,
-    osculating_dimension,
-    perkinson_quadric,
-)
+from .osculating import LinearSystem, laplace_count, perkinson_quadric
 from .parser import ParseError, format_form, parse_polynomial
-from .polytope import (
-    DegeneratePolytopeError,
-    LatticePolytope,
-    build_polytope,
-    is_simple,
-    is_smooth,
-    normalized_volume,
-    polytope_from_points,
-    polytope_json,
-    smoothness_report,
-)
+from .polytope import build_polytope, smoothness_report
 from .wlp import (
     IdealSpec,
-    WlpReport,
     certified_lefschetz_report,
     fails_in_degree_dminus1,
     generator_bound,
     h_vector,
     has_wlp,
-    hilbert_function,
     is_artinian,
     is_togliatti,
     multiplication_rank,
-    trivial_type_a,
-    trivial_type_b_test,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisError",
-    "ApolarSystem",
-    "ClassificationRecord",
-    "ClassificationRun",
-    "DegeneratePolytopeError",
     "Form",
-    "GradedMap",
     "IdealSpec",
-    "LaplaceCount",
-    "LatticePolytope",
     "LinearSystem",
-    "OsculatingReport",
     "ParseError",
-    "SplittingType",
-    "WlpReport",
     "apolar_complement",
     "build_named_example",
     "build_polytope",
     "canonical_form",
     "certified_lefschetz_report",
-    "certify_candidate",
     "classification_case_ideal",
     "classification_case_system",
-    "contract",
     "dual_map_rank",
     "enumerate_cubic_togliatti",
     "fails_in_degree_dminus1",
@@ -110,29 +64,14 @@ __all__ = [
     "generator_bound",
     "h_vector",
     "has_wlp",
-    "hilbert_function",
-    "homogeneous_jet_rank",
     "is_artinian",
-    "is_simple",
-    "is_smooth",
     "is_togliatti",
     "laplace_count",
     "monomial_basis",
     "multiplication_rank",
-    "normalized_volume",
-    "osculating_dimension",
     "parse_polynomial",
     "perkinson_quadric",
-    "permutation_images",
-    "polytope_from_points",
-    "polytope_json",
-    "rank_of_span",
-    "restrict_to_line",
     "smoothness_report",
     "splitting_type",
-    "substitute_variable",
-    "trivial_type_a",
-    "trivial_type_b_test",
     "verify_r4_theorem",
-    "wlp_via_splitting",
 ]

@@ -1,4 +1,4 @@
-"""Exponent vectors, sparse homogeneous forms over Q, and graded maps.
+"""Exponent vectors and sparse homogeneous forms over Q.
 
 Conventions used throughout the package:
 
@@ -13,12 +13,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .linalg import clear_denominators, exact_rank, kernel_basis, rank_of_rows
+from .linalg import clear_denominators, exact_rank
 
 Exponent = tuple  # tuple of n+1 non-negative ints
 
@@ -45,8 +44,11 @@ def monomial_basis(n: int, d: int):
     return basis
 
 
-def exponent_degree(exponent) -> int:
-    return sum(exponent)
+def pure_power(n: int, i: int, k: int = 1) -> Exponent:
+    """Exponent vector of x_i^k in n+1 variables (k = 1: the variable x_i)."""
+    exponent = [0] * (n + 1)
+    exponent[i] = k
+    return tuple(exponent)
 
 
 class Form:
@@ -95,8 +97,7 @@ class Form:
     def variable(cls, n: int, i: int) -> "Form":
         if not 0 <= i <= n:
             raise IndexError(f"variable index {i} out of range for n={n}")
-        exponent = tuple(1 if j == i else 0 for j in range(n + 1))
-        return cls(n, 1, {exponent: 1})
+        return cls(n, 1, {pure_power(n, i): 1})
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "Form":
@@ -257,54 +258,3 @@ def rank_of_span(forms) -> int:
         return 0
     rows, _ = forms_to_matrix(forms)
     return exact_rank([clear_denominators(row) for row in rows])
-
-
-@dataclass(frozen=True)
-class GradedMap:
-    """An exact matrix between two ordered monomial bases.
-
-    ``entries[i][j]`` is the coefficient of row basis element i in the image
-    of column basis element j.  Rank and kernel are exact; the fraction-free
-    and rational elimination routes must agree on every instance (property
-    tested).
-    """
-
-    row_basis: tuple
-    column_basis: tuple
-    entries: tuple
-
-    def __post_init__(self):
-        for row in self.entries:
-            if len(row) != len(self.column_basis):
-                raise ValueError("entry row length does not match column basis")
-        if len(self.entries) != len(self.row_basis):
-            raise ValueError("entry count does not match row basis")
-
-    @property
-    def shape(self):
-        return (len(self.row_basis), len(self.column_basis))
-
-    def rank(self) -> int:
-        if not self.entries or not self.column_basis:
-            return 0
-        return rank_of_rows([list(row) for row in self.entries])
-
-    def kernel(self):
-        """Basis of the kernel, as vectors over the column basis."""
-        return kernel_basis(
-            [list(row) for row in self.entries], len(self.column_basis)
-        )
-
-
-def graded_map_from_images(images, column_labels, row_basis=None) -> GradedMap:
-    """GradedMap whose j-th column is the coefficient vector of images[j]."""
-    if not images:
-        return GradedMap((), tuple(column_labels), ())
-    n, degree = images[0].n, images[0].degree
-    if row_basis is None:
-        row_basis = monomial_basis(n, degree)
-    entries = tuple(
-        tuple(image.terms.get(e, Fraction(0)) for image in images)
-        for e in row_basis
-    )
-    return GradedMap(tuple(row_basis), tuple(column_labels), entries)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Form, monomial_basis
+from .algebra import Form, monomial_basis, pure_power
 from .linalg import clear_denominators, exact_rank
 from .sampling import DEFAULT_SEED, DEFAULT_TRIALS, random_line, rng_for
 from .wlp import IdealSpec, fails_in_degree_dminus1, has_wlp, is_artinian
@@ -42,10 +42,6 @@ class SplittingType:
 
     d: int
     values: tuple
-
-    @property
-    def generic_splitting(self) -> tuple:
-        return self.values
 
     @property
     def wlp_in_degree_dminus1(self) -> bool:
@@ -166,19 +162,6 @@ def splitting_type(
     return result
 
 
-def wlp_via_splitting(
-    spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS
-) -> bool:
-    """WLP in degree d-1, decided on the bundle side (a_{r-1} < 0)."""
-    return splitting_type(spec, seed=seed, trials=trials).wlp_in_degree_dminus1
-
-
-def _pure_powers(n: int, d: int):
-    return [
-        tuple(d if j == i else 0 for j in range(n + 1)) for i in range(n + 1)
-    ]
-
-
 def verify_r4_theorem(
     d_min: int,
     d_max: int,
@@ -213,7 +196,7 @@ def verify_r4_theorem(
             "full_wlp_failures": [],
             "witness": None,
         }
-        pure = _pure_powers(2, d)
+        pure = [pure_power(2, i, d) for i in range(3)]
         mixed = [e for e in monomial_basis(2, d) if max(e) < d]
         rng = rng_for(seed, "r4-monomial", d)
         chosen = set()

@@ -40,7 +40,7 @@ from functools import cached_property
 from math import comb
 from typing import Optional
 
-from .algebra import Form, monomial_basis
+from .algebra import Form, monomial_basis, pure_power
 from .apolarity import apolar_complement
 from .bundles import AnalysisError
 from .osculating import LinearSystem, laplace_count, perkinson_quadric
@@ -183,9 +183,7 @@ class ClassificationRecord:
 
 
 def _pure_cubes(n: int):
-    return tuple(
-        tuple(3 if j == i else 0 for j in range(n + 1)) for i in range(n + 1)
-    )
+    return tuple(pure_power(n, i, 3) for i in range(n + 1))
 
 
 def certify_candidate(
@@ -273,11 +271,6 @@ class ClassificationRun:
     @cached_property
     def _record_keys(self) -> frozenset:
         return frozenset(record.generators for record in self.records)
-
-    @property
-    def raw_togliatti_hits(self) -> int:
-        keys = {record.generators for record in self.records}
-        return sum(count for key, count in self.hit_counts.items() if key in keys)
 
     def removable_generator(self, record: ClassificationRecord):
         """A mixed generator whose removal leaves a Togliatti system, or None.

@@ -92,6 +92,36 @@ class Document:
         return format_form(form, self.names)
 
 
+def _integer_setting(name: str, *values):
+    """The first of ``values`` that is not None; it must be a true int."""
+    for value in values:
+        if value is None:
+            continue
+        if type(value) is not int:
+            raise UsageError(f"{name} must be an integer, not {value!r}")
+        return value
+    return None
+
+
+def _sampling_settings(args, data=None):
+    """(seed, trials): flag, then document, then LEFSCHETZ_SEED, then default."""
+    data = data or {}
+    seed = _integer_setting("seed", args.seed, data.get("seed"))
+    if seed is None:
+        text = os.environ.get("LEFSCHETZ_SEED")
+        try:
+            seed = DEFAULT_SEED if text is None else int(text)
+        except ValueError as exc:
+            message = f"LEFSCHETZ_SEED must be an integer, not {text!r}"
+            raise UsageError(message) from exc
+    trials = _integer_setting("trials", args.trials, data.get("trials"))
+    if trials is None:
+        trials = DEFAULT_TRIALS
+    if trials < 1:
+        raise UsageError(f"trials must be at least 1, not {trials}")
+    return seed, trials
+
+
 def _load_document(args) -> Document:
     data = None
     if getattr(args, "file", None):
@@ -127,17 +157,8 @@ def _load_document(args) -> Document:
         spec = IdealSpec(len(names) - 1, degree, forms)
     except (ParseError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    seed = args.seed
-    if seed is None:
-        seed = data.get("seed")
-    if seed is None:
-        seed = int(os.environ.get("LEFSCHETZ_SEED", DEFAULT_SEED))
-    trials = args.trials
-    if trials is None:
-        trials = data.get("trials")
-    if trials is None:
-        trials = DEFAULT_TRIALS
-    return Document(spec, names, int(seed), int(trials))
+    seed, trials = _sampling_settings(args, data)
+    return Document(spec, names, seed, trials)
 
 
 def _document_system(doc: Document, use_generators: bool) -> LinearSystem:
@@ -371,10 +392,7 @@ def _cmd_splitting(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("LEFSCHETZ_SEED", DEFAULT_SEED))
-    trials = args.trials if args.trials is not None else DEFAULT_TRIALS
+    seed, trials = _sampling_settings(args)
     cache = None
     cache_handle = None
     if args.cache:
@@ -442,10 +460,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_r4(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("LEFSCHETZ_SEED", DEFAULT_SEED))
-    trials = args.trials if args.trials is not None else DEFAULT_TRIALS
+    seed, trials = _sampling_settings(args)
     report_dict = verify_r4_theorem(
         args.dmin,
         args.dmax,

@@ -3,12 +3,16 @@
 Every verdict in this package (Lefschetz maximal rank, ideal piece dimensions,
 Laplace equation counts, facet supports, splitting types) is a statement about
 the rank or kernel of an integer or rational matrix, and all of them must be
-exact.  Two independent elimination routines are provided:
+exact.  There are exactly two elimination routines, independent of each other:
 
-* ``bareiss_rank``: fraction-free one-step Bareiss elimination on integer
+* ``_bareiss``: fraction-free one-step Bareiss elimination on integer
   matrices.  Integer pivots, exact divisions, no rationals.  Authoritative.
-* ``rational_rank``: naive Gaussian elimination with ``Fraction`` pivots.
-  Used as the cross-check route; property tests assert both agree.
+  ``bareiss_rank`` (its rank) and ``det_int`` (sign times last pivot) are
+  read off it.
+* ``_rref``: Gauss-Jordan elimination over ``Fraction`` to the reduced row
+  echelon form.  ``rational_rank`` (the pivot count, the cross-check route;
+  property tests assert both routes agree), ``kernel_basis`` (one vector per
+  free column) and ``solve_exact`` (reduce ``[A | b]``) are read off it.
 
 ``exact_rank`` wraps Bareiss with a certified shortcut: the rank of the matrix
 reduced mod a fixed prime is a lower bound for the rational rank, so whenever
@@ -46,12 +50,17 @@ def clear_denominators(row):
     return [int(f.numerator) * (lcm // f.denominator) for f in fracs]
 
 
-def bareiss_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination."""
+def _bareiss(rows):
+    """Fraction-free one-step Bareiss elimination of an integer matrix.
+
+    Returns (rank, sign, last_pivot): sign is -1 to the number of row swaps,
+    and for a square matrix of full rank the last pivot is sign * det.
+    """
     mat = [[int(x) for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     rank = 0
+    sign = 1
     prev = 1
     for col in range(ncols):
         if rank == nrows:
@@ -63,29 +72,49 @@ def bareiss_rank(rows) -> int:
                 break
         if pivot_row is None:
             continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
+        if pivot_row != rank:
+            mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+            sign = -sign
+        row_p = mat[rank]
+        pivot = row_p[col]
         for i in range(rank + 1, nrows):
-            head = mat[i][col]
             row_i = mat[i]
-            row_p = mat[rank]
-            # one-step Bareiss: the division by the previous pivot is exact,
-            # and it must run even when head == 0 to keep entries minor-sized
+            head = row_i[col]
+            # the division by the previous pivot is exact, and it must run
+            # even when head == 0 to keep entries minor-sized
             for j in range(col + 1, ncols):
                 row_i[j] = (pivot * row_i[j] - head * row_p[j]) // prev
             row_i[col] = 0
         prev = pivot
         rank += 1
-    return rank
+    return rank, sign, prev
 
 
-def rational_rank(rows) -> int:
-    """Rank by plain Gaussian elimination over Fraction.  Cross-check route."""
+def bareiss_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss elimination."""
+    return _bareiss(rows)[0]
+
+
+def det_int(rows) -> int:
+    """Determinant of a square integer matrix (Bareiss, exact)."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    rank, sign, last_pivot = _bareiss(rows)
+    return sign * last_pivot if rank == n else 0
+
+
+def _rref(rows, ncols):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+
+    Returns (reduced rows, pivot columns); reduced row i holds the pivot of
+    column pivots[i] scaled to 1, and the rows after the pivots are zero.
+    """
     mat = [[Fraction(x) for x in row] for row in rows]
     nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
         pivot_row = None
@@ -102,12 +131,17 @@ def rational_rank(rows) -> int:
             if i != rank and mat[i][col]:
                 factor = mat[i][col]
                 mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat, pivots
 
 
-def _modp_rank(mat: np.ndarray, p: int = _PRIME) -> int:
-    """Rank of an int64 matrix already reduced mod p.  Destroys its input."""
+def rational_rank(rows) -> int:
+    """Rank by Gaussian elimination over Fraction.  Cross-check route."""
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def _modp_rank(mat: np.ndarray) -> int:
+    """Rank of an int64 matrix already reduced mod _PRIME.  Destroys its input."""
     nrows, ncols = mat.shape
     rank = 0
     for col in range(ncols):
@@ -119,21 +153,21 @@ def _modp_rank(mat: np.ndarray, p: int = _PRIME) -> int:
         pr = rank + int(nz[0])
         if pr != rank:
             mat[[rank, pr]] = mat[[pr, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank, col:] = (mat[rank, col:] * inv) % p
+        inv = pow(int(mat[rank, col]), _PRIME - 2, _PRIME)
+        mat[rank, col:] = (mat[rank, col:] * inv) % _PRIME
         heads = mat[rank + 1 :, col]
         live = np.nonzero(heads)[0]
         if live.size:
             block = mat[rank + 1 + live, col:]
-            block = (block - heads[live, None] * mat[rank, col:]) % p
+            block = (block - heads[live, None] * mat[rank, col:]) % _PRIME
             mat[rank + 1 + live, col:] = block
         rank += 1
     return rank
 
 
-def _to_modp_array(rows, p: int = _PRIME) -> np.ndarray:
+def _to_modp_array(rows) -> np.ndarray:
     # entries may exceed int64, reduce in Python first
-    return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    return np.array([[x % _PRIME for x in row] for row in rows], dtype=np.int64)
 
 
 def exact_rank(rows) -> int:
@@ -153,72 +187,13 @@ def exact_rank(rows) -> int:
     return bareiss_rank(rows)
 
 
-def rank_of_rows(rows) -> int:
-    """Exact rank of a matrix with Fraction/int entries."""
-    if not rows:
-        return 0
-    return exact_rank([clear_denominators(row) for row in rows])
-
-
-def rank_of_int_product(left, right) -> int:
-    """Exact rank of the product left @ right (integer matrices).
-
-    The product is only materialized over Z when the mod-p screen fails to
-    certify full rank; for the common full-rank case a single int64 matmul
-    mod a smaller prime decides.
-    """
-    n = len(left)
-    if n == 0:
-        return 0
-    inner = len(left[0])
-    m = len(right[0]) if right else 0
-    if inner == 0 or m == 0:
-        return 0
-    # p**2 * inner must stay below 2**63
-    p = 1_000_003
-    if inner * p * p < 2**62:
-        lm = _to_modp_array(left, p)
-        rm = _to_modp_array(right, p)
-        prod = (lm @ rm) % p
-        modp = _modp_rank(prod, p)
-        if modp == min(n, m):
-            return modp
-    full = [
-        [sum(a * b for a, b in zip(lrow, rcol)) for rcol in zip(*right)]
-        for lrow in left
-    ]
-    return exact_rank(full)
-
-
 def kernel_basis(rows, ncols):
     """Basis of the right kernel over Q, one vector per free column.
 
     Rows may be Fractions or ints.  Returns a list of length-ncols Fraction
     vectors; the basis is the reduced-echelon one (free column set to 1).
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        pivot_row = None
-        for i in range(rank, nrows):
-            if mat[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(nrows):
-            if i != rank and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
+    mat, pivots = _rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -235,67 +210,18 @@ def kernel_basis(rows, ncols):
 def solve_exact(columns, target):
     """Solve sum_j y_j * columns[j] = target over Q, or return None.
 
-    Used for lattice coordinates on facets; callers assert integrality.
+    Reduces [A | b]; a pivot in the last column means no solution.  Used for
+    lattice coordinates on facets; callers assert integrality.
     """
     ncols = len(columns)
-    nrows = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(nrows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if aug[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(nrows):
-            if i != rank and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, nrows):
-        if aug[i][ncols]:
-            return None
+    aug = [[column[i] for column in columns] + [b] for i, b in enumerate(target)]
+    mat, pivots = _rref(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
     solution = [Fraction(0)] * ncols
     for i, col in enumerate(pivots):
-        solution[col] = aug[i][ncols]
+        solution[col] = mat[i][ncols]
     return solution
-
-
-def det_int(rows) -> int:
-    """Determinant of a square integer matrix (Bareiss, exact)."""
-    mat = [[int(x) for x in row] for row in rows]
-    n = len(mat)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if mat[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            sign = -sign
-        pivot = mat[col][col]
-        for i in range(col + 1, n):
-            head = mat[i][col]
-            for j in range(col + 1, n):
-                mat[i][j] = (pivot * mat[i][j] - head * mat[col][j]) // prev
-            mat[i][col] = 0
-        prev = pivot
-    return sign * mat[n - 1][n - 1]
 
 
 def primitive_vector(vec):

@@ -233,19 +233,6 @@ def smoothness_report(polytope: LatticePolytope) -> SmoothnessReport:
     return SmoothnessReport(simple=simple, smooth=smooth, edge_rule_fired=fired)
 
 
-def is_simple(polytope: LatticePolytope) -> bool:
-    """Every vertex on exactly dim edges.  Errors on degenerate input."""
-    return smoothness_report(polytope).simple
-
-
-def is_smooth(polytope: LatticePolytope) -> bool:
-    """Simple + unimodular + first-lattice-point rule.  Errors if not simple."""
-    report = smoothness_report(polytope)
-    if not report.simple:
-        raise ValueError("polytope is not simple; smoothness is undefined")
-    return report.smooth
-
-
 def _nvol(points, m: int) -> int:
     if m == 1:
         xs = [p[0] for p in points]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import Form
+from .algebra import Form, pure_power
 
 COEFF_BOUND = 999
 DEFAULT_TRIALS = 3
@@ -31,15 +31,7 @@ def random_linear_form(n: int, rng: random.Random) -> Form:
         coeffs = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(n + 1)]
         if any(coeffs):
             break
-    return Form(
-        n,
-        1,
-        {
-            tuple(1 if j == i else 0 for j in range(n + 1)): c
-            for i, c in enumerate(coeffs)
-            if c
-        },
-    )
+    return Form(n, 1, {pure_power(n, i): c for i, c in enumerate(coeffs) if c})
 
 
 def random_form(n: int, degree: int, rng: random.Random, bound=COEFF_BOUND) -> Form:
@@ -91,6 +83,5 @@ def random_hyperplane_substitution(n: int, rng: random.Random):
     terms = {}
     for i in range(n):
         if coeffs[i]:
-            exponent = tuple(1 if j == i else 0 for j in range(n + 1))
-            terms[exponent] = Fraction(-coeffs[i], coeffs[n])
+            terms[pure_power(n, i)] = Fraction(-coeffs[i], coeffs[n])
     return n, Form(n, 1, terms)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .algebra import Form, monomial_basis, rank_of_span, substitute_variable
+from .algebra import Form, monomial_basis, pure_power, rank_of_span, substitute_variable
 from .linalg import clear_denominators, exact_rank
 from .sampling import (
     DEFAULT_SEED,
@@ -172,10 +172,7 @@ def is_artinian(spec: IdealSpec) -> bool:
         return False
     if spec.is_monomial:
         gens = spec.monomial_exponents()
-        return all(
-            tuple(spec.d if j == i else 0 for j in range(spec.n + 1)) in gens
-            for i in range(spec.n + 1)
-        )
+        return all(pure_power(spec.n, i, spec.d) in gens for i in range(spec.n + 1))
     for t in range(spec.d, artinian_bound(spec) + 1):
         if hilbert_function(spec, t) == 0:
             return True
@@ -198,9 +195,7 @@ def h_vector(spec: IdealSpec):
 
 
 def _sum_of_variables(n: int) -> Form:
-    return Form(
-        n, 1, {tuple(1 if j == i else 0 for j in range(n + 1)): 1 for i in range(n + 1)}
-    )
+    return Form(n, 1, {pure_power(n, i): 1 for i in range(n + 1)})
 
 
 def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport:
@@ -226,15 +221,11 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
             if not any(_divisible(e, g) for g in gens)
         ]
         column = {e: k for k, e in enumerate(target)}
-        coeffs = {
-            i: c for i, c in enumerate(
-                linear_form.terms.get(
-                    tuple(1 if kk == i else 0 for kk in range(spec.n + 1)), 0
-                )
-                for i in range(spec.n + 1)
-            )
-            if c
-        }
+        coeffs = {}
+        for i in range(spec.n + 1):
+            c = linear_form.terms.get(pure_power(spec.n, i), 0)
+            if c:
+                coeffs[i] = c
         rows = []
         for e in monomial_basis(spec.n, j):
             if any(_divisible(e, g) for g in gens):
@@ -321,14 +312,8 @@ def restricted_generators(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_
     hyperplane x_0 + ... + x_n = 0; general ideals yield ``trials`` samples.
     """
     if spec.is_monomial:
-        replacement = Form(
-            spec.n,
-            1,
-            {
-                tuple(1 if j == i else 0 for j in range(spec.n + 1)): -1
-                for i in range(spec.n)
-            },
-        )
+        terms = {pure_power(spec.n, i): -1 for i in range(spec.n)}
+        replacement = Form(spec.n, 1, terms)
         yield [substitute_variable(g, spec.n, replacement) for g in spec.generators]
         return
     rng = rng_for(seed, "hyperplane")

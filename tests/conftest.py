@@ -19,7 +19,7 @@ from lefschetz import (
     multiplication_rank,
     splitting_type,
 )
-from lefschetz.algebra import forms_to_matrix
+from lefschetz.algebra import forms_to_matrix, pure_power
 from lefschetz.linalg import bareiss_rank, clear_denominators, rational_rank
 from lefschetz.sampling import random_form, random_linear_form, rng_for
 from lefschetz.wlp import restricted_generators
@@ -39,7 +39,7 @@ def control_cubic():
 
 
 def _pure_powers(n, d):
-    return [tuple(d if j == i else 0 for j in range(n + 1)) for i in range(n + 1)]
+    return [pure_power(n, i, d) for i in range(n + 1)]
 
 
 def _random_monomial_spec(rng):

@@ -1,4 +1,4 @@
-"""Forms, monomial bases, substitution, and graded maps."""
+"""Forms, monomial bases, substitution and coefficient matrices."""
 
 from fractions import Fraction
 from math import comb
@@ -8,7 +8,6 @@ import pytest
 from lefschetz.algebra import (
     Form,
     forms_to_matrix,
-    graded_map_from_images,
     monomial_basis,
     rank_of_span,
     substitute_variable,
@@ -131,18 +130,3 @@ def test_forms_to_matrix_columns():
     rows2, cols2 = forms_to_matrix([x * y], columns=monomial_basis(1, 2))
     assert cols2 == ((2, 0), (1, 1), (0, 2))
     assert rows2 == [[0, 1, 0]]
-
-
-def test_graded_map():
-    x = Form.variable(1, 0)
-    y = Form.variable(1, 1)
-    ell = x + y
-    images = [ell * x, ell * y]
-    gm = graded_map_from_images(images, column_labels=monomial_basis(1, 1))
-    assert gm.shape == (3, 2)
-    assert gm.rank() == 2
-    assert gm.kernel() == []
-    gm2 = graded_map_from_images([x * y, x * y], column_labels=((0,), (1,)))
-    assert gm2.rank() == 1
-    (vec,) = gm2.kernel()
-    assert vec == [Fraction(-1), Fraction(1)]

@@ -10,7 +10,6 @@ from lefschetz.bundles import (
     restrict_to_line,
     splitting_type,
     verify_r4_theorem,
-    wlp_via_splitting,
 )
 from lefschetz.wlp import IdealSpec, fails_in_degree_dminus1
 
@@ -19,7 +18,6 @@ def test_togliatti_splitting(togliatti_cubic):
     st = splitting_type(togliatti_cubic, seed=0, trials=3)
     assert st.values == (-2, -1, 0)
     assert st.d == 3
-    assert st.generic_splitting == st.values
     assert not st.wlp_in_degree_dminus1
 
 
@@ -38,9 +36,9 @@ def test_splitting_invariants(togliatti_cubic, control_cubic):
         assert st.values == tuple(sorted(st.values))
 
 
-def test_wlp_via_splitting_matches_direct(togliatti_cubic, control_cubic):
+def test_splitting_wlp_matches_direct(togliatti_cubic, control_cubic):
     for spec in (togliatti_cubic, control_cubic):
-        assert wlp_via_splitting(spec, seed=0, trials=3) == (
+        assert splitting_type(spec, seed=0, trials=3).wlp_in_degree_dminus1 == (
             not fails_in_degree_dminus1(spec, seed=0, trials=3)
         )
 

@@ -89,6 +89,51 @@ def test_environment_seed(capsys, monkeypatch):
     assert payload["seed"] == 3
 
 
+def test_bad_environment_seed_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("LEFSCHETZ_SEED", "abc")
+    for argv in (("wlp", *TOG), ("classify", "--n", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "LEFSCHETZ_SEED" in err
+
+
+def test_non_integer_document_settings_exit_two(capsys, tmp_path):
+    for key, value in (("seed", 1.5), ("seed", True), ("trials", 2.0)):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "variables": ["x", "y", "z"],
+                    "degree": 3,
+                    "generators": ["x^3", "y^3", "z^3", "x*y*z"],
+                    key: value,
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "wlp", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{key} must be an integer" in err
+
+
+def test_zero_trials_osculate_exits_two(capsys):
+    code, out, err = run_cli(capsys, "osculate", *TOG, "--order", "2", "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert "trials must be at least 1" in err
+
+
+def test_zero_trials_generic_l_exits_two(capsys):
+    for argv in (
+        ("wlp", *TOG, "--generic-l", "--trials", "0"),
+        ("verify-r4", "--dmin", "4", "--dmax", "4", "--trials", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "trials must be at least 1" in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, err = run_cli(capsys, "wlp", *TOG, "--json", "--out", str(target))

@@ -14,8 +14,6 @@ from lefschetz.linalg import (
     integer_kernel_of_vector,
     kernel_basis,
     primitive_vector,
-    rank_of_int_product,
-    rank_of_rows,
     rational_rank,
     solve_exact,
 )
@@ -64,7 +62,6 @@ def test_rank_routes_agree_on_low_rank_products():
         assert expected <= k
         assert bareiss_rank(prod) == expected
         assert exact_rank(prod) == expected
-        assert rank_of_int_product(left, right) == expected
 
 
 def test_exact_rank_handles_entries_beyond_int64():
@@ -80,7 +77,8 @@ def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
     assert clear_denominators([2, 4]) == [2, 4]
     assert clear_denominators([]) == []
-    assert rank_of_rows([[Fraction(1, 7), Fraction(2, 7)], [1, 2]]) == 1
+    rows = [[Fraction(1, 7), Fraction(2, 7)], [1, 2]]
+    assert exact_rank([clear_denominators(row) for row in rows]) == 1
 
 
 def test_kernel_basis_annihilates_and_counts():
@@ -95,7 +93,7 @@ def test_kernel_basis_annihilates_and_counts():
             for row in mat:
                 assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
         if basis:
-            assert rank_of_rows(basis) == len(basis)
+            assert rational_rank(basis) == len(basis)
 
 
 def test_solve_exact_round_trip():
@@ -120,6 +118,27 @@ def test_det_int():
         b = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
         ab = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
         assert det_int(ab) == det_int(a) * det_int(b)
+    with pytest.raises(ValueError):
+        det_int([[1, 2]])
+
+
+def test_det_nonzero_iff_full_rank():
+    # rank and determinant come from one Bareiss pass; an (n x k)(k x n)
+    # product is singular whenever k < n, so both kinds of matrix occur
+    rng = rng_for(0, "linalg-det-rank")
+    singular = 0
+    for trial in range(100):
+        n = rng.randrange(1, 8)
+        k = rng.randrange(1, n + 1)
+        left = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(k)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+             for row in left]
+        full = bareiss_rank(m) == n
+        assert (det_int(m) != 0) == full
+        assert full == (rational_rank(m) == n)
+        singular += not full
+    assert 0 < singular < 100
 
 
 def test_primitive_vector():

@@ -7,8 +7,6 @@ from lefschetz.osculating import LinearSystem
 from lefschetz.polytope import (
     DegeneratePolytopeError,
     build_polytope,
-    is_simple,
-    is_smooth,
     normalized_volume,
     polytope_from_points,
     polytope_json,
@@ -89,9 +87,6 @@ def test_octahedron_is_not_simple():
     P = polytope_from_points(
         [(1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]
     )
-    assert not is_simple(P)
-    with pytest.raises(ValueError):
-        is_smooth(P)
     rep = smoothness_report(P)
     assert not rep.simple and not rep.smooth
 
