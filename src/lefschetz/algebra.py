@@ -9,6 +9,10 @@ Conventions used throughout the package:
   ``Fraction`` coefficients.  The zero form is the empty dict.
 * Monomial bases are ordered lexicographically on the exponent tuple, and
   every matrix in the package is written against such an ordered basis.
+* ``multiples_matrix`` is the one place Macaulay matrices are laid out: the
+  integer rows of the monomial multiples x^e * f of forms, used for dim I_t,
+  the Lefschetz multiplication maps, the type-B tangent intersection, the
+  syzygy kernels on a line and the span of a list of forms.
 """
 
 from __future__ import annotations
@@ -251,10 +255,32 @@ def forms_to_matrix(forms, columns=None):
     return rows, columns
 
 
+def multiples_matrix(forms, t: int):
+    """Integer Macaulay matrix of the multiples x^e * f of same-degree forms.
+
+    One row per form f (form by form) and per e in ``monomial_basis(n, t)``
+    (in basis order), over the columns ``monomial_basis(n, t + degree)``.
+    Each form's coefficients are cleared to integers once (row scaling keeps
+    every rank), and its row for x^e is that vector shifted by e.
+    """
+    return list(multiples_rows(forms, t))
+
+
+def multiples_rows(forms, t: int):
+    """The rows of ``multiples_matrix(forms, t)``, one at a time, so that a
+    caller keeping only part of each row never holds the whole matrix."""
+    if len({(f.n, f.degree) for f in forms}) > 1:
+        raise ValueError("forms must share n and degree")
+    for f in forms:
+        column = {e: k for k, e in enumerate(monomial_basis(f.n, t + f.degree))}
+        terms = list(zip(f.terms, clear_denominators(f.terms.values())))
+        for e in monomial_basis(f.n, t):
+            row = [0] * len(column)
+            for a, c in terms:
+                row[column[tuple(x + y for x, y in zip(a, e))]] = c
+            yield row
+
+
 def rank_of_span(forms) -> int:
     """Dimension of the span of a list of same-degree forms.  Exact."""
-    forms = [f for f in forms if not f.is_zero]
-    if not forms:
-        return 0
-    rows, _ = forms_to_matrix(forms)
-    return exact_rank([clear_denominators(row) for row in rows])
+    return exact_rank(multiples_matrix([f for f in forms if not f.is_zero], 0))

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Form, monomial_basis, pure_power
-from .linalg import clear_denominators, exact_rank
-from .sampling import DEFAULT_SEED, DEFAULT_TRIALS, random_line, rng_for
+from .algebra import Form, monomial_basis, multiples_matrix, pure_power
+from .linalg import exact_rank
+from .sampling import DEFAULT_SEED, DEFAULT_TRIALS, check_trials, random_line, rng_for
 from .wlp import IdealSpec, fails_in_degree_dminus1, has_wlp, is_artinian
 
 
@@ -92,19 +92,7 @@ def restrict_to_line(forms, point_p, point_q):
 
 def _kernel_dimension_on_line(restricted, t: int) -> int:
     """dim ker((g_i) -> sum g_i F_i) for g_i binary of degree t.  Exact."""
-    d = restricted[0].degree
-    r = len(restricted)
-    target = monomial_basis(1, t + d)
-    column = {e: k for k, e in enumerate(target)}
-    rows = []
-    for f in restricted:
-        for g_exp in monomial_basis(1, t):
-            row = [Fraction(0)] * len(target)
-            for e, c in f.terms.items():
-                row[column[(e[0] + g_exp[0], e[1] + g_exp[1])]] = c
-            rows.append(clear_denominators(row))
-    rank = exact_rank(rows)
-    return r * (t + 1) - rank
+    return len(restricted) * (t + 1) - exact_rank(multiples_matrix(restricted, t))
 
 
 def splitting_type(
@@ -120,6 +108,7 @@ def splitting_type(
         raise ValueError("ideal is not artinian")
     if spec.r < 2:
         raise ValueError("splitting needs at least two generators")
+    check_trials(trials)
     rng = rng_for(seed, "splitting-line")
     profiles = []
     for _ in range(trials):

@@ -46,19 +46,15 @@ from .bundles import AnalysisError
 from .osculating import LinearSystem, laplace_count, perkinson_quadric
 from .parser import format_form, parse_polynomial
 from .polytope import (
+    VERDICT_DEGENERATE,
+    build_polytope,
     normalized_volume,
-    polytope_from_points,
     smoothness_report,
 )
 from .sampling import DEFAULT_SEED, DEFAULT_TRIALS
 from .wlp import IdealSpec, is_togliatti, trivial_type_a, trivial_type_b_test
 
 RECORD_SCHEMA = 1
-
-VERDICT_SMOOTH = "smooth"
-VERDICT_QUASI_SMOOTH = "quasi-smooth"
-VERDICT_SINGULAR = "singular"
-VERDICT_DEGENERATE = "degenerate"
 
 
 def canonical_form(exponents):
@@ -212,15 +208,10 @@ def certify_candidate(
         raise AnalysisError(
             f"Togliatti candidate {generators} has no lattice quadric certificate"
         )
-    polytope = polytope_from_points([e[:-1] for e in apolar_exponents])
+    polytope = build_polytope(system)
     if polytope.is_full_dimensional:
         report = smoothness_report(polytope)
-        if not report.simple:
-            verdict = VERDICT_SINGULAR
-        elif report.smooth:
-            verdict = VERDICT_SMOOTH
-        else:
-            verdict = VERDICT_QUASI_SMOOTH
+        verdict = report.verdict
         edge_rule_fired = report.edge_rule_fired
         degree = normalized_volume(polytope)
     else:

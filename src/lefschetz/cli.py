@@ -30,9 +30,9 @@ from .classify import (
 from .osculating import LinearSystem, laplace_count, osculating_dimension
 from .parser import ParseError, format_form, parse_polynomial
 from .polytope import (
+    VERDICT_DEGENERATE,
     DegeneratePolytopeError,
-    normalized_volume,
-    polytope_from_points,
+    build_polytope,
     polytope_json,
     smoothness_report,
 )
@@ -319,18 +319,14 @@ def _cmd_apolar(args) -> int:
 
 def _cmd_polytope(args) -> int:
     doc = _load_document(args)
-    system = _document_system(doc, args.system)
-    if not system.is_monomial():
-        raise AnalysisError("polytope analysis needs a monomial system")
-    points = [e[:-1] for e in system.exponents()]
-    polytope = polytope_from_points(points)
+    polytope = build_polytope(_document_system(doc, args.system))
     report = Report("polytope")
     if not polytope.is_full_dimensional:
         report.payload.update(
             {
                 "points": [list(p) for p in polytope.points],
                 "affine_dim": polytope.affine_dim,
-                "verdict": "degenerate",
+                "verdict": VERDICT_DEGENERATE,
             }
         )
         report.line(
@@ -339,26 +335,20 @@ def _cmd_polytope(args) -> int:
         _emit(report.render(args.json), args.out)
         return 0
     smooth = smoothness_report(polytope)
-    if not smooth.simple:
-        verdict = "singular"
-    elif smooth.smooth:
-        verdict = "smooth"
-    else:
-        verdict = "quasi-smooth"
     report.payload.update(polytope_json(polytope))
     report.payload.update(
         {
             "simple": smooth.simple,
             "smooth": smooth.smooth,
             "edge_rule_fired": smooth.edge_rule_fired,
-            "verdict": verdict,
+            "verdict": smooth.verdict,
         }
     )
     report.line(
         f"{len(polytope.points)} lattice points, {len(polytope.vertices)} vertices, "
         f"{len(polytope.facets)} facets, {len(polytope.edges)} edges"
     )
-    report.line(f"verdict: {verdict}")
+    report.line(f"verdict: {smooth.verdict}")
     report.line(f"normalized volume (toric degree): {report.payload['normalized_volume']}")
     _emit(report.render(args.json), args.out)
     return 0

@@ -16,9 +16,10 @@ exact.  There are exactly two elimination routines, independent of each other:
 
 ``exact_rank`` wraps Bareiss with a certified shortcut: the rank of the matrix
 reduced mod a fixed prime is a lower bound for the rational rank, so whenever
-the mod-p rank reaches min(rows, cols) the exact rank is known without any
-big-integer work.  A deficient mod-p outcome is never trusted; it falls back
-to Bareiss.  The shortcut changes nothing about the returned value.
+the mod-p rank reaches the count of nonzero rows or of nonzero columns (an
+upper bound) the exact rank is known without any big-integer work.  A
+deficient mod-p outcome is never trusted; it falls back to Bareiss.  The
+shortcut changes nothing about the returned value.
 """
 
 from __future__ import annotations
@@ -173,16 +174,19 @@ def _to_modp_array(rows) -> np.ndarray:
 def exact_rank(rows) -> int:
     """Exact rank of an integer matrix.
 
-    Mod-p rank is a lower bound for the rank over Q; if it reaches
-    min(rows, cols) that value is certified exact.  Otherwise Bareiss decides.
+    Mod-p rank is a lower bound for the rank over Q; if it reaches the
+    number of nonzero rows or of nonzero columns (counted over Z, an upper
+    bound) that value is certified exact.  Otherwise Bareiss decides.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if nrows == 0 or ncols == 0:
         return 0
-    ceiling = min(nrows, ncols)
     modp = _modp_rank(_to_modp_array(rows))
-    if modp == ceiling:
+    if modp == min(nrows, ncols):
+        return modp
+    # a second pass over the entries, paid only when the screen fell short
+    if modp == min(sum(map(any, rows)), sum(map(any, zip(*rows)))):
         return modp
     return bareiss_rank(rows)
 

@@ -27,7 +27,13 @@ from typing import Optional
 
 from .algebra import Form, monomial_basis, rank_of_span
 from .linalg import clear_denominators, exact_rank, kernel_basis, primitive_vector
-from .sampling import DEFAULT_SEED, DEFAULT_TRIALS, random_chart_point, rng_for
+from .sampling import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    check_trials,
+    random_chart_point,
+    rng_for,
+)
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,7 @@ def osculating_dimension(
     """
     if s < 0:
         raise ValueError("order must be non-negative")
+    check_trials(trials)
     rng = rng_for(seed, "osculating-point", s)
     best = 0
     ceiling = min(comb(system.n + s, s), len(system.members))

@@ -38,6 +38,11 @@ from .linalg import (
     solve_exact,
 )
 
+VERDICT_SMOOTH = "smooth"
+VERDICT_QUASI_SMOOTH = "quasi-smooth"
+VERDICT_SINGULAR = "singular"
+VERDICT_DEGENERATE = "degenerate"
+
 
 class DegeneratePolytopeError(ValueError):
     """Raised when an operation needs a full-dimensional polytope."""
@@ -204,6 +209,13 @@ class SmoothnessReport:
     simple: bool
     smooth: bool
     edge_rule_fired: bool
+
+    @property
+    def verdict(self) -> str:
+        """Singular (not simple), smooth, or quasi-smooth (simple, not smooth)."""
+        if not self.simple:
+            return VERDICT_SINGULAR
+        return VERDICT_SMOOTH if self.smooth else VERDICT_QUASI_SMOOTH
 
 
 def smoothness_report(polytope: LatticePolytope) -> SmoothnessReport:

@@ -20,6 +20,12 @@ DEFAULT_TRIALS = 3
 DEFAULT_SEED = 0
 
 
+def check_trials(trials) -> None:
+    """Reject a sample count below one: a loop over no samples decides nothing."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def rng_for(seed, *tags) -> random.Random:
     """Deterministic generator keyed by seed and operation tags."""
     return random.Random("|".join(str(t) for t in (seed, *tags)))

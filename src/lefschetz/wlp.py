@@ -24,11 +24,20 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .algebra import Form, monomial_basis, pure_power, rank_of_span, substitute_variable
-from .linalg import clear_denominators, exact_rank
+from .algebra import (
+    Form,
+    monomial_basis,
+    multiples_matrix,
+    multiples_rows,
+    pure_power,
+    rank_of_span,
+    substitute_variable,
+)
+from .linalg import exact_rank
 from .sampling import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    check_trials,
     random_hyperplane_substitution,
     random_linear_form,
     rng_for,
@@ -100,33 +109,23 @@ class WlpReport:
     lefschetz_form: Form
 
     @property
-    def injective(self) -> bool:
-        return self.rank == self.dim_source
-
-    @property
-    def surjective(self) -> bool:
-        return self.rank == self.dim_target
-
-    @property
     def maximal_rank(self) -> bool:
         return self.rank == min(self.dim_source, self.dim_target)
 
 
-def _divisible(exponent, divisor) -> bool:
-    return all(a >= b for a, b in zip(exponent, divisor))
-
-
-def _monomial_ideal_piece(spec: IdealSpec, t: int):
-    gens = spec.monomial_exponents()
-    return [
-        e
-        for e in monomial_basis(spec.n, t)
-        if any(_divisible(e, g) for g in gens)
-    ]
+def _monomial_multiples(spec: IdealSpec, t: int) -> set:
+    """The monomials spanning I_t of a monomial ideal: the products x^e * g."""
+    if t < spec.d:
+        return set()
+    return {
+        tuple(a + b for a, b in zip(e, g))
+        for e in monomial_basis(spec.n, t - spec.d)
+        for g in spec.monomial_exponents()
+    }
 
 
 def ideal_piece_dimension(spec: IdealSpec, t: int) -> int:
-    """dim_k I_t, exact.  Monomial ideals count divisible monomials."""
+    """dim_k I_t, exact.  Monomial ideals count the monomials x^e * g."""
     if t < 0:
         raise ValueError("degree must be non-negative")
     if t < spec.d or spec.r == 0:
@@ -135,14 +134,9 @@ def ideal_piece_dimension(spec: IdealSpec, t: int) -> int:
     if cached is not None:
         return cached
     if spec.is_monomial:
-        dim = len(_monomial_ideal_piece(spec, t))
+        dim = len(_monomial_multiples(spec, t))
     else:
-        multiples = [
-            Form.monomial(e) * g
-            for e in monomial_basis(spec.n, t - spec.d)
-            for g in spec.generators
-        ]
-        dim = rank_of_span(multiples)
+        dim = exact_rank(multiples_matrix(spec.generators, t - spec.d))
     spec._dim_cache[t] = dim
     return dim
 
@@ -202,8 +196,10 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
     """Exact rank of x linear_form : (R/I)_j -> (R/I)_{j+1}.
 
     rank = dim(L*R_j + I_{j+1}) - dim I_{j+1}.  For monomial ideals the
-    quotient basis in degree j+1 is the set of non-divisible monomials, so
-    the ideal part is projected away instead of eliminated.
+    quotient basis in degree j+1 is the set of monomials outside I_{j+1}, so
+    the ideal part is projected out of each row of L*R_j instead of
+    eliminated, and the rows that vanish (those of I_j among them) are
+    dropped: the mod-p screen checks full rank against min(rows, cols).
     """
     if linear_form.degree != 1 or linear_form.n != spec.n:
         raise ValueError("need a linear form in the same ring")
@@ -214,41 +210,18 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
     if hs == 0 or ht == 0:
         return WlpReport(j, hs, ht, 0, linear_form)
     if spec.is_monomial:
-        gens = spec.monomial_exponents()
-        target = [
-            e
-            for e in monomial_basis(spec.n, j + 1)
-            if not any(_divisible(e, g) for g in gens)
+        ideal = _monomial_multiples(spec, j + 1)
+        keep = [
+            k for k, e in enumerate(monomial_basis(spec.n, j + 1)) if e not in ideal
         ]
-        column = {e: k for k, e in enumerate(target)}
-        coeffs = {}
-        for i in range(spec.n + 1):
-            c = linear_form.terms.get(pure_power(spec.n, i), 0)
-            if c:
-                coeffs[i] = c
-        rows = []
-        for e in monomial_basis(spec.n, j):
-            if any(_divisible(e, g) for g in gens):
-                continue
-            row = [0] * len(target)
-            hit = False
-            for i, c in coeffs.items():
-                shifted = tuple(e[k] + (1 if k == i else 0) for k in range(spec.n + 1))
-                k = column.get(shifted)
-                if k is not None:
-                    row[k] = c
-                    hit = True
-            if hit:
-                rows.append(clear_denominators(row))
-        rank = exact_rank(rows) if rows else 0
+        rows = multiples_rows([linear_form], j)
+        projected = ([row[k] for k in keep] for row in rows)
+        rank = exact_rank([row for row in projected if any(row)])
     else:
-        span = [
-            Form.monomial(e) * g
-            for e in monomial_basis(spec.n, j + 1 - spec.d)
-            for g in spec.generators
-        ] if j + 1 >= spec.d else []
-        span += [Form.monomial(e) * linear_form for e in monomial_basis(spec.n, j)]
-        rank = rank_of_span(span) - ideal_piece_dimension(spec, j + 1)
+        rows = multiples_matrix([linear_form], j)
+        if j + 1 >= spec.d:
+            rows = multiples_matrix(spec.generators, j + 1 - spec.d) + rows
+        rank = exact_rank(rows) - ideal_piece_dimension(spec, j + 1)
     return WlpReport(j, hs, ht, rank, linear_form)
 
 
@@ -267,6 +240,7 @@ def certified_lefschetz_report(
     once maximal rank is certified.  ``force_generic`` samples random forms
     even for monomial ideals (cross-validation of the fast path).
     """
+    check_trials(trials)
     if spec.is_monomial and not force_generic:
         return multiplication_rank(spec, _sum_of_variables(spec.n), j)
     rng = rng_for(seed, "wlp-linear-form", j)
@@ -311,6 +285,7 @@ def restricted_generators(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_
     Yields lists of forms in n variables.  Monomial ideals use the single
     hyperplane x_0 + ... + x_n = 0; general ideals yield ``trials`` samples.
     """
+    check_trials(trials)
     if spec.is_monomial:
         terms = {pure_power(spec.n, i): -1 for i in range(spec.n)}
         replacement = Form(spec.n, 1, terms)
@@ -393,10 +368,10 @@ def trivial_type_b_test(
 ) -> TypeBResult:
     if not spec.is_monomial or spec.d != 3:
         raise ValueError("trivial type B probe needs a monomial cubic ideal")
+    check_trials(trials)
     gens = spec.monomial_exponents()
-    gen_forms = [Form.monomial(e) for e in gens]
+    gen_rows = multiples_matrix([Form.monomial(e) for e in gens], 0)
     sufficient = False
-    full = False
     witness = None
     for i in range(spec.n + 1):
         divisible = sum(1 for e in gens if e[i] >= 1)
@@ -404,18 +379,15 @@ def trivial_type_b_test(
             sufficient = True
         rng = rng_for(seed, "type-b", i)
         x_i = Form.variable(spec.n, i)
-        full_here = True
-        for _ in range(trials):
-            m = random_linear_form(spec.n, rng)
-            tangent = [x_i * m * Form.variable(spec.n, j) for j in range(spec.n + 1)]
-            # dim(A) + dim(B) - dim(A + B), generators independent so dim I_3 = r
-            joint = rank_of_span(gen_forms + tangent)
-            intersection = spec.r + rank_of_span(tangent) - joint
-            if intersection < 1:
-                full_here = False
-                break
-        if full_here:
-            full = True
-            if witness is None:
-                witness = i
-    return TypeBResult(sufficient, full, witness)
+        tangents = (
+            multiples_matrix([x_i * random_linear_form(spec.n, rng)], 1)
+            for _ in range(trials)
+        )
+        # dim(I_3 meet x_i*m*R_1) = r + (n+1) - rank(stacked rows), as the
+        # generators are independent and x_i*m*R_1 has dimension n+1 (R is
+        # a domain): the intersection is nonzero iff the rank falls short
+        if witness is None and all(
+            exact_rank(gen_rows + tangent) < spec.r + spec.n + 1 for tangent in tangents
+        ):
+            witness = i
+    return TypeBResult(sufficient, witness is not None, witness)

@@ -9,9 +9,11 @@ from lefschetz.algebra import (
     Form,
     forms_to_matrix,
     monomial_basis,
+    multiples_matrix,
     rank_of_span,
     substitute_variable,
 )
+from lefschetz.linalg import exact_rank, rational_rank
 from lefschetz.sampling import random_form, random_linear_form, rng_for
 
 
@@ -130,3 +132,46 @@ def test_forms_to_matrix_columns():
     rows2, cols2 = forms_to_matrix([x * y], columns=monomial_basis(1, 2))
     assert cols2 == ((2, 0), (1, 1), (0, 2))
     assert rows2 == [[0, 1, 0]]
+
+
+def _fraction_linear_form(n, rng):
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
+    form = Form(n, 1, dict(zip(monomial_basis(n, 1), coeffs)))
+    return form if not form.is_zero else Form.variable(n, 0)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_multiples_matrix_matches_form_products(t):
+    # an independent route: Form products, Fraction rows, Gauss-Jordan rank
+    rng = rng_for(0, "multiples-matrix", t)
+    deficient = 0
+    for trial in range(12):
+        n = rng.choice([1, 2, 3])
+        # cubics q*l1, q*l2 sharing a quadric q are dependent in degree t >= 1:
+        # l2 * (q*l1) = l1 * (q*l2)
+        quadric = _fraction_linear_form(n, rng) * _fraction_linear_form(n, rng)
+        count = rng.randrange(1, 4)
+        forms = [quadric * _fraction_linear_form(n, rng) for _ in range(count)]
+        forms.append(random_form(n, 3, rng, bound=9) * Fraction(1, rng.randint(1, 9)))
+        rows = multiples_matrix(forms, t)
+        assert len(rows) == len(forms) * len(monomial_basis(n, t))
+        assert all(len(row) == len(monomial_basis(n, t + 3)) for row in rows)
+        assert all(type(x) is int for row in rows for x in row)
+        products = [Form.monomial(e) * f for f in forms for e in monomial_basis(n, t)]
+        expected, _ = forms_to_matrix(products, columns=monomial_basis(n, t + 3))
+        rank = exact_rank(rows)
+        assert rank == rational_rank(expected)
+        deficient += rank < min(len(rows), len(rows[0]))
+        if t == 0:
+            assert rank == rank_of_span(forms)
+    if t > 0:
+        assert deficient > 0
+
+
+def test_multiples_matrix_rejects_mixed_forms():
+    x = Form.variable(2, 0)
+    with pytest.raises(ValueError):
+        multiples_matrix([x, x * x], 1)
+    with pytest.raises(ValueError):
+        multiples_matrix([x, Form.variable(1, 0)], 0)
+    assert multiples_matrix([], 2) == []

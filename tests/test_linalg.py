@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from lefschetz import linalg
 from lefschetz.linalg import (
     bareiss_rank,
     clear_denominators,
@@ -71,6 +72,22 @@ def test_exact_rank_handles_entries_beyond_int64():
     # mod-p collision: p * multiplier rows are nonzero but vanish mod 2^31 - 1
     p = 2_147_483_647
     assert exact_rank([[p, 0], [0, p]]) == 2
+
+
+def test_exact_rank_screen_counts_nonzero_rows_and_columns(monkeypatch):
+    p = 2_147_483_647
+    # nonzero over Z but zero mod p: the zero count must be taken over Z
+    assert exact_rank([[p, 0, 0], [0, 1, 0]]) == 2
+    assert exact_rank([[1, p], [0, 0]]) == 1
+
+    def no_fallback(rows):
+        pytest.fail(f"Bareiss fallback on {rows}")
+
+    # full rank once the zero rows and columns are left out: certified mod p
+    monkeypatch.setattr(linalg, "bareiss_rank", no_fallback)
+    assert exact_rank([[1, 0, 2], [0, 0, 0], [3, 0, 4]]) == 2
+    assert exact_rank([[0, 5, 0, 0], [0, 7, 0, 0], [0, 0, 0, 0]]) == 1
+    assert exact_rank([[0, 0], [0, 0]]) == 0
 
 
 def test_clear_denominators():

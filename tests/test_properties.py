@@ -2,8 +2,10 @@
 
 from collections import Counter
 
-from lefschetz import IdealSpec, has_wlp
+from lefschetz import IdealSpec, has_wlp, monomial_basis, multiplication_rank
+from lefschetz.algebra import Form, pure_power
 from lefschetz.sampling import random_linear_form, rng_for
+from lefschetz.wlp import ideal_piece_dimension
 
 
 def test_corpus_composition(corpus):
@@ -37,6 +39,38 @@ def test_monomial_lefschetz_agreement(corpus_audit):
 def test_rank_routes_agree(corpus_audit):
     assert corpus_audit["checked"]["rank_routes"] == 500
     assert corpus_audit["violations"]["rank_routes"] == []
+
+
+def test_monomial_ideal_piece_counts_divisible_monomials(corpus):
+    # I_t of a monomial ideal is spanned by the monomials divisible by a generator
+    monomial = [spec for spec in corpus if spec.is_monomial]
+    for spec in monomial:
+        gens = spec.monomial_exponents()
+        for t in range(spec.d - 1, spec.d + 4):
+            divisible = sum(
+                1
+                for e in monomial_basis(spec.n, t)
+                if any(all(a >= b for a, b in zip(e, g)) for g in gens)
+            )
+            assert ideal_piece_dimension(spec, t) == divisible, (spec, t)
+    assert len(monomial) == 286
+
+
+def test_monomial_projection_matches_general_formula(corpus):
+    # Doubling the generators keeps the ideal but clears the monomial flag, so
+    # multiplication_rank takes its general route on the same map:
+    # rank(I_d rows + L*R_{d-1} rows) - dim I_d, against the projection.
+    for i, spec in enumerate(corpus):
+        if not spec.is_monomial:
+            continue
+        scaled = IdealSpec(spec.n, spec.d, [g * 2 for g in spec.generators])
+        assert not scaled.is_monomial
+        total = Form(spec.n, 1, {pure_power(spec.n, k): 1 for k in range(spec.n + 1)})
+        linear = random_linear_form(spec.n, rng_for(0, "projection", i))
+        for form in (total, linear):
+            projected = multiplication_rank(spec, form, spec.d - 1)
+            general = multiplication_rank(scaled, form, spec.d - 1)
+            assert projected == general, (i, form)
 
 
 def _power_ideal(d, seed):

@@ -1,0 +1,54 @@
+"""The sampling policy: every sampled verdict needs at least one sample."""
+
+import pytest
+
+from lefschetz.algebra import Form
+from lefschetz.apolarity import apolar_complement
+from lefschetz.bundles import splitting_type
+from lefschetz.osculating import LinearSystem, laplace_count, osculating_dimension
+from lefschetz.sampling import random_form, rng_for
+from lefschetz.wlp import (
+    IdealSpec,
+    certified_lefschetz_report,
+    has_wlp,
+    is_togliatti,
+    restricted_generators,
+    trivial_type_b_test,
+)
+
+TOGLIATTI = IdealSpec.from_monomials(2, 3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
+SYSTEM = LinearSystem.from_apolar(apolar_complement(TOGLIATTI))
+GENERAL = IdealSpec(
+    2,
+    3,
+    [Form.variable(2, i) ** 3 for i in range(3)]
+    + [random_form(2, 3, rng_for(0, "trials-general"))],
+)
+
+# With no sample each of these would still answer (delta 6, Togliatti True,
+# type B full, no report, "every line degenerate"), so each must refuse.
+CALLS = {
+    "certified_lefschetz_report": lambda trials: certified_lefschetz_report(
+        GENERAL, 2, trials=trials
+    ),
+    "certified_lefschetz_report_forced": lambda trials: certified_lefschetz_report(
+        TOGLIATTI, 2, trials=trials, force_generic=True
+    ),
+    "has_wlp": lambda trials: has_wlp(GENERAL, trials=trials),
+    "restricted_generators": lambda trials: list(
+        restricted_generators(GENERAL, trials=trials)
+    ),
+    "is_togliatti": lambda trials: is_togliatti(GENERAL, trials=trials),
+    "trivial_type_b_test": lambda trials: trivial_type_b_test(TOGLIATTI, trials=trials),
+    "osculating_dimension": lambda trials: osculating_dimension(SYSTEM, 2, trials=trials),
+    "laplace_count": lambda trials: laplace_count(SYSTEM, 2, trials=trials),
+    "splitting_type": lambda trials: splitting_type(GENERAL, trials=trials),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_fewer_than_one_trial_is_rejected(name):
+    CALLS[name](1)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            CALLS[name](trials)
