@@ -3,11 +3,12 @@
 Every monomial artinian ideal generated in degree 3 contains the pure cubes,
 so candidates are (x_0^3, ..., x_n^3) plus j mixed cubic monomials with
 1 <= j <= comb(n+2, n-1) - (n+1), the generator bound for the degree-2
-failure theory.  Candidates are deduplicated by canonical form under the
-coordinate permutations, every canonical representative is tested with
-``is_togliatti``, and each hit is fully certified: apolar system, Laplace
-count re-verified, lattice quadric, polytope verdict (smooth / quasi-smooth
-/ singular), toric degree, triviality flags, orbit size.
+failure theory.  The enumeration walks the subsets of mixed monomials once
+and, at the first subset of each orbit under the coordinate permutations,
+marks the whole orbit.  Each orbit's canonical form (its lex-minimal member)
+is tested with ``is_togliatti``, and each hit is fully certified: apolar
+system, Laplace count re-verified, lattice quadric, polytope verdict (smooth
+/ quasi-smooth / singular), toric degree, triviality flags, orbit size.
 
 The records are every Togliatti system, minimal or not: a record may keep
 the property after a mixed generator is dropped (the n = 3 smooth record of
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -57,24 +57,15 @@ from .wlp import IdealSpec, is_togliatti, trivial_type_a, trivial_type_b_test
 RECORD_SCHEMA = 1
 
 
-def canonical_form(exponents):
-    """Lex-minimal sorted exponent tuple over all coordinate permutations.
+def _permuted(exponents):
+    """The images of ``exponents`` under each coordinate permutation, in order.
 
-    Idempotent and constant on permutation orbits; the canonical key used
-    for deduplication everywhere in this module.
+    Yields one tuple per permutation sigma, holding the image
+    ``(e[sigma[0]], ..., e[sigma[n]])`` of every exponent ``e`` in input order.
     """
-    exponents = [tuple(e) for e in exponents]
-    if not exponents:
-        return ()
     width = len(exponents[0])
-    best = None
     for sigma in itertools.permutations(range(width)):
-        image = tuple(
-            sorted(tuple(e[sigma[i]] for i in range(width)) for e in exponents)
-        )
-        if best is None or image < best:
-            best = image
-    return best
+        yield tuple(tuple(e[s] for s in sigma) for e in exponents)
 
 
 def permutation_images(exponents):
@@ -82,13 +73,16 @@ def permutation_images(exponents):
     exponents = [tuple(e) for e in exponents]
     if not exponents:
         return {()}
-    width = len(exponents[0])
-    images = set()
-    for sigma in itertools.permutations(range(width)):
-        images.add(
-            tuple(sorted(tuple(e[sigma[i]] for i in range(width)) for e in exponents))
-        )
-    return images
+    return {tuple(sorted(image)) for image in _permuted(exponents)}
+
+
+def canonical_form(exponents):
+    """Lex-minimal sorted exponent tuple over all coordinate permutations.
+
+    Idempotent and constant on permutation orbits; the canonical key used
+    for deduplication everywhere in this module.
+    """
+    return min(permutation_images(exponents))
 
 
 def _variable_names(n: int):
@@ -300,17 +294,19 @@ def enumerate_cubic_togliatti(
     Non-minimal systems are records too; ask the returned run's
     ``removable_generator`` which records are minimal.
 
-    ``max_extra`` caps the number j of mixed generators (required sanity for
-    n >= 4, where the full range is astronomically large).  ``cache`` maps
-    canonical generator keys to ClassificationRecords (or None for certified
-    non-Togliatti candidates) and is consulted before recomputing; it is
-    updated in place.  ``workers`` > 1 certifies candidates in parallel
+    ``max_extra`` >= 1 caps the number j of mixed generators (required
+    sanity for n >= 4, where the full range is astronomically large).
+    ``cache`` maps canonical generator keys to ClassificationRecords (or
+    None for certified non-Togliatti candidates) and is consulted before
+    recomputing; it is updated in place.  ``workers`` > 1 certifies candidates in parallel
     processes; output order is canonical either way.
     """
     if n < 2:
         raise ValueError("classification needs n >= 2")
     j_limit = comb(n + 2, n - 1) - (n + 1)
     if max_extra is not None:
+        if max_extra < 1:
+            raise ValueError(f"max_extra must be at least 1, not {max_extra}")
         j_limit = min(j_limit, max_extra)
     elif n >= 4:
         raise ValueError(
@@ -318,17 +314,30 @@ def enumerate_cubic_togliatti(
         )
     cubes = _pure_cubes(n)
     mixed = tuple(e for e in monomial_basis(n, 3) if max(e) < 3)
-    counter: Counter = Counter()
+    # Each coordinate permutation as a map on the indices of ``mixed``; the
+    # pure cubes are fixed as a set, so they never need permuting.
+    position = {e: i for i, e in enumerate(mixed)}
+    actions = [tuple(position[e] for e in image) for image in _permuted(mixed)]
+    hit_counts = {}
     candidates = []
     subsets_seen = 0
     for j in range(1, j_limit + 1):
-        for subset in itertools.combinations(mixed, j):
+        # A permutation keeps j, so the marks of one layer never serve the
+        # next.  Subsets come in lex order, so each orbit is met, and entered
+        # in ``hit_counts``, at its lex-first member.
+        marked = set()
+        for subset in itertools.combinations(range(len(mixed)), j):
             subsets_seen += 1
-            full = tuple(sorted(cubes + subset))
-            key = canonical_form(full)
-            counter[key] += 1
-            if key == full:
-                candidates.append(key)
+            if subset in marked:
+                continue
+            orbit = {tuple(sorted(action[i] for i in subset)) for action in actions}
+            marked |= orbit
+            key = min(
+                tuple(sorted(cubes + tuple(mixed[i] for i in image)))
+                for image in orbit
+            )
+            hit_counts[key] = len(orbit)
+            candidates.append(key)
     candidates.sort(key=lambda key: (len(key), key))
     jobs = []
     results = {}
@@ -336,7 +345,7 @@ def enumerate_cubic_togliatti(
         if cache is not None and key in cache:
             results[key] = cache[key]
         else:
-            jobs.append((n, key, counter[key], seed, trials))
+            jobs.append((n, key, hit_counts[key], seed, trials))
     if workers > 1 and jobs:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -360,7 +369,7 @@ def enumerate_cubic_togliatti(
         j_max=j_limit,
         subsets_seen=subsets_seen,
         candidates_tested=len(candidates),
-        hit_counts=dict(counter),
+        hit_counts=hit_counts,
         records=records,
     )
 
@@ -469,19 +478,19 @@ def four_prime_projections(*, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
         removed = [_monomial_word_to_exponent(w) for w in subset]
         base = classification_case_ideal(case)
         gens = tuple(sorted(base.monomial_exponents() | set(removed)))
+        images = permutation_images(gens)
         entry = {
             "label": f"case-{case}-minus-{'-'.join(subset)}",
             "case": case,
             "removed": subset,
             "r": len(gens),
             "in_range": len(gens) <= bound,
-            "canonical": canonical_form(gens),
+            "canonical": min(images),
             "record": None,
         }
         if entry["in_range"]:
             entry["record"] = certify_candidate(
-                3, entry["canonical"], len(permutation_images(gens)),
-                seed=seed, trials=trials,
+                3, entry["canonical"], len(images), seed=seed, trials=trials
             )
         results.append(entry)
     return results

@@ -383,6 +383,8 @@ def _cmd_splitting(args) -> int:
 
 def _cmd_classify(args) -> int:
     seed, trials = _sampling_settings(args)
+    if args.max_extra is not None and args.max_extra < 1:
+        raise UsageError(f"--max-extra must be at least 1, not {args.max_extra}")
     cache = None
     cache_handle = None
     if args.cache:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from lefschetz.algebra import monomial_basis
 from lefschetz.classify import (
     ClassificationRecord,
     _pure_cubes,
@@ -27,14 +28,37 @@ from lefschetz.wlp import IdealSpec, is_togliatti
 NAMES4 = ("x0", "x1", "x2", "x3")
 
 
-@pytest.fixture(scope="module")
-def run3():
-    return enumerate_cubic_togliatti(3, seed=0, trials=3)
+def _census(n, max_extra=None):
+    """A census run and the candidate keys in the order it certified them."""
+    tested = []
+    run = enumerate_cubic_togliatti(
+        n,
+        seed=0,
+        trials=3,
+        max_extra=max_extra,
+        progress=lambda key, record: tested.append(key),
+    )
+    return run, tested
 
 
 @pytest.fixture(scope="module")
-def run2():
-    return enumerate_cubic_togliatti(2, seed=0, trials=3)
+def census3():
+    return _census(3)
+
+
+@pytest.fixture(scope="module")
+def census2():
+    return _census(2)
+
+
+@pytest.fixture(scope="module")
+def run3(census3):
+    return census3[0]
+
+
+@pytest.fixture(scope="module")
+def run2(census2):
+    return census2[0]
 
 
 def test_canonical_form_is_idempotent():
@@ -137,6 +161,61 @@ def test_n3_run_totals(run3):
     assert len(run3.records) == 224
     assert run3.j_max == 6
     assert sum(run3.hit_counts.values()) == run3.subsets_seen
+
+
+def _brute_force_hit_counts(n, j_max):
+    """The census's hit counts by definition: every subset, canonicalised."""
+    cubes = _pure_cubes(n)
+    mixed = tuple(e for e in monomial_basis(n, 3) if max(e) < 3)
+    return Counter(
+        canonical_form(sorted(cubes + subset))
+        for j in range(1, j_max + 1)
+        for subset in itertools.combinations(mixed, j)
+    )
+
+
+def _assert_matches_brute_force(run, tested):
+    reference = _brute_force_hit_counts(run.n, run.j_max)
+    # same counts, and the same order of first appearance
+    assert list(run.hit_counts.items()) == list(reference.items())
+    assert run.subsets_seen == sum(reference.values())
+    # the keys are canonical forms, so these are the self-canonical subsets
+    assert tested == sorted(reference, key=lambda key: (len(key), key))
+    assert run.candidates_tested == len(tested)
+
+
+def test_n2_matches_brute_force(census2):
+    _assert_matches_brute_force(*census2)
+
+
+def test_n3_matches_brute_force(census3):
+    _assert_matches_brute_force(*census3)
+
+
+def test_n4_matches_brute_force():
+    _assert_matches_brute_force(*_census(4, max_extra=2))
+
+
+@pytest.mark.parametrize(
+    "max_extra, subsets, candidates, records",
+    [(3, 4525, 71, 0), (4, 31930, 378, 1)],
+)
+def test_n4_partial_census(max_extra, subsets, candidates, records):
+    run = enumerate_cubic_togliatti(4, seed=0, trials=3, max_extra=max_extra)
+    assert run.j_max == max_extra
+    assert (run.subsets_seen, run.candidates_tested, len(run.records)) == (
+        subsets,
+        candidates,
+        records,
+    )
+    assert sum(run.hit_counts.values()) == run.subsets_seen
+    assert all(120 % size == 0 for size in run.hit_counts.values())
+
+
+def test_max_extra_below_one_is_rejected():
+    for max_extra in (0, -2):
+        with pytest.raises(ValueError, match="max_extra must be at least 1"):
+            enumerate_cubic_togliatti(4, max_extra=max_extra)
 
 
 def test_n3_census(run3):

@@ -271,6 +271,18 @@ def test_classify_n2_json(capsys):
     assert record["toric_degree"] == 6
 
 
+def test_classify_rejects_max_extra_below_one(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    code, out, err = run_cli(
+        capsys, "classify", "--n", "4", "--max-extra", "0", "--json",
+        "--cache", str(cache),
+    )
+    assert code == 2
+    assert out == ""
+    assert "--max-extra must be at least 1" in err
+    assert not cache.exists()
+
+
 def test_classify_cache_resume(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"
     code, first, err = run_cli(
