@@ -13,6 +13,9 @@ Conventions used throughout the package:
   integer rows of the monomial multiples x^e * f of forms, used for dim I_t,
   the Lefschetz multiplication maps, the type-B tangent intersection, the
   syzygy kernels on a line and the span of a list of forms.
+* ``linear_substitution`` is the one place restrictions are expanded: the
+  forms at x = M*y, used for the restriction to a general hyperplane
+  (``substitute_variable``) and to a general line (``restrict_to_line``).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .linalg import clear_denominators, exact_rank
 
@@ -92,6 +96,10 @@ class Form:
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
 
+    def __reduce__(self):
+        # __setattr__ refuses pickle's slot restore, so unpickling rebuilds
+        return (Form, (self.n, self.degree, self.terms))
+
     @classmethod
     def monomial(cls, exponent, coeff=1) -> "Form":
         exponent = tuple(int(e) for e in exponent)
@@ -115,9 +123,6 @@ class Form:
     def is_monomial(self) -> bool:
         """Single term with coefficient exactly 1."""
         return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
-
-    def coefficient(self, exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
 
     def _check_compatible(self, other):
         if self.n != other.n:
@@ -145,26 +150,14 @@ class Form:
                 self.n, self.degree, {e: c * other for e, c in self.terms.items()}
             )
         self._check_compatible(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prev = terms.get(key)
-                terms[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return Form(self.n, self.degree + other.degree, terms)
+        return Form(
+            self.n, self.degree + other.degree, _product(self.terms, other.terms)
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
-
-    def __pow__(self, k: int) -> "Form":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Form(self.n, 0, {tuple(0 for _ in range(self.n + 1)): 1})
-        for _ in range(k):
-            result = result * self
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
@@ -200,37 +193,69 @@ class Form:
         return f"Form({format_form(self, names)})"
 
 
-def substitute_variable(form: Form, i: int, replacement: Form) -> Form:
+def _product(a: dict, b: dict) -> dict:
+    """Product of polynomials held as {exponent: coefficient} dicts.  Terms
+    that cancel stay as zeros, which ``Form`` drops."""
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            prev = terms.get(key)
+            terms[key] = c1 * c2 if prev is None else prev + c1 * c2
+    return terms
+
+
+def linear_substitution(forms, rows):
+    """The forms at x_k := sum_j rows[k][j] * y_j, as forms in y_0, ..., y_m.
+
+    ``rows`` holds one row of m+1 entries for each variable of the forms.
+    Exact for int and Fraction entries.  Each monomial's image is built once
+    per call, as the image of the monomial one degree lower times one row.
+    """
+    m = len(rows[0]) - 1
+    linear = [{pure_power(m, j): c for j, c in enumerate(row) if c} for row in rows]
+    images = {(0,) * len(rows): {(0,) * (m + 1): 1}}
+
+    def image(exponent):
+        if exponent not in images:
+            k = next(k for k, power in enumerate(exponent) if power)
+            lower = exponent[:k] + (exponent[k] - 1,) + exponent[k + 1 :]
+            images[exponent] = _product(image(lower), linear[k])
+        return images[exponent]
+
+    restricted = []
+    for form in forms:
+        if form.n + 1 != len(rows):
+            raise ValueError(f"{form.n + 1} variables but {len(rows)} rows")
+        terms = {}
+        for exponent, coeff in form.terms.items():
+            for key, value in image(exponent).items():
+                prev = terms.get(key)
+                terms[key] = coeff * value if prev is None else prev + coeff * value
+        restricted.append(Form(m, form.degree, terms))
+    return restricted
+
+
+def substitute_variable(forms, i: int, replacement: Form):
     """Substitute x_i := replacement, a linear form not involving x_i.
 
-    The result lives in the ring with variable i removed (n drops by one);
+    The results live in the ring with variable i removed (n drops by one);
     remaining variables keep their relative order.  Substitution is a ring
     map, so it distributes over sums and products.
     """
-    if not 0 <= i <= form.n:
-        raise IndexError(f"variable index {i} out of range for n={form.n}")
-    if replacement.n != form.n:
+    n = replacement.n
+    if not 0 <= i <= n:
+        raise IndexError(f"variable index {i} out of range for n={n}")
+    if any(form.n != n for form in forms):
         raise ValueError("replacement lives in a different ring")
     if replacement.degree != 1 and not replacement.is_zero:
         raise ValueError("replacement must be a linear form")
     if any(e[i] for e in replacement.terms):
         raise ValueError(f"replacement must not involve variable {i}")
-    reduced = Form(
-        form.n - 1,
-        1,
-        {e[:i] + e[i + 1 :]: c for e, c in replacement.terms.items()},
-    ) if not replacement.is_zero else Form.zero(form.n - 1, 1)
-    max_power = max((e[i] for e in form.terms), default=0)
-    powers = [Form(form.n - 1, 0, {tuple(0 for _ in range(form.n)): 1})]
-    for _ in range(max_power):
-        powers.append(powers[-1] * reduced)
-    result = Form.zero(form.n - 1, form.degree)
-    for exponent, coeff in form.terms.items():
-        rest = exponent[:i] + exponent[i + 1 :]
-        result = result + powers[exponent[i]] * Form(
-            form.n - 1, form.degree - exponent[i], {rest: coeff}
-        )
-    return result
+    coeffs = [replacement.terms.get(pure_power(n, k), 0) for k in range(n + 1)]
+    rows = [pure_power(n - 1, k) for k in range(n)]
+    rows.insert(i, coeffs[:i] + coeffs[i + 1 :])
+    return linear_substitution(forms, rows)
 
 
 def forms_to_matrix(forms, columns=None):

@@ -10,6 +10,7 @@ dimensions on the line:
          = sum_i max(0, a_i + t + 1)
 
 so c_t = k(t) - k(t-1) counts the a_i >= -t and the multiset of a_i follows.
+``restrict_to_line`` takes the F_i|_L through ``algebra.linear_substitution``.
 Genericity: kernel dimension is upper semicontinuous, so the minimum of each
 k(t) over sampled lines is the generic value; the recovered profile must
 satisfy the Chern checks (r-1 values, all <= 0, sum = -d) or an
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Form, monomial_basis, multiples_matrix, pure_power
+from .algebra import linear_substitution, monomial_basis, multiples_matrix, pure_power
 from .linalg import exact_rank
 from .sampling import DEFAULT_SEED, DEFAULT_TRIALS, check_trials, random_line, rng_for
 from .wlp import IdealSpec, fails_in_degree_dminus1, has_wlp, is_artinian
@@ -53,9 +54,12 @@ def restrict_to_line(forms, point_p, point_q):
     """Restrict forms to the line s*p + t*q, as binary forms in (s, t).
 
     The points must be projectively distinct (some 2x2 minor nonzero).
+    Coordinates other than ints are read exactly, through ``Fraction``.
     """
-    point_p = tuple(Fraction(c) for c in point_p)
-    point_q = tuple(Fraction(c) for c in point_q)
+    point_p, point_q = (
+        tuple(c if type(c) is int else Fraction(c) for c in point)
+        for point in (point_p, point_q)
+    )
     if len(point_p) != len(point_q):
         raise ValueError("points of different lengths")
     n = len(point_p) - 1
@@ -65,29 +69,9 @@ def restrict_to_line(forms, point_p, point_q):
         for j in range(i + 1, n + 1)
     ):
         raise ValueError("points are coincident (projectively equal)")
-    restricted = []
-    for form in forms:
-        if form.n != n:
-            raise ValueError("form does not live on the ambient space of the points")
-        degree = form.degree
-        total = [Fraction(0)] * (degree + 1)  # coefficient of s^(d-k) t^k
-        for exponent, coeff in form.terms.items():
-            # product of (p_i s + q_i t)^e_i, expanded as a dense binary poly
-            poly = [Fraction(coeff)]
-            for p_i, q_i, e in zip(point_p, point_q, exponent):
-                for _ in range(e):
-                    nxt = [Fraction(0)] * (len(poly) + 1)
-                    for k, c in enumerate(poly):
-                        if c:
-                            nxt[k] += c * p_i
-                            nxt[k + 1] += c * q_i
-                    poly = nxt
-            for k, c in enumerate(poly):
-                total[k] += c
-        restricted.append(
-            Form(1, degree, {(degree - k, k): c for k, c in enumerate(total) if c})
-        )
-    return restricted
+    if any(form.n != n for form in forms):
+        raise ValueError("form does not live on the ambient space of the points")
+    return linear_substitution(forms, list(zip(point_p, point_q)))
 
 
 def _kernel_dimension_on_line(restricted, t: int) -> int:

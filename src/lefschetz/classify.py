@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -349,16 +350,16 @@ def enumerate_cubic_togliatti(
     if workers > 1 and jobs:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for args, record in zip(jobs, pool.map(_certify_star, jobs, chunksize=8)):
-                results[args[1]] = record
-                if progress is not None:
-                    progress(args[1], record)
+        pool = ProcessPoolExecutor(max_workers=workers)
+        certified = pool.map(_certify_star, jobs, chunksize=8)
     else:
-        for args in jobs:
-            results[args[1]] = _certify_star(args)
+        pool = nullcontext()
+        certified = map(_certify_star, jobs)
+    with pool:
+        for args, record in zip(jobs, certified):
+            results[args[1]] = record
             if progress is not None:
-                progress(args[1], results[args[1]])
+                progress(args[1], record)
     if cache is not None:
         cache.update(results)
     records = tuple(

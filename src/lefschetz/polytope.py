@@ -258,13 +258,8 @@ def _nvol(points, m: int) -> int:
         height = offset - sum(a * b for a, b in zip(normal, apex))
         if height == 0:
             continue
-        base = None
-        section = []
-        for p in polytope.points:
-            if sum(a * b for a, b in zip(normal, p)) == offset:
-                if base is None:
-                    base = p
-                section.append(p)
+        section = [polytope.points[k] for k in polytope.facet_points((normal, offset))]
+        base = section[0]
         kernel = integer_kernel_of_vector(primitive_vector(normal))
         columns = [list(v) for v in kernel]
         coords = []

@@ -74,20 +74,12 @@ def random_line(n: int, rng: random.Random):
             return p, q
 
 
-def random_hyperplane_substitution(n: int, rng: random.Random):
-    """A random hyperplane sum(a_i x_i) = 0, returned as (i, g) with x_i := g.
+def random_hyperplane(n: int, rng: random.Random):
+    """Coefficients a_0..a_n of a random hyperplane sum(a_i x_i) = 0.
 
-    The eliminated variable is x_n (resampled until its coefficient is
-    nonzero), so g = -sum_{i<n} (a_i/a_n) x_i is a linear form avoiding x_n.
+    Entries lie in [-999, 999], redrawn until a_n != 0 (so x_n can be solved).
     """
-    from fractions import Fraction
-
     while True:
         coeffs = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(n + 1)]
         if coeffs[n]:
-            break
-    terms = {}
-    for i in range(n):
-        if coeffs[i]:
-            terms[pure_power(n, i)] = Fraction(-coeffs[i], coeffs[n])
-    return n, Form(n, 1, terms)
+            return coeffs

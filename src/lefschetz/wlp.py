@@ -21,6 +21,7 @@ bridge to Laplace equations (module ``osculating``) and makes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -38,7 +39,7 @@ from .sampling import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     check_trials,
-    random_hyperplane_substitution,
+    random_hyperplane,
     random_linear_form,
     rng_for,
 )
@@ -282,19 +283,20 @@ def generator_bound(n: int, d: int) -> int:
 def restricted_generators(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
     """Restrictions of the generators to one general hyperplane (per trial).
 
-    Yields lists of forms in n variables.  Monomial ideals use the single
-    hyperplane x_0 + ... + x_n = 0; general ideals yield ``trials`` samples.
+    Yields lists of forms in n variables, one ``substitute_variable`` call per
+    hyperplane sum(a_i x_i) = 0 solved for x_n: x_0 + ... + x_n = 0 for
+    monomial ideals, ``trials`` random ones for general ideals.
     """
     check_trials(trials)
+    n = spec.n
     if spec.is_monomial:
-        terms = {pure_power(spec.n, i): -1 for i in range(spec.n)}
-        replacement = Form(spec.n, 1, terms)
-        yield [substitute_variable(g, spec.n, replacement) for g in spec.generators]
-        return
-    rng = rng_for(seed, "hyperplane")
-    for _ in range(trials):
-        i, replacement = random_hyperplane_substitution(spec.n, rng)
-        yield [substitute_variable(g, i, replacement) for g in spec.generators]
+        hyperplanes = [[1] * (n + 1)]
+    else:
+        rng = rng_for(seed, "hyperplane")
+        hyperplanes = (random_hyperplane(n, rng) for _ in range(trials))
+    for a in hyperplanes:
+        terms = {pure_power(n, i): Fraction(-a[i], a[n]) for i in range(n)}
+        yield substitute_variable(spec.generators, n, Form(n, 1, terms))
 
 
 def fails_in_degree_dminus1(

@@ -297,6 +297,20 @@ def test_classify_cache_resume(capsys, tmp_path):
     assert first == second
 
 
+def test_classify_threads_match_serial(capsys, tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        cache = tmp_path / f"cache-{threads}.jsonl"
+        code, out, err = run_cli(
+            capsys, "classify", "--n", "2", "--json", "--threads", threads,
+            "--cache", str(cache),
+        )
+        assert code == 0, err
+        outputs.append((out, cache.read_text().splitlines()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) == 2
+
+
 def test_classify_n3_contains_the_classical_smooth_systems(capsys):
     # the full surface census; the three systems of degrees 23, 18, 13 must be
     # present among the smooth records

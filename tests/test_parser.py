@@ -18,8 +18,8 @@ def test_basic_terms():
 
 def test_rational_coefficient_preserved():
     f = parse_polynomial("1/2*x0^2*x1 + x2^3", XYZ)
-    assert f.coefficient((2, 1, 0)) == Fraction(1, 2)
-    assert f.coefficient((0, 0, 3)) == 1
+    assert f.terms.get((2, 1, 0), 0) == Fraction(1, 2)
+    assert f.terms.get((0, 0, 3), 0) == 1
 
 
 def test_star_is_optional():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lefschetz.algebra import Form
+from lefschetz.algebra import Form, pure_power
 from lefschetz.apolarity import apolar_complement
 from lefschetz.bundles import splitting_type
 from lefschetz.osculating import LinearSystem, laplace_count, osculating_dimension
@@ -21,7 +21,7 @@ SYSTEM = LinearSystem.from_apolar(apolar_complement(TOGLIATTI))
 GENERAL = IdealSpec(
     2,
     3,
-    [Form.variable(2, i) ** 3 for i in range(3)]
+    [Form.monomial(pure_power(2, i, 3)) for i in range(3)]
     + [random_form(2, 3, rng_for(0, "trials-general"))],
 )
 
