@@ -48,7 +48,10 @@ def monomial_basis(n: int, d: int):
                 yield (first,) + rest
 
     basis = tuple(sorted(parts(d, n + 1), reverse=True))
-    assert len(basis) == comb(n + d, d)
+    if len(basis) != comb(n + d, d):
+        raise ArithmeticError(
+            f"{len(basis)} monomials of degree {d}, not comb({n + d}, {d})"
+        )
     return basis
 
 

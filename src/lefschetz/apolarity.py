@@ -97,7 +97,10 @@ def apolar_complement(spec) -> ApolarSystem:
     members = tuple(
         Form(n, d, dict(zip(basis, vec))) for vec in kernel
     )
-    assert len(members) == len(basis) - spec.r
+    if len(members) != len(basis) - spec.r:
+        raise ArithmeticError(
+            f"apolar system has dimension {len(members)}, not {len(basis) - spec.r}"
+        )
     return ApolarSystem(n, d, members)
 
 

@@ -7,12 +7,14 @@ exact.  There are exactly two elimination routines, independent of each other:
 
 * ``_bareiss``: fraction-free one-step Bareiss elimination on integer
   matrices.  Integer pivots, exact divisions, no rationals.  Authoritative.
-  ``bareiss_rank`` (its rank) and ``det_int`` (sign times last pivot) are
-  read off it.
+  ``bareiss_rank`` (its rank), ``det_int`` (sign times last pivot) and
+  ``primitive_kernel_vector`` (back-substitution on its echelon rows, the
+  kernel behind the lattice quadric) are read off it.
 * ``_rref``: Gauss-Jordan elimination over ``Fraction`` to the reduced row
-  echelon form.  ``rational_rank`` (the pivot count, the cross-check route;
-  property tests assert both routes agree), ``kernel_basis`` (one vector per
-  free column) and ``solve_exact`` (reduce ``[A | b]``) are read off it.
+  echelon form.  It serves ``rational_rank`` (the pivot count, the
+  cross-check route; property tests assert both routes agree),
+  ``kernel_basis`` (one vector per free column, for the apolar systems of
+  general ideals) and ``solve_exact`` (reduce ``[A | b]``).
 
 ``exact_rank`` wraps Bareiss with a certified shortcut: the rank of the matrix
 reduced mod a fixed prime is a lower bound for the rational rank, so whenever
@@ -20,6 +22,10 @@ the mod-p rank reaches the count of nonzero rows or of nonzero columns (an
 upper bound) the exact rank is known without any big-integer work.  A
 deficient mod-p outcome is never trusted; it falls back to Bareiss.  The
 shortcut changes nothing about the returned value.
+
+Lattice coordinates need no elimination at all: ``integer_kernel_of_vector``
+returns a unimodular matrix together with its inverse, so coordinates on a
+lattice hyperplane are integer matrix-vector products.
 """
 
 from __future__ import annotations
@@ -54,8 +60,12 @@ def clear_denominators(row):
 def _bareiss(rows):
     """Fraction-free one-step Bareiss elimination of an integer matrix.
 
-    Returns (rank, sign, last_pivot): sign is -1 to the number of row swaps,
-    and for a square matrix of full rank the last pivot is sign * det.
+    Returns (rank, sign, last_pivot, pivots, echelon): sign is -1 to the
+    number of row swaps, and for a square matrix of full rank the last pivot
+    is sign * det.  ``echelon`` holds the ``rank`` nonzero integer rows of
+    the row echelon form; row i has its pivot in column pivots[i], zeros to
+    the left of it, and the pivot equals the leading minor of the
+    row-permuted matrix on columns pivots[:i + 1].
     """
     mat = [[int(x) for x in row] for row in rows]
     nrows = len(mat)
@@ -63,6 +73,7 @@ def _bareiss(rows):
     rank = 0
     sign = 1
     prev = 1
+    pivots = []
     for col in range(ncols):
         if rank == nrows:
             break
@@ -87,8 +98,9 @@ def _bareiss(rows):
                 row_i[j] = (pivot * row_i[j] - head * row_p[j]) // prev
             row_i[col] = 0
         prev = pivot
+        pivots.append(col)
         rank += 1
-    return rank, sign, prev
+    return rank, sign, prev, pivots, mat[:rank]
 
 
 def bareiss_rank(rows) -> int:
@@ -101,7 +113,7 @@ def det_int(rows) -> int:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    rank, sign, last_pivot = _bareiss(rows)
+    rank, sign, last_pivot, _, _ = _bareiss(rows)
     return sign * last_pivot if rank == n else 0
 
 
@@ -211,11 +223,40 @@ def kernel_basis(rows, ncols):
     return basis
 
 
+def primitive_kernel_vector(rows, ncols):
+    """``kernel_basis(rows, ncols)[0]`` as a primitive integer vector, or None.
+
+    Integer rows only.  Let f be the first free column: columns 0..f-1 are
+    all pivots, so the kernel of the first f+1 columns is a line, spanned by
+    the reduced-echelon vector of column f.  With x_f set to the Bareiss
+    pivot of column f-1 (the leading f x f minor) the back-substitution over
+    the echelon rows is integral by Cramer's rule; every division is checked
+    to be exact.  The result is divided by its content and has its first
+    nonzero entry positive.  None when the columns are independent.
+    """
+    _, _, _, pivots, echelon = _bareiss(rows)
+    f = next((c for c, pivot in enumerate(pivots) if c != pivot), len(pivots))
+    if f == ncols:
+        return None
+    x = [0] * ncols
+    x[f] = echelon[f - 1][f - 1] if f else 1
+    for i in range(f - 1, -1, -1):
+        row = echelon[i]
+        known = sum(row[k] * x[k] for k in range(i + 1, f + 1))
+        value, remainder = divmod(-known, row[i])
+        if remainder:
+            raise ArithmeticError("inexact division in the Bareiss back-substitution")
+        x[i] = value
+    vec = primitive_vector(x)
+    if next(v for v in vec if v) < 0:
+        vec = tuple(-v for v in vec)
+    return vec
+
+
 def solve_exact(columns, target):
     """Solve sum_j y_j * columns[j] = target over Q, or return None.
 
-    Reduces [A | b]; a pivot in the last column means no solution.  Used for
-    lattice coordinates on facets; callers assert integrality.
+    Reduces [A | b]; a pivot in the last column means no solution.
     """
     ncols = len(columns)
     aug = [[column[i] for column in columns] + [b] for i, b in enumerate(target)]
@@ -239,21 +280,28 @@ def primitive_vector(vec):
 
 
 def integer_kernel_of_vector(vec):
-    """Basis of {x in Z^m : vec . x = 0} for a primitive integer vector.
+    """Integer kernel basis of a nonzero integer vector, with lattice coordinates.
 
-    Columns of a unimodular matrix U with vec . U = (g, 0, ..., 0); the last
-    m-1 columns span the kernel lattice exactly.
+    Column operations build a unimodular U with vec . U = (g, 0, ..., 0); the
+    inverse row operations build U^-1 alongside.  Returns (kernel, inverse):
+    kernel is the last m-1 columns of U, which span {x in Z^m : vec . x = 0}
+    exactly, and inverse is the m rows of U^-1.  For x in that lattice,
+    inverse[0] . x == 0 and x == sum_j (inverse[j + 1] . x) * kernel[j], so
+    the lattice coordinates of x are integer dot products.
     """
     m = len(vec)
     w = [int(x) for x in vec]
     cols = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
+    inverse = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for j in range(1, m):
         while w[j]:
             q = w[0] // w[j]
             w[0] -= q * w[j]
             cols[0] = [a - q * b for a, b in zip(cols[0], cols[j])]
+            inverse[j] = [a + q * b for a, b in zip(inverse[j], inverse[0])]
             w[0], w[j] = w[j], w[0]
             cols[0], cols[j] = cols[j], cols[0]
+            inverse[0], inverse[j] = inverse[j], inverse[0]
     if w[0] == 0:
         raise ValueError("zero vector has no primitive kernel split")
-    return [tuple(c) for c in cols[1:]]
+    return [tuple(c) for c in cols[1:]], [tuple(r) for r in inverse]

@@ -26,7 +26,7 @@ from math import comb, perm
 from typing import Optional
 
 from .algebra import Form, monomial_basis, rank_of_span
-from .linalg import clear_denominators, exact_rank, kernel_basis, primitive_vector
+from .linalg import clear_denominators, exact_rank, primitive_kernel_vector
 from .sampling import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -204,9 +204,11 @@ def perkinson_quadric(points) -> Optional[Form]:
 
     ``points`` are integer vectors in Z^(n+1) (for a monomial system, the
     exponent vectors of its members).  Returns a primitive integer quadric
-    (first coefficient positive) or None when only the zero quadric
-    vanishes.  For a monomial projection of the d-th Veronese this is the
-    certificate for a Laplace equation of order d-1.
+    (first nonzero coefficient positive) or None when only the zero quadric
+    vanishes.  The quadric is the kernel vector of the integer evaluation
+    matrix for its first free column, taken fraction-free.  For a monomial
+    projection of the d-th Veronese this is the certificate for a Laplace
+    equation of order d-1.
     """
     points = [tuple(int(c) for c in p) for p in points]
     if not points:
@@ -225,12 +227,7 @@ def perkinson_quadric(points) -> Optional[Form]:
                     value *= base ** e
             row.append(value)
         rows.append(row)
-    kernel = kernel_basis(rows, len(quadrics))
-    if not kernel:
+    vec = primitive_kernel_vector(rows, len(quadrics))
+    if vec is None:
         return None
-    vec = clear_denominators(kernel[0])
-    vec = list(primitive_vector(vec))
-    lead = next(x for x in vec if x)
-    if lead < 0:
-        vec = [-x for x in vec]
     return Form(n, 2, dict(zip(quadrics, vec)))

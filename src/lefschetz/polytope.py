@@ -19,7 +19,13 @@ Everything is exact integer arithmetic:
   (|det| = 1) AND the first lattice point along each edge belongs to A.
   The second condition is what "punctured" faces violate.
 * Normalized volume (m! times Euclidean) by the pyramid recursion over
-  facets, with facet lattice coordinates from an integer kernel basis.
+  facets: sum over facets of (lattice height of a fixed point of A above the
+  facet) times (normalized volume of the facet), which holds for any apex
+  in P since every height is >= 0.  The recursion starts from the facets
+  the polytope already holds and works on plain point lists, facets only:
+  no vertices, no edges.  A facet's points get integer lattice coordinates
+  as U^-1 (p - base), with U the unimodular split of its primitive normal
+  from ``integer_kernel_of_vector``; no rational solve is involved.
 """
 
 from __future__ import annotations
@@ -30,13 +36,7 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import (
-    det_int,
-    exact_rank,
-    integer_kernel_of_vector,
-    primitive_vector,
-    solve_exact,
-)
+from .linalg import det_int, exact_rank, integer_kernel_of_vector
 
 VERDICT_SMOOTH = "smooth"
 VERDICT_QUASI_SMOOTH = "quasi-smooth"
@@ -64,12 +64,17 @@ class LatticePolytope:
         return self.affine_dim == self.dim
 
     def facet_points(self, facet):
-        normal, offset = facet
-        return [
-            k
-            for k, p in enumerate(self.points)
-            if sum(a * b for a, b in zip(normal, p)) == offset
-        ]
+        return _facet_members(self.points, facet)
+
+
+def _facet_members(points, facet):
+    """Indices of the points on the facet's hyperplane normal . p == offset."""
+    normal, offset = facet
+    return [
+        k
+        for k, p in enumerate(points)
+        if sum(a * b for a, b in zip(normal, p)) == offset
+    ]
 
 
 def _det_batch(arrays: np.ndarray) -> np.ndarray:
@@ -245,30 +250,36 @@ def smoothness_report(polytope: LatticePolytope) -> SmoothnessReport:
     return SmoothnessReport(simple=simple, smooth=smooth, edge_rule_fired=fired)
 
 
-def _nvol(points, m: int) -> int:
+def _nvol(points, m: int, facets=None) -> int:
+    """Normalized volume of the hull of distinct points in Z^m.
+
+    ``facets`` are the hull's facets when the caller already has them;
+    otherwise the points are checked to span Z^m and swept for facets.
+    """
     if m == 1:
         xs = [p[0] for p in points]
         return max(xs) - min(xs)
-    polytope = polytope_from_points(points)
-    if polytope.affine_dim < m:
-        raise DegeneratePolytopeError("facet recursion hit a degenerate section")
-    apex = polytope.points[polytope.vertices[0]]
+    if facets is None:
+        base = points[0]
+        if exact_rank([[a - b for a, b in zip(p, base)] for p in points[1:]]) < m:
+            raise DegeneratePolytopeError("facet recursion hit a degenerate section")
+        facets = _facet_sweep(points)
+    apex = points[0]
     total = 0
-    for normal, offset in polytope.facets:
+    for normal, offset in facets:
         height = offset - sum(a * b for a, b in zip(normal, apex))
         if height == 0:
             continue
-        section = [polytope.points[k] for k in polytope.facet_points((normal, offset))]
+        section = [points[k] for k in _facet_members(points, (normal, offset))]
         base = section[0]
-        kernel = integer_kernel_of_vector(primitive_vector(normal))
-        columns = [list(v) for v in kernel]
+        _, inverse = integer_kernel_of_vector(normal)
         coords = []
         for p in section:
-            target = [a - b for a, b in zip(p, base)]
-            solution = solve_exact(columns, target)
-            assert solution is not None
-            assert all(x.denominator == 1 for x in solution)
-            coords.append(tuple(int(x) for x in solution))
+            diff = [a - b for a, b in zip(p, base)]
+            image = [sum(a * b for a, b in zip(row, diff)) for row in inverse]
+            if image[0]:
+                raise ArithmeticError(f"{p} is off the facet plane of {normal}")
+            coords.append(tuple(image[1:]))
         total += height * _nvol(coords, m - 1)
     return total
 
@@ -279,7 +290,7 @@ def normalized_volume(polytope: LatticePolytope) -> int:
         raise DegeneratePolytopeError(
             f"polytope has affine dimension {polytope.affine_dim} < {polytope.dim}"
         )
-    return _nvol(list(polytope.points), polytope.dim)
+    return _nvol(list(polytope.points), polytope.dim, polytope.facets)
 
 
 def polytope_json(polytope: LatticePolytope) -> dict:

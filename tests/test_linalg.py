@@ -1,5 +1,6 @@
 """Exact linear algebra: the two rank routes must agree everywhere."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -14,6 +15,7 @@ from lefschetz.linalg import (
     exact_rank,
     integer_kernel_of_vector,
     kernel_basis,
+    primitive_kernel_vector,
     primitive_vector,
     rational_rank,
     solve_exact,
@@ -113,6 +115,53 @@ def test_kernel_basis_annihilates_and_counts():
             assert rational_rank(basis) == len(basis)
 
 
+def rref_kernel_vector(rows, ncols):
+    """kernel_basis's first vector, cleared, primitive, first nonzero positive."""
+    basis = kernel_basis(rows, ncols)
+    if not basis:
+        return None
+    vec = primitive_vector(clear_denominators(basis[0]))
+    return vec if next(x for x in vec if x) > 0 else tuple(-x for x in vec)
+
+
+def test_primitive_kernel_vector_matches_rref_route():
+    rng = rng_for(0, "linalg-primitive-kernel")
+    seen = Counter()
+    for trial in range(80):
+        # an (r x k)(k x c) product has rank <= k, so kernels of every
+        # dimension occur, with zero entries forcing row swaps
+        nrows = rng.randrange(1, 9)
+        ncols = rng.randrange(2, 10)
+        k = rng.randrange(1, ncols)
+        left = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(k)]
+        rows = [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left
+        ]
+        vec = primitive_kernel_vector(rows, ncols)
+        assert vec == rref_kernel_vector(rows, ncols)
+        nullity = ncols - rational_rank(rows)
+        seen["kernel >= 2" if nullity >= 2 else "kernel 1"] += 1
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+        # the leading free column is not the last one: later columns are 0
+        if vec[-1] == 0:
+            seen["free column before the last"] += 1
+    assert seen["kernel >= 2"] >= 20 and seen["kernel 1"] >= 5
+    assert seen["free column before the last"] >= 10
+    # f = 0: a zero first column is the whole kernel vector
+    rows = [[0, 3, -1], [0, 2, 5]]
+    assert primitive_kernel_vector(rows, 3) == rref_kernel_vector(rows, 3) == (1, 0, 0)
+    # back-substitution gives (-6, 3): divided by 3, then negated
+    rows = [[3, 6], [1, 2]]
+    assert primitive_kernel_vector(rows, 2) == rref_kernel_vector(rows, 2) == (2, -1)
+    # full column rank: only the zero vector
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4], [5, 5, 5]]
+    assert primitive_kernel_vector(rows, 3) is None
+    assert rref_kernel_vector(rows, 3) is None
+    assert primitive_kernel_vector([], 2) == (1, 0)
+
+
 def test_solve_exact_round_trip():
     columns = [[1, 0, 2], [0, 1, 3]]
     target = [5, -1, 7]
@@ -167,13 +216,14 @@ def test_primitive_vector():
 
 def test_integer_kernel_of_vector():
     rng = rng_for(0, "linalg-intkernel")
+    points = rng_for(0, "linalg-intkernel-points")
     for trial in range(40):
         m = rng.randrange(2, 6)
         vec = [0] * m
         while not any(vec):
             vec = [rng.randrange(-6, 7) for _ in range(m)]
         vec = list(primitive_vector(vec))
-        cols = integer_kernel_of_vector(vec)
+        cols, inverse = integer_kernel_of_vector(vec)
         assert len(cols) == m - 1
         for col in cols:
             assert sum(a * b for a, b in zip(vec, col)) == 0
@@ -189,5 +239,24 @@ def test_integer_kernel_of_vector():
         for value in minors:
             g = gcd(g, abs(value))
         assert g == 1
+        # inverse is U^-1 for a unimodular U whose columns 1..m-1 are the
+        # kernel columns: det(inverse) = +-1, inverse . U[:, j] = e_j for
+        # j >= 1, and inverse[0] is +-vec (vec . U = (+-1, 0, ..., 0))
+        assert abs(det_int([list(r) for r in inverse])) == 1
+        product = [
+            [sum(a * b for a, b in zip(row, col)) for col in cols] for row in inverse
+        ]
+        assert product == [[int(i == j + 1) for j in range(m - 1)] for i in range(m)]
+        assert list(inverse[0]) in (vec, [-x for x in vec])
+        # a point base + sum c_j u_j gets back exactly its coefficients c_j
+        base = [points.randrange(-9, 10) for _ in range(m)]
+        coeffs = [points.randrange(-9, 10) for _ in range(m - 1)]
+        point = [
+            b + sum(c * col[i] for c, col in zip(coeffs, cols))
+            for i, b in enumerate(base)
+        ]
+        diff = [p - b for p, b in zip(point, base)]
+        image = [sum(a * b for a, b in zip(row, diff)) for row in inverse]
+        assert image == [0] + coeffs
     with pytest.raises(ValueError):
         integer_kernel_of_vector([0, 0, 0])
