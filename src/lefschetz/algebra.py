@@ -291,14 +291,9 @@ def multiples_matrix(forms, t: int):
     Each form's coefficients are cleared to integers once (row scaling keeps
     every rank), and its row for x^e is that vector shifted by e.
     """
-    return list(multiples_rows(forms, t))
-
-
-def multiples_rows(forms, t: int):
-    """The rows of ``multiples_matrix(forms, t)``, one at a time, so that a
-    caller keeping only part of each row never holds the whole matrix."""
     if len({(f.n, f.degree) for f in forms}) > 1:
         raise ValueError("forms must share n and degree")
+    rows = []
     for f in forms:
         column = {e: k for k, e in enumerate(monomial_basis(f.n, t + f.degree))}
         terms = list(zip(f.terms, clear_denominators(f.terms.values())))
@@ -306,7 +301,8 @@ def multiples_rows(forms, t: int):
             row = [0] * len(column)
             for a, c in terms:
                 row[column[tuple(x + y for x, y in zip(a, e))]] = c
-            yield row
+            rows.append(row)
+    return rows
 
 
 def rank_of_span(forms) -> int:

@@ -12,7 +12,9 @@ dimensions on the line:
 so c_t = k(t) - k(t-1) counts the a_i >= -t and the multiset of a_i follows.
 ``restrict_to_line`` takes the F_i|_L through ``algebra.linear_substitution``.
 Genericity: kernel dimension is upper semicontinuous, so the minimum of each
-k(t) over sampled lines is the generic value; the recovered profile must
+k(t) over sampled lines is the generic value.  Sampling stops early at a
+line whose profile meets the rank floor k(t) >= max(0, r(t+1) - (t+d+1))
+in every t, since no line can go below it.  The recovered profile must
 satisfy the Chern checks (r-1 values, all <= 0, sum = -d) or an
 AnalysisError is raised.
 
@@ -84,9 +86,12 @@ def splitting_type(
 ) -> SplittingType:
     """Generic splitting type of the syzygy bundle of an artinian ideal.
 
-    Minimum of each kernel dimension k(t), t = 0..d, over sampled lines;
-    Chern consistency (r-1 twists, all <= 0, sum = -d) is asserted on every
-    call and failure raises AnalysisError.
+    Minimum of each kernel dimension k(t), t = 0..d, over sampled lines.
+    The multiples of degree t have t+d+1 columns, so no line gives
+    k(t) < max(0, r(t+1) - (t+d+1)); once one line's profile sits on that
+    floor at every t, no later line can lower the minimum and sampling
+    stops.  Chern consistency (r-1 twists, all <= 0, sum = -d) is asserted
+    on every call and failure raises AnalysisError.
     """
     if not is_artinian(spec):
         raise ValueError("ideal is not artinian")
@@ -94,6 +99,7 @@ def splitting_type(
         raise ValueError("splitting needs at least two generators")
     check_trials(trials)
     rng = rng_for(seed, "splitting-line")
+    floor = [max(0, spec.r * (t + 1) - (t + spec.d + 1)) for t in range(spec.d + 1)]
     profiles = []
     for _ in range(trials):
         p, q = random_line(spec.n, rng)
@@ -104,6 +110,8 @@ def splitting_type(
         profiles.append(
             [_kernel_dimension_on_line(restricted, t) for t in range(spec.d + 1)]
         )
+        if profiles[-1] == floor:
+            break
     if not profiles:
         raise AnalysisError("every sampled line was degenerate for the ideal")
     kernel_dims = [min(column) for column in zip(*profiles)]

@@ -63,9 +63,6 @@ class LatticePolytope:
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
-    def facet_points(self, facet):
-        return _facet_members(self.points, facet)
-
 
 def _facet_members(points, facet):
     """Indices of the points on the facet's hyperplane normal . p == offset."""

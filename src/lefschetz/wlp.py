@@ -10,6 +10,11 @@ has maximal rank.  For MONOMIAL ideals it is enough to test the single form
 L = x_0 + ... + x_n, which is what the monomial fast path does; general
 ideals are tested against a few random linear forms and the best rank wins
 (rank is lower semicontinuous, so the max over samples is the generic rank).
+A monomial ideal's map is written on its quotient bases, the monomials
+outside I_j and outside I_{j+1}, which ``IdealSpec`` memoizes per degree.
+``has_wlp`` scans only the degrees that can fail: from d-1 (below it the
+map is a multiplication on R itself) up to the first surjective degree
+(after it every map is surjective).
 
 The degree d-1 is the interesting one: for r <= comb(n+d-1, d) the map in
 degree d-1 fails maximal rank exactly when the restrictions of the
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb
 from typing import Optional
 
@@ -29,12 +35,11 @@ from .algebra import (
     Form,
     monomial_basis,
     multiples_matrix,
-    multiples_rows,
     pure_power,
     rank_of_span,
     substitute_variable,
 )
-from .linalg import exact_rank
+from .linalg import clear_denominators, exact_rank
 from .sampling import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -52,7 +57,8 @@ class IdealSpec:
     degree), generators (tuple of Forms), r (generator count), is_monomial
     (every generator a single monomial with coefficient 1).  Construction
     rejects generators that are not linearly independent, of mixed degree,
-    or from different rings.  Graded piece dimensions are memoized.
+    or from different rings.  Graded pieces are memoized per degree: the
+    quotient basis of a monomial ideal, dim I_t of any other.
     """
 
     __slots__ = ("n", "d", "generators", "is_monomial", "_exponents", "_dim_cache")
@@ -114,32 +120,55 @@ class WlpReport:
         return self.rank == min(self.dim_source, self.dim_target)
 
 
-def _monomial_multiples(spec: IdealSpec, t: int) -> set:
-    """The monomials spanning I_t of a monomial ideal: the products x^e * g."""
-    if t < spec.d:
-        return set()
-    return {
-        tuple(a + b for a, b in zip(e, g))
-        for e in monomial_basis(spec.n, t - spec.d)
-        for g in spec.monomial_exponents()
-    }
+def _quotient_basis(spec: IdealSpec, t: int) -> dict:
+    """Monomials of degree t outside a monomial ideal, each mapped to its
+    column index (basis order), memoized per degree in ``spec._dim_cache``.
+
+    Below d nothing is in I; x^e of degree d is in I iff it is a generator,
+    and above d iff some x^e / x_i is in I_{t-1} (all generators have degree
+    d), so each degree is read off the one below it, filled upward from the
+    highest degree already held.
+    """
+    cache = spec._dim_cache
+    if t in cache:
+        return cache[t]
+    low = t
+    while low > spec.d and low - 1 not in cache:
+        low -= 1
+    for s in range(low, t + 1):
+        if s <= spec.d:
+            ideal = spec.monomial_exponents() if s == spec.d else ()
+            outside = [e for e in monomial_basis(spec.n, s) if e not in ideal]
+        elif not cache[s - 1]:
+            outside = []  # I_{s-1} = R_{s-1}, so I_s = R_s
+        else:
+            below = cache[s - 1]
+            outside = [
+                e
+                for e in monomial_basis(spec.n, s)
+                if all(
+                    e[:i] + (e[i] - 1,) + e[i + 1 :] in below
+                    for i in range(spec.n + 1)
+                    if e[i]
+                )
+            ]
+        cache[s] = {e: k for k, e in enumerate(outside)}
+    return cache[t]
 
 
 def ideal_piece_dimension(spec: IdealSpec, t: int) -> int:
-    """dim_k I_t, exact.  Monomial ideals count the monomials x^e * g."""
+    """dim_k I_t, exact.  Monomial ideals count the monomials outside I_t."""
     if t < 0:
         raise ValueError("degree must be non-negative")
     if t < spec.d or spec.r == 0:
         return 0
-    cached = spec._dim_cache.get(t)
-    if cached is not None:
-        return cached
     if spec.is_monomial:
-        dim = len(_monomial_multiples(spec, t))
-    else:
-        dim = exact_rank(multiples_matrix(spec.generators, t - spec.d))
-    spec._dim_cache[t] = dim
-    return dim
+        return comb(spec.n + t, t) - len(_quotient_basis(spec, t))
+    cached = spec._dim_cache.get(t)
+    if cached is None:
+        cached = exact_rank(multiples_matrix(spec.generators, t - spec.d))
+        spec._dim_cache[t] = cached
+    return cached
 
 
 def hilbert_function(spec: IdealSpec, t: int) -> int:
@@ -196,11 +225,12 @@ def _sum_of_variables(n: int) -> Form:
 def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport:
     """Exact rank of x linear_form : (R/I)_j -> (R/I)_{j+1}.
 
-    rank = dim(L*R_j + I_{j+1}) - dim I_{j+1}.  For monomial ideals the
-    quotient basis in degree j+1 is the set of monomials outside I_{j+1}, so
-    the ideal part is projected out of each row of L*R_j instead of
-    eliminated, and the rows that vanish (those of I_j among them) are
-    dropped: the mod-p screen checks full rank against min(rows, cols).
+    rank = dim(L*R_j + I_{j+1}) - dim I_{j+1}.  For monomial ideals the map
+    is written on the quotient bases: one row per monomial x^e outside I_j,
+    one column per monomial outside I_{j+1}, and the row of x^e holds c_i
+    at x^e * x_i for each coefficient c_i of L whose product stays outside
+    I_{j+1}.  Rows that come out zero are dropped, so the mod-p screen
+    checks full rank against min(rows, cols).
     """
     if linear_form.degree != 1 or linear_form.n != spec.n:
         raise ValueError("need a linear form in the same ring")
@@ -211,13 +241,21 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
     if hs == 0 or ht == 0:
         return WlpReport(j, hs, ht, 0, linear_form)
     if spec.is_monomial:
-        ideal = _monomial_multiples(spec, j + 1)
-        keep = [
-            k for k, e in enumerate(monomial_basis(spec.n, j + 1)) if e not in ideal
-        ]
-        rows = multiples_rows([linear_form], j)
-        projected = ([row[k] for k in keep] for row in rows)
-        rank = exact_rank([row for row in projected if any(row)])
+        n = spec.n
+        target = _quotient_basis(spec, j + 1)
+        coeffs = clear_denominators(
+            [linear_form.terms.get(pure_power(n, i), 0) for i in range(n + 1)]
+        )
+        rows = []
+        for e in _quotient_basis(spec, j):
+            row = [0] * ht
+            for i, c in enumerate(coeffs):
+                k = target.get(e[:i] + (e[i] + 1,) + e[i + 1 :])
+                if c and k is not None:
+                    row[k] = c
+            if any(row):
+                rows.append(row)
+        rank = exact_rank(rows)
     else:
         rows = multiples_matrix([linear_form], j)
         if j + 1 >= spec.d:
@@ -258,17 +296,23 @@ def certified_lefschetz_report(
 def has_wlp(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
     """(True, []) if R/I has the WLP, else (False, failing degrees).
 
-    Requires an artinian ideal; scans every degree up to the socle.
+    Requires an artinian ideal.  Only the degrees that can fail are scanned
+    (Migliore-Miro-Roig-Nagel, Trans. AMS 363 (2011), Prop. 2.1): for
+    j <= d-2 the map is R_j -> R_{j+1}, injective, so the scan starts at
+    d-1; and a surjective map in degree j means [R/(I, L)]_{j+1} = 0, so
+    the maps of every higher degree are surjective too and the scan stops
+    there.  A rank reaching dim (R/I)_{j+1} is a certified ceiling, for a
+    sampled L as well.  The socle degree is always surjective (onto 0).
     """
     if not is_artinian(spec):
         raise ValueError("ideal is not artinian")
-    socle = len(h_vector(spec)) - 1
     failures = []
-    for j in range(socle + 1):
+    for j in count(spec.d - 1):
         report = certified_lefschetz_report(spec, j, seed=seed, trials=trials)
+        if report.rank == report.dim_target:
+            return (not failures, failures)
         if not report.maximal_rank:
             failures.append(j)
-    return (not failures, failures)
 
 
 def generator_bound(n: int, d: int) -> int:

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from lefschetz.algebra import Form
+from lefschetz import bundles
+from lefschetz.algebra import Form, multiples_matrix
 from lefschetz.bundles import (
     SplittingType,
     restrict_to_line,
     splitting_type,
     verify_r4_theorem,
 )
+from lefschetz.linalg import exact_rank
+from lefschetz.sampling import random_line, rng_for
 from lefschetz.wlp import IdealSpec, fails_in_degree_dminus1
 
 
@@ -48,6 +51,63 @@ def test_splitting_rejects_non_artinian():
         splitting_type(IdealSpec.from_monomials(2, 3, [(3, 0, 0), (0, 3, 0)]))
     with pytest.raises(ValueError):
         splitting_type(IdealSpec.from_monomials(2, 3, [(3, 0, 0)]))
+
+
+def _kernel_profile(spec, values):
+    # k(t) = sum_i max(0, a_i + t + 1) for the twists a_i, t = 0..d
+    return [sum(max(0, a + t + 1) for a in values) for t in range(spec.d + 1)]
+
+
+def test_floor_stop_keeps_the_minimum_over_three_lines(corpus):
+    # the three lines splitting_type draws for seed i, restricted here; the
+    # type it returns must have the minimum of their kernel profiles
+    above_floor = 0
+    for i, spec in enumerate(corpus):
+        rng = rng_for(i, "splitting-line")
+        profiles = []
+        for _ in range(3):
+            restricted = restrict_to_line(spec.generators, *random_line(spec.n, rng))
+            if any(f.is_zero for f in restricted):
+                continue
+            profiles.append(
+                [
+                    spec.r * (t + 1) - exact_rank(multiples_matrix(restricted, t))
+                    for t in range(spec.d + 1)
+                ]
+            )
+        floor = [max(0, spec.r * (t + 1) - (t + spec.d + 1)) for t in range(spec.d + 1)]
+        assert all(p >= f for profile in profiles for p, f in zip(profile, floor)), i
+        above_floor += profiles[0] != floor
+        minimum = [min(column) for column in zip(*profiles)]
+        values = splitting_type(spec, seed=i, trials=3).values
+        assert _kernel_profile(spec, values) == minimum, i
+    assert above_floor == 20
+
+
+def test_floor_stop_draws_one_line_on_the_floor(
+    monkeypatch, togliatti_cubic, control_cubic
+):
+    calls = []
+
+    def counting(forms, p, q):
+        calls.append((p, q))
+        return restrict_to_line(forms, p, q)
+
+    monkeypatch.setattr(bundles, "restrict_to_line", counting)
+    # control: k = (0, 3, 6, 9) is the floor; Togliatti: k(0) = 1 on every line
+    st = splitting_type(control_cubic, seed=0, trials=3)
+    assert _kernel_profile(control_cubic, st.values) == [0, 3, 6, 9]
+    assert len(calls) == 1
+    calls.clear()
+    st = splitting_type(togliatti_cubic, seed=0, trials=3)
+    assert _kernel_profile(togliatti_cubic, st.values) == [1, 3, 6, 9]
+    assert len(calls) == 3
+    # on the floor at t = 0 only: the floor is (0, 0, 3, 6, 9, 12, 15)
+    calls.clear()
+    sextic = IdealSpec.from_monomials(2, 6, [(6, 0, 0), (0, 6, 0), (0, 0, 6), (1, 5, 0)])
+    st = splitting_type(sextic, seed=0, trials=3)
+    assert _kernel_profile(sextic, st.values) == [0, 1, 3, 6, 9, 12, 15]
+    assert len(calls) == 3
 
 
 def test_restrict_to_line_binary_cubic():

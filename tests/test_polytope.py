@@ -10,6 +10,7 @@ from lefschetz.linalg import det_int
 from lefschetz.osculating import LinearSystem
 from lefschetz.polytope import (
     DegeneratePolytopeError,
+    _facet_members,
     build_polytope,
     normalized_volume,
     polytope_from_points,
@@ -76,7 +77,7 @@ def test_case_polytopes(case):
     rep = smoothness_report(P)
     assert rep.simple
     assert rep.smooth is smooth
-    assert sorted(len(P.facet_points(f)) for f in P.facets) == sizes
+    assert sorted(len(_facet_members(P.points, f)) for f in P.facets) == sizes
 
 
 def test_case_one_never_needs_edge_rule():

@@ -1,11 +1,15 @@
 """Randomized invariants over the shared 500-ideal corpus."""
 
 from collections import Counter
+from operator import add
+
+import pytest
 
 from lefschetz import IdealSpec, has_wlp, monomial_basis, multiplication_rank
-from lefschetz.algebra import Form, pure_power
+from lefschetz.algebra import Form, multiples_matrix, pure_power
+from lefschetz.linalg import exact_rank
 from lefschetz.sampling import random_linear_form, rng_for
-from lefschetz.wlp import ideal_piece_dimension
+from lefschetz.wlp import certified_lefschetz_report, h_vector, ideal_piece_dimension
 
 
 def test_corpus_composition(corpus):
@@ -97,3 +101,71 @@ def test_power_ideal_family_smoke():
         assert ok and failures == []
         ok, failures = has_wlp(_power_ideal(5, seed), seed=seed, trials=2)
         assert not ok and failures == [4]
+
+
+def test_quotient_map_matches_general_route(corpus):
+    # every degree of every monomial corpus ideal, for L = sum x_i and two
+    # seeded random L: the quotient-basis rank against
+    # rank(I_{j+1} rows + L*R_j rows) - dim I_{j+1}, with dim I_t counted here
+    # as the set of products x^e * g
+    monomial = [(i, spec) for i, spec in enumerate(corpus) if spec.is_monomial]
+    for i, spec in monomial:
+        n, d = spec.n, spec.d
+        gens = spec.monomial_exponents()
+        socle = len(h_vector(spec)) - 1
+        dims = []
+        for t in range(socle + 2):
+            multiples = {
+                tuple(map(add, e, g))
+                for e in (monomial_basis(n, t - d) if t >= d else ())
+                for g in gens
+            }
+            assert ideal_piece_dimension(spec, t) == len(multiples), (i, t)
+            dims.append(len(multiples))
+        rng = rng_for(0, "quotient-map", i)
+        total = Form(n, 1, {pure_power(n, k): 1 for k in range(n + 1)})
+        forms = (total, random_linear_form(n, rng), random_linear_form(n, rng))
+        for j in range(socle + 1):
+            ideal_rows = []
+            if j + 1 >= d:
+                ideal_rows = multiples_matrix(spec.generators, j + 1 - d)
+            for form in forms:
+                rows = ideal_rows + multiples_matrix([form], j)
+                expected = exact_rank(rows) - dims[j + 1]
+                assert multiplication_rank(spec, form, j).rank == expected, (i, j)
+    assert len(monomial) == 286
+
+
+def _full_scan(spec, **sampling):
+    failures = [
+        j
+        for j in range(len(h_vector(spec)))
+        if not certified_lefschetz_report(spec, j, **sampling).maximal_rank
+    ]
+    return (not failures, failures)
+
+
+def test_pruned_has_wlp_matches_full_scan_on_the_corpus(corpus):
+    monomial = [spec for spec in corpus if spec.is_monomial]
+    for i, spec in enumerate(monomial):
+        assert has_wlp(spec) == _full_scan(spec), i
+    assert len(monomial) == 286
+
+
+@pytest.mark.parametrize("lam", [1, 3])
+def test_pruned_has_wlp_on_the_r4_witnesses(lam):
+    # (x^d, y^d, z^d, (xyz)^lambda), d = 3*lambda, fails exactly in 4*lambda - 2
+    d = 3 * lam
+    pure = [pure_power(2, k, d) for k in range(3)]
+    spec = IdealSpec.from_monomials(2, d, pure + [(lam, lam, lam)])
+    assert has_wlp(spec) == _full_scan(spec) == (False, [4 * lam - 2])
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_pruned_has_wlp_on_a_general_ideal(d):
+    # the surjective degrees are certified by sampled linear forms
+    spec = _power_ideal(d, 0)
+    assert not spec.is_monomial
+    sampling = {"seed": 0, "trials": 2}
+    expected = (True, []) if d % 2 == 0 else (False, [d - 1])
+    assert has_wlp(spec, **sampling) == _full_scan(spec, **sampling) == expected
