@@ -7,14 +7,15 @@ exact.  There are exactly two elimination routines, independent of each other:
 
 * ``_bareiss``: fraction-free one-step Bareiss elimination on integer
   matrices.  Integer pivots, exact divisions, no rationals.  Authoritative.
-  ``bareiss_rank`` (its rank), ``det_int`` (sign times last pivot) and
-  ``primitive_kernel_vector`` (back-substitution on its echelon rows, the
-  kernel behind the lattice quadric) are read off it.
+  ``bareiss_rank`` (its rank), ``det_int`` (sign times last pivot),
+  ``kernel_basis`` and ``primitive_kernel_vector`` are read off it; the two
+  kernels share one integer back-substitution, ``_back_substitute``.
+  Entries are read through ``operator.index``, so a ``Fraction`` or
+  ``float`` entry raises ``TypeError`` instead of being truncated.
 * ``_rref``: Gauss-Jordan elimination over ``Fraction`` to the reduced row
-  echelon form.  It serves ``rational_rank`` (the pivot count, the
-  cross-check route; property tests assert both routes agree),
-  ``kernel_basis`` (one vector per free column, for the apolar systems of
-  general ideals) and ``solve_exact`` (reduce ``[A | b]``).
+  echelon form.  It serves only ``rational_rank`` (the pivot count, the
+  cross-check route; property tests assert both routes agree) and
+  ``solve_exact`` (reduce ``[A | b]``).
 
 ``exact_rank`` wraps Bareiss with a certified shortcut: the rank of the matrix
 reduced mod a fixed prime is a lower bound for the rational rank, so whenever
@@ -22,6 +23,14 @@ the mod-p rank reaches the count of nonzero rows or of nonzero columns (an
 upper bound) the exact rank is known without any big-integer work.  A
 deficient mod-p outcome is never trusted; it falls back to Bareiss.  The
 shortcut changes nothing about the returned value.
+
+The mod-p screen ``_modp_rank`` is fraction-free too.  It transposes a wide
+matrix, so that its Python loop runs over the shorter side (the rank mod p is
+that of the transpose), and updates each row below a pivot whose head is
+nonzero as ``(pivot * row - head * pivot_row) % p``: no modular inverse.
+With residues in [0, p) and p = 2**31 - 1 each product is below 2**62, so
+the difference fits in int64.  Rows with a zero head are left alone, which
+keeps the large sparse Macaulay matrices cheap.
 
 Lattice coordinates need no elimination at all: ``integer_kernel_of_vector``
 returns a unimodular matrix together with its inverse, so coordinates on a
@@ -31,13 +40,17 @@ lattice hyperplane are integer matrix-vector products.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
 
-# Mersenne prime 2**31 - 1: the product of two reduced residues fits in int64
-# with room for the subtraction in a row operation.
+# Mersenne prime 2**31 - 1: the product of two reduced residues is below
+# 2**62, so the difference of two such products fits in int64.
 _PRIME = 2_147_483_647
+# the same prime as a numpy scalar, which numpy's in-place ops take directly
+_PRIME_INT64 = np.int64(_PRIME)
 
 
 def clear_denominators(row):
@@ -65,9 +78,11 @@ def _bareiss(rows):
     is sign * det.  ``echelon`` holds the ``rank`` nonzero integer rows of
     the row echelon form; row i has its pivot in column pivots[i], zeros to
     the left of it, and the pivot equals the leading minor of the
-    row-permuted matrix on columns pivots[:i + 1].
+    row-permuted matrix on columns pivots[:i + 1].  Entries must be
+    integers: anything else raises ``TypeError``.
     """
-    mat = [[int(x) for x in row] for row in rows]
+    index = operator.index
+    mat = [[index(x) for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     rank = 0
@@ -155,32 +170,42 @@ def rational_rank(rows) -> int:
 
 def _modp_rank(mat: np.ndarray) -> int:
     """Rank of an int64 matrix already reduced mod _PRIME.  Destroys its input."""
+    if mat.shape[1] > mat.shape[0]:
+        mat = np.ascontiguousarray(mat.T)
     nrows, ncols = mat.shape
     rank = 0
     for col in range(ncols):
         if rank == nrows:
             break
-        nz = np.nonzero(mat[rank:, col])[0]
+        nz = mat[rank:, col].nonzero()[0]
         if nz.size == 0:
             continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            mat[[rank, pr]] = mat[[pr, rank]]
-        inv = pow(int(mat[rank, col]), _PRIME - 2, _PRIME)
-        mat[rank, col:] = (mat[rank, col:] * inv) % _PRIME
-        heads = mat[rank + 1 :, col]
-        live = np.nonzero(heads)[0]
-        if live.size:
-            block = mat[rank + 1 + live, col:]
-            block = (block - heads[live, None] * mat[rank, col:]) % _PRIME
-            mat[rank + 1 + live, col:] = block
+        if nz[0]:
+            pr = rank + int(nz[0])
+            row = mat[pr].copy()
+            mat[pr] = mat[rank]
+            mat[rank] = row
+        if nz.size > 1:
+            # the rows below with a nonzero head: the swap only moved a row
+            # whose head is zero.  Column col is never read again.
+            live = nz[1:] + rank
+            block = mat[live, col + 1 :]
+            block *= mat[rank, col]
+            block -= mat[live, col, None] * mat[rank, col + 1 :]
+            block %= _PRIME_INT64
+            mat[live, col + 1 :] = block
         rank += 1
     return rank
 
 
 def _to_modp_array(rows) -> np.ndarray:
-    # entries may exceed int64, reduce in Python first
-    return np.array([[x % _PRIME for x in row] for row in rows], dtype=np.int64)
+    arr = np.array(rows)
+    if arr.dtype == np.int64:
+        arr %= _PRIME_INT64
+        return arr
+    # entries beyond int64 (or not integers at all): reduce in Python
+    index = operator.index
+    return np.array([[index(x) % _PRIME for x in row] for row in rows], dtype=np.int64)
 
 
 def exact_rank(rows) -> int:
@@ -188,7 +213,10 @@ def exact_rank(rows) -> int:
 
     Mod-p rank is a lower bound for the rank over Q; if it reaches the
     number of nonzero rows or of nonzero columns (counted over Z, an upper
-    bound) that value is certified exact.  Otherwise Bareiss decides.
+    bound) that value is certified exact.  Otherwise Bareiss decides.  The
+    screen eliminates fraction-free along the shorter side of the matrix.
+    Entries must be integers (``int`` or numpy integers): a ``Fraction`` or
+    ``float`` entry raises ``TypeError``; clear denominators first.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -203,51 +231,64 @@ def exact_rank(rows) -> int:
     return bareiss_rank(rows)
 
 
+def _back_substitute(pivots, echelon, free, ncols):
+    """Integer kernel vector of ``_bareiss`` echelon rows for one free column.
+
+    The vector is zero on every other free column and on the pivots to the
+    right of ``free``.  Its entry at ``free`` is the leading minor on the j
+    pivots to its left (``echelon[j - 1][pivots[j - 1]]``, or 1 when j = 0);
+    by Cramer's rule the back-substitution over echelon rows j-1..0 is then
+    integral, and every division is checked to be exact.  Divided by that
+    entry it is the reduced-echelon kernel vector of the column.
+    """
+    j = bisect_left(pivots, free)
+    x = [0] * ncols
+    x[free] = echelon[j - 1][pivots[j - 1]] if j else 1
+    for i in range(j - 1, -1, -1):
+        row = echelon[i]
+        known = row[free] * x[free]
+        for k in pivots[i + 1 : j]:
+            known += row[k] * x[k]
+        value, remainder = divmod(-known, row[pivots[i]])
+        if remainder:
+            raise ArithmeticError("inexact division in the Bareiss back-substitution")
+        x[pivots[i]] = value
+    return x
+
+
 def kernel_basis(rows, ncols):
     """Basis of the right kernel over Q, one vector per free column.
 
     Rows may be Fractions or ints.  Returns a list of length-ncols Fraction
     vectors; the basis is the reduced-echelon one (free column set to 1).
+    Each row's denominators are cleared, ``_bareiss`` eliminates in
+    integers, and each vector is one integer back-substitution divided by
+    its free entry at the end.
     """
-    mat, pivots = _rref(rows, ncols)
+    _, _, _, pivots, echelon = _bareiss([clear_denominators(row) for row in rows])
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -mat[i][free]
-        basis.append(vec)
+        x = _back_substitute(pivots, echelon, free, ncols)
+        scale = x[free]
+        basis.append([Fraction(v, scale) for v in x])
     return basis
 
 
 def primitive_kernel_vector(rows, ncols):
     """``kernel_basis(rows, ncols)[0]`` as a primitive integer vector, or None.
 
-    Integer rows only.  Let f be the first free column: columns 0..f-1 are
-    all pivots, so the kernel of the first f+1 columns is a line, spanned by
-    the reduced-echelon vector of column f.  With x_f set to the Bareiss
-    pivot of column f-1 (the leading f x f minor) the back-substitution over
-    the echelon rows is integral by Cramer's rule; every division is checked
-    to be exact.  The result is divided by its content and has its first
+    Integer rows only.  The first free column's integer back-substitution
+    (``_back_substitute``) is divided by its content and has its first
     nonzero entry positive.  None when the columns are independent.
     """
     _, _, _, pivots, echelon = _bareiss(rows)
     f = next((c for c, pivot in enumerate(pivots) if c != pivot), len(pivots))
     if f == ncols:
         return None
-    x = [0] * ncols
-    x[f] = echelon[f - 1][f - 1] if f else 1
-    for i in range(f - 1, -1, -1):
-        row = echelon[i]
-        known = sum(row[k] * x[k] for k in range(i + 1, f + 1))
-        value, remainder = divmod(-known, row[i])
-        if remainder:
-            raise ArithmeticError("inexact division in the Bareiss back-substitution")
-        x[i] = value
-    vec = primitive_vector(x)
+    vec = primitive_vector(_back_substitute(pivots, echelon, f, ncols))
     if next(v for v in vec if v) < 0:
         vec = tuple(-v for v in vec)
     return vec

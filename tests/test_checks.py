@@ -25,6 +25,26 @@ def test_src_has_no_assert_statements():
     assert found == []
 
 
+def test_rref_serves_only_the_cross_check_and_solve_exact():
+    # one rational elimination, kept as the cross-check: every kernel and
+    # rank in the package is read off the integer routines instead
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        enclosing = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    enclosing.setdefault(inner, node.name)
+        found += [
+            (path.name, enclosing.get(node, "<module>"))
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "_rref")
+            or (isinstance(node, ast.Attribute) and node.attr == "_rref")
+        ]
+    assert sorted(found) == [("linalg.py", "rational_rank"), ("linalg.py", "solve_exact")]
+
+
 DROPPED_VECTOR = """
 import sys
 from lefschetz import apolarity

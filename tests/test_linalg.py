@@ -47,6 +47,7 @@ def test_rank_routes_agree_on_random_matrices():
         expected = rational_rank(mat)
         assert bareiss_rank(mat) == expected
         assert exact_rank(mat) == expected
+        assert exact_rank([list(col) for col in zip(*mat)]) == expected
 
 
 def test_rank_routes_agree_on_low_rank_products():
@@ -92,6 +93,81 @@ def test_exact_rank_screen_counts_nonzero_rows_and_columns(monkeypatch):
     assert exact_rank([[0, 0], [0, 0]]) == 0
 
 
+def test_non_integer_entries_raise_instead_of_truncating():
+    # int() and an int64 cast would floor 1/2 to 0 and report rank 1
+    half = [[Fraction(1, 2), 0], [0, 1]]
+    for rank_route in (exact_rank, bareiss_rank):
+        with pytest.raises(TypeError):
+            rank_route(half)
+        with pytest.raises(TypeError):
+            rank_route([[0.5, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        det_int(half)
+    # beyond int64 the screen reduces entry by entry, and rejects there too
+    with pytest.raises(TypeError):
+        exact_rank([[Fraction(10**40, 3), 0], [0, 1]])
+    # integer-valued entries of other integer types are still read exactly
+    assert exact_rank([[True, False], [False, True]]) == 2
+    assert rational_rank(half) == 2
+    assert exact_rank([clear_denominators(row) for row in half]) == 2
+
+
+def python_rank_mod_p(rows, p):
+    """Rank mod p by Gaussian elimination on Python ints, with inverses."""
+    mat = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for i in range(rank + 1, len(mat)):
+            factor = mat[i][col] * inv % p
+            if factor:
+                mat[i] = [(a - factor * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_modp_rank_matches_python_rank_mod_p():
+    # residues at p - 1 or spread over [0, p) are where a fraction-free
+    # int64 update has the least headroom; tall and wide shapes both occur
+    p = linalg._PRIME
+    rng = rng_for(0, "linalg-modp")
+    shapes = [(24, 6), (6, 24), (15, 15), (1, 30), (30, 1)]
+    seen = Counter()
+    for nrows, ncols in shapes:
+        rank_caps = {min(nrows, ncols), 1, max(1, min(nrows, ncols) // 2)}
+        mats = [[[p - 1] * ncols for _ in range(nrows)]]
+        for k in sorted(rank_caps):
+            # a product of an (nrows x k) and a (k x ncols) residue matrix,
+            # reduced mod p: rank at most k, entries anywhere in [0, p)
+            left = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+            right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+            mats.append([
+                [sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                for row in left
+            ])
+        # sparse: row swaps, and heads that are zero on some rows only
+        mats.append([
+            [rng.choice([p - 1, rng.randrange(p)]) if rng.random() < 0.3 else 0
+             for _ in range(ncols)]
+            for _ in range(nrows)
+        ])
+        # signed and beyond-int64 entries are reduced before the screen runs
+        mats.append([
+            [rng.choice([-(p - 1), p - 1, 10**30 + rng.randrange(p), -rng.randrange(p)])
+             for _ in range(ncols)]
+            for _ in range(nrows)
+        ])
+        for mat in mats:
+            expected = python_rank_mod_p(mat, p)
+            assert linalg._modp_rank(linalg._to_modp_array(mat)) == expected
+            seen["deficient" if expected < min(nrows, ncols) else "full"] += 1
+    assert seen["deficient"] >= 8 and seen["full"] >= 8
+
+
 def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
     assert clear_denominators([2, 4]) == [2, 4]
@@ -115,9 +191,84 @@ def test_kernel_basis_annihilates_and_counts():
             assert rational_rank(basis) == len(basis)
 
 
+def rref_kernel_basis(rows, ncols):
+    """The reduced-echelon kernel basis read off ``_rref``, Gauss-Jordan."""
+    mat, pivots = linalg._rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            for i, col in enumerate(pivots):
+                vec[col] = -mat[i][free]
+            basis.append(vec)
+    return basis
+
+
+KERNEL_CASES = [
+    # Fraction rows, one of them the sum of the other two
+    [[Fraction(1, 2), Fraction(2, 3), 1, 0], [0, Fraction(1, 5), Fraction(-3, 7), 2],
+     [Fraction(1, 2), Fraction(13, 15), Fraction(4, 7), 2]],
+    # zero rows, before and after the others
+    [[0, 0, 0, 0], [3, 1, 4, 1], [0, 0, 0, 0], [6, 2, 9, 3]],
+    # a free column (1) between the pivots 0 and 2
+    [[2, 4, 1, 3], [1, 2, 5, 0]],
+    # the pivot of column 2 is the minor -2, no multiple of the earlier 4
+    [[4, 2, 1], [2, 1, 0]],
+    # the leading minor left of column 1 is 1, the last pivot is 7
+    [[1, 2, 0], [0, 0, 7]],
+    # a zero column first, and a full-rank square block after it
+    [[0, 1, 2], [0, 3, 4]],
+]
+
+
+def test_kernel_basis_matches_rref_route():
+    cases = KERNEL_CASES + [[[0, 0, 0]], [[]]]
+    for rows in cases:
+        ncols = len(rows[0])
+        assert kernel_basis(rows, ncols) == rref_kernel_basis(rows, ncols)
+    # no rows at all: every column is free
+    assert kernel_basis([], 3) == rref_kernel_basis([], 3) == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]
+    ]
+    rng = rng_for(0, "linalg-kernel-rref")
+    for trial in range(150):
+        nrows = rng.randrange(1, 8)
+        ncols = rng.randrange(1, 9)
+        k = rng.randrange(1, ncols + 1)
+        left = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(nrows)]
+        right = [
+            [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(ncols)]
+            for _ in range(k)
+        ]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        assert kernel_basis(rows, ncols) == rref_kernel_basis(rows, ncols)
+
+
+def test_back_substitution_scales_by_the_minor_left_of_the_free_column():
+    # the free entry is the leading minor on the pivots to the left of the
+    # free column, not the last pivot: the integer vector is the
+    # reduced-echelon one times that minor, and stays minor-sized
+    assert linalg._back_substitute([0, 2], [[1, 2, 0], [0, 0, 7]], 1, 3) == [-2, 1, 0]
+    rows = [[4, 2, 1], [2, 1, 0]]
+    _, _, _, pivots, echelon = linalg._bareiss(rows)
+    assert (pivots, echelon) == ([0, 2], [[4, 2, 1], [0, 0, -2]])
+    assert linalg._back_substitute(pivots, echelon, 1, 3) == [-2, 4, 0]
+    for rows in KERNEL_CASES:
+        rows = [clear_denominators(row) for row in rows]
+        ncols = len(rows[0])
+        _, _, _, pivots, echelon = linalg._bareiss(rows)
+        free_columns = [c for c in range(ncols) if c not in pivots]
+        for free, expected in zip(free_columns, rref_kernel_basis(rows, ncols)):
+            left = [c for c in pivots if c < free]
+            minor = echelon[len(left) - 1][left[-1]] if left else 1
+            x = linalg._back_substitute(pivots, echelon, free, ncols)
+            assert x == [minor * v for v in expected]
+
+
 def rref_kernel_vector(rows, ncols):
-    """kernel_basis's first vector, cleared, primitive, first nonzero positive."""
-    basis = kernel_basis(rows, ncols)
+    """The first _rref kernel vector, cleared, primitive, first nonzero positive."""
+    basis = rref_kernel_basis(rows, ncols)
     if not basis:
         return None
     vec = primitive_vector(clear_denominators(basis[0]))
@@ -160,6 +311,15 @@ def test_primitive_kernel_vector_matches_rref_route():
     assert primitive_kernel_vector(rows, 3) is None
     assert rref_kernel_vector(rows, 3) is None
     assert primitive_kernel_vector([], 2) == (1, 0)
+    for rows in KERNEL_CASES[1:]:
+        ncols = len(rows[0])
+        vec = primitive_kernel_vector(rows, ncols)
+        assert vec == rref_kernel_vector(rows, ncols)
+        first = kernel_basis(rows, ncols)[0]
+        # a primitive integer multiple of the reduced-echelon vector
+        scale = next(Fraction(v) / f for v, f in zip(vec, first) if f)
+        assert [scale * f for f in first] == list(vec)
+        assert primitive_vector(vec) == vec and next(v for v in vec if v) > 0
 
 
 def test_solve_exact_round_trip():
