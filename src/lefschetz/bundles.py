@@ -34,6 +34,8 @@ from .linalg import exact_rank
 from .sampling import DEFAULT_SEED, DEFAULT_TRIALS, check_trials, random_line, rng_for
 from .wlp import IdealSpec, fails_in_degree_dminus1, has_wlp, is_artinian
 
+_R4_RANDOM_FULL_SCANS = 3  # random ideals per degree that get a full WLP scan
+
 
 class AnalysisError(RuntimeError):
     """An internal consistency check failed (bad sampling or a real bug)."""
@@ -151,7 +153,6 @@ def verify_r4_theorem(
     trials=DEFAULT_TRIALS,
     monomial_samples: int = 50,
     random_samples: int = 5,
-    random_full_scans: int = 3,
 ) -> dict:
     """Check the r = 4, n = 2 picture over d in [d_min, d_max].
 
@@ -162,9 +163,17 @@ def verify_r4_theorem(
     (x^d, y^d, z^d, x^lambda y^lambda z^lambda) fails exactly in degree
     4*lambda - 2.  If d is a multiple of 6, sampled monomial ideals have
     full WLP.  Returns a JSON-ready report; report["ok"] is the verdict.
+    ValueError for d_min < 3 (r = 4 is over the generator bound d + 1 below
+    that), an empty range or a negative count.
     """
     from .sampling import random_form
 
+    if d_min < 3:
+        raise ValueError(f"d_min must be at least 3, not {d_min}")
+    if d_max < d_min:
+        raise ValueError(f"empty degree range [{d_min}, {d_max}]")
+    if monomial_samples < 0 or random_samples < 0:
+        raise ValueError("sample counts must be non-negative")
     report = {"d_min": d_min, "d_max": d_max, "seed": seed, "per_degree": []}
     violations = []
     for d in range(d_min, d_max + 1):
@@ -206,7 +215,7 @@ def verify_r4_theorem(
                     break
             if fails_in_degree_dminus1(spec, seed=seed, trials=trials):
                 entry["degree_dminus1_failures"].append(["random", k])
-            if full_scan_everything and k < random_full_scans:
+            if full_scan_everything and k < _R4_RANDOM_FULL_SCANS:
                 ok, failures = has_wlp(spec, seed=seed, trials=trials)
                 if not ok:
                     entry["full_wlp_failures"].append(["random", k, failures])

@@ -304,6 +304,8 @@ def enumerate_cubic_togliatti(
     """
     if n < 2:
         raise ValueError("classification needs n >= 2")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     j_limit = comb(n + 2, n - 1) - (n + 1)
     if max_extra is not None:
         if max_extra < 1:

@@ -27,7 +27,7 @@ from .classify import (
     enumerate_cubic_togliatti,
     load_cache,
 )
-from .osculating import LinearSystem, laplace_count, osculating_dimension
+from .osculating import LinearSystem, laplace_count
 from .parser import ParseError, format_form, parse_polynomial
 from .polytope import (
     VERDICT_DEGENERATE,
@@ -103,6 +103,13 @@ def _integer_setting(name: str, *values):
     return None
 
 
+def _at_least(name: str, value: int, floor: int) -> int:
+    """``value`` itself, or a UsageError when it is below ``floor``."""
+    if value < floor:
+        raise UsageError(f"{name} must be at least {floor}, not {value}")
+    return value
+
+
 def _sampling_settings(args, data=None):
     """(seed, trials): flag, then document, then LEFSCHETZ_SEED, then default."""
     data = data or {}
@@ -117,9 +124,7 @@ def _sampling_settings(args, data=None):
     trials = _integer_setting("trials", args.trials, data.get("trials"))
     if trials is None:
         trials = DEFAULT_TRIALS
-    if trials < 1:
-        raise UsageError(f"trials must be at least 1, not {trials}")
-    return seed, trials
+    return seed, _at_least("trials", trials, 1)
 
 
 def _load_document(args) -> Document:
@@ -169,8 +174,6 @@ def _document_system(doc: Document, use_generators: bool) -> LinearSystem:
 
 def _cmd_wlp(args) -> int:
     doc = _load_document(args)
-    if not is_artinian(doc.spec):
-        raise AnalysisError("ideal is not artinian")
     hv = h_vector(doc.spec)
     report = Report("wlp")
     report.payload.update(
@@ -269,9 +272,9 @@ def _cmd_togliatti(args) -> int:
 
 def _cmd_osculate(args) -> int:
     doc = _load_document(args)
+    _at_least("--order", args.order, 0)
     system = _document_system(doc, args.system)
-    osc = osculating_dimension(system, args.order, seed=doc.seed, trials=doc.trials)
-    laplace = laplace_count(system, args.order, seed=doc.seed, trials=doc.trials)
+    osc = laplace_count(system, args.order, seed=doc.seed, trials=doc.trials)
     report = Report("osculate")
     report.payload.update(
         {
@@ -281,7 +284,7 @@ def _cmd_osculate(args) -> int:
             "expected_dim": osc.expected_dim,
             "actual_dim": osc.actual_dim,
             "delta": osc.delta,
-            "degenerate": laplace.degenerate,
+            "degenerate": osc.degenerate,
             "seed": doc.seed,
         }
     )
@@ -291,7 +294,7 @@ def _cmd_osculate(args) -> int:
         f"actual dim {osc.actual_dim}"
     )
     report.line(f"Laplace equations of order {osc.order}: {osc.delta}")
-    if laplace.degenerate:
+    if osc.degenerate:
         report.line("target too small for the expected dimension (degenerate count)")
     _emit(report.render(args.json), args.out)
     return 0
@@ -356,8 +359,6 @@ def _cmd_polytope(args) -> int:
 
 def _cmd_splitting(args) -> int:
     doc = _load_document(args)
-    if not is_artinian(doc.spec):
-        raise AnalysisError("ideal is not artinian")
     result = splitting_type(doc.spec, seed=doc.seed, trials=doc.trials)
     report = Report("splitting")
     report.payload.update(
@@ -383,8 +384,11 @@ def _cmd_splitting(args) -> int:
 
 def _cmd_classify(args) -> int:
     seed, trials = _sampling_settings(args)
-    if args.max_extra is not None and args.max_extra < 1:
-        raise UsageError(f"--max-extra must be at least 1, not {args.max_extra}")
+    if args.max_extra is not None:
+        _at_least("--max-extra", args.max_extra, 1)
+    _at_least("--threads", args.threads, 1)
+    if args.resume and not args.cache:
+        raise UsageError("--resume needs --cache")
     cache = None
     cache_handle = None
     if args.cache:
@@ -453,6 +457,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify_r4(args) -> int:
     seed, trials = _sampling_settings(args)
+    # r = 4 generators stay within the bound d + 1 only from d = 3 on
+    _at_least("--dmin", args.dmin, 3)
+    _at_least("--dmax", args.dmax, args.dmin)
+    _at_least("--monomial-samples", args.monomial_samples, 0)
+    _at_least("--random-samples", args.random_samples, 0)
     report_dict = verify_r4_theorem(
         args.dmin,
         args.dmax,

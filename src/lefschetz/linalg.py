@@ -32,9 +32,9 @@ With residues in [0, p) and p = 2**31 - 1 each product is below 2**62, so
 the difference fits in int64.  Rows with a zero head are left alone, which
 keeps the large sparse Macaulay matrices cheap.
 
-Lattice coordinates need no elimination at all: ``integer_kernel_of_vector``
-returns a unimodular matrix together with its inverse, so coordinates on a
-lattice hyperplane are integer matrix-vector products.
+Lattice coordinates need no elimination at all: ``lattice_coordinate_rows``
+returns the inverse of a unimodular matrix, so coordinates on a lattice
+hyperplane are integer matrix-vector products.
 """
 
 from __future__ import annotations
@@ -320,29 +320,25 @@ def primitive_vector(vec):
     return tuple(int(x) // g for x in vec)
 
 
-def integer_kernel_of_vector(vec):
-    """Integer kernel basis of a nonzero integer vector, with lattice coordinates.
+def lattice_coordinate_rows(vec):
+    """The rows of U^-1 for a unimodular U with vec . U = (g, 0, ..., 0).
 
-    Column operations build a unimodular U with vec . U = (g, 0, ..., 0); the
-    inverse row operations build U^-1 alongside.  Returns (kernel, inverse):
-    kernel is the last m-1 columns of U, which span {x in Z^m : vec . x = 0}
-    exactly, and inverse is the m rows of U^-1.  For x in that lattice,
-    inverse[0] . x == 0 and x == sum_j (inverse[j + 1] . x) * kernel[j], so
-    the lattice coordinates of x are integer dot products.
+    Euclid's algorithm on the entries of a nonzero integer vector is a
+    sequence of unimodular column operations (they make U); only the inverse
+    row operations are kept.  Row 0 is vec / g, so it vanishes on the lattice
+    {x in Z^m : vec . x = 0}, and rows 1..m-1 give each point x of that
+    lattice its integer coordinates in the basis of U's last m-1 columns.
     """
     m = len(vec)
     w = [int(x) for x in vec]
-    cols = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
     inverse = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for j in range(1, m):
         while w[j]:
             q = w[0] // w[j]
             w[0] -= q * w[j]
-            cols[0] = [a - q * b for a, b in zip(cols[0], cols[j])]
             inverse[j] = [a + q * b for a, b in zip(inverse[j], inverse[0])]
             w[0], w[j] = w[j], w[0]
-            cols[0], cols[j] = cols[j], cols[0]
             inverse[0], inverse[j] = inverse[j], inverse[0]
     if w[0] == 0:
         raise ValueError("zero vector has no primitive kernel split")
-    return [tuple(c) for c in cols[1:]], [tuple(r) for r in inverse]
+    return [tuple(r) for r in inverse]

@@ -77,21 +77,8 @@ class LinearSystem:
 
 
 @dataclass(frozen=True)
-class OsculatingReport:
-    """Generic s-th osculating dimension of the image of a linear system."""
-
-    order: int
-    expected_dim: int
-    actual_dim: int
-
-    @property
-    def delta(self) -> int:
-        return self.expected_dim - self.actual_dim
-
-
-@dataclass(frozen=True)
 class LaplaceCount:
-    """delta = number of independent Laplace equations of the given order.
+    """Generic s-th osculating dimension; delta = number of Laplace equations.
 
     ``degenerate`` flags N < comb(n+s, s) - 1: the ambient space is too
     small for the expected osculating dimension, so a positive delta is
@@ -99,8 +86,13 @@ class LaplaceCount:
     """
 
     order: int
-    delta: int
+    expected_dim: int
+    actual_dim: int
     degenerate: bool
+
+    @property
+    def delta(self) -> int:
+        return self.expected_dim - self.actual_dim
 
 
 def _jet_matrix(system: LinearSystem, s: int, chart_point):
@@ -136,31 +128,6 @@ def _jet_matrix(system: LinearSystem, s: int, chart_point):
     return matrix
 
 
-def osculating_dimension(
-    system: LinearSystem, s: int, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS
-) -> OsculatingReport:
-    """Projective dimension of the s-th osculating space at a general point.
-
-    Exact rank of the order <= s jet matrix, maximized over sample points
-    (the osculating dimension is lower semicontinuous, so the max over
-    samples is the general value).
-    """
-    if s < 0:
-        raise ValueError("order must be non-negative")
-    check_trials(trials)
-    rng = rng_for(seed, "osculating-point", s)
-    best = 0
-    ceiling = min(comb(system.n + s, s), len(system.members))
-    for _ in range(trials):
-        point = random_chart_point(system.n, rng)
-        best = max(best, exact_rank(_jet_matrix(system, s, point)))
-        if best == ceiling:
-            break
-    return OsculatingReport(
-        order=s, expected_dim=comb(system.n + s, s) - 1, actual_dim=best - 1
-    )
-
-
 def homogeneous_jet_rank(
     system: LinearSystem, s: int, point
 ) -> int:
@@ -193,10 +160,30 @@ def homogeneous_jet_rank(
 def laplace_count(
     system: LinearSystem, s: int, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS
 ) -> LaplaceCount:
-    """Number of Laplace equations of order s satisfied by the image."""
-    report = osculating_dimension(system, s, seed=seed, trials=trials)
-    degenerate = system.projective_target < report.expected_dim
-    return LaplaceCount(order=s, delta=report.delta, degenerate=degenerate)
+    """Osculating dimension of order s at a general point, and its shortfall.
+
+    Exact rank of the order <= s jet matrix, maximized over sample points
+    (the osculating dimension is lower semicontinuous, so the max over
+    samples is the general value).
+    """
+    if s < 0:
+        raise ValueError("order must be non-negative")
+    check_trials(trials)
+    rng = rng_for(seed, "osculating-point", s)
+    best = 0
+    ceiling = min(comb(system.n + s, s), len(system.members))
+    for _ in range(trials):
+        point = random_chart_point(system.n, rng)
+        best = max(best, exact_rank(_jet_matrix(system, s, point)))
+        if best == ceiling:
+            break
+    expected = comb(system.n + s, s) - 1
+    return LaplaceCount(
+        order=s,
+        expected_dim=expected,
+        actual_dim=best - 1,
+        degenerate=system.projective_target < expected,
+    )
 
 
 def perkinson_quadric(points) -> Optional[Form]:

@@ -13,8 +13,11 @@ Everything is exact integer arithmetic:
   a candidate with every point of A on one side.  The sweep is vectorized
   with numpy int64; a Hadamard-bound guard refuses inputs whose minors
   could overflow (far beyond every lattice of exponent vectors in range).
-* A point of A is a vertex iff its active facet normals span R^m; a pair of
-  vertices is an edge iff their common active normals have rank m-1.
+* Vertices and edges are read off the incidence table (the set of facets
+  through each point of A), with no linear algebra: a face is the
+  intersection of the facets that contain it.  A point is a vertex iff no
+  other point lies on every facet through it; two vertices span an edge iff
+  no third vertex lies on every facet they share.
 * Smooth at a vertex: the primitive edge directions form a lattice basis
   (|det| = 1) AND the first lattice point along each edge belongs to A.
   The second condition is what "punctured" faces violate.
@@ -25,7 +28,7 @@ Everything is exact integer arithmetic:
   the polytope already holds and works on plain point lists, facets only:
   no vertices, no edges.  A facet's points get integer lattice coordinates
   as U^-1 (p - base), with U the unimodular split of its primitive normal
-  from ``integer_kernel_of_vector``; no rational solve is involved.
+  from ``lattice_coordinate_rows``; no rational solve is involved.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import det_int, exact_rank, integer_kernel_of_vector
+from .linalg import det_int, exact_rank, lattice_coordinate_rows
 
 VERDICT_SMOOTH = "smooth"
 VERDICT_QUASI_SMOOTH = "quasi-smooth"
@@ -64,14 +67,10 @@ class LatticePolytope:
         return self.affine_dim == self.dim
 
 
-def _facet_members(points, facet):
-    """Indices of the points on the facet's hyperplane normal . p == offset."""
+def _on_facet(point, facet) -> bool:
+    """True iff the point lies on the facet's hyperplane normal . p == offset."""
     normal, offset = facet
-    return [
-        k
-        for k, p in enumerate(points)
-        if sum(a * b for a, b in zip(normal, p)) == offset
-    ]
+    return sum(a * b for a, b in zip(normal, point)) == offset
 
 
 def _det_batch(arrays: np.ndarray) -> np.ndarray:
@@ -154,28 +153,26 @@ def polytope_from_points(points) -> LatticePolytope:
     if affine_dim < m:
         return LatticePolytope(m, tuple(cleaned), affine_dim, (), (), ())
     facets = _facet_sweep(cleaned)
-    active = []
-    for p in cleaned:
-        active.append(
-            [
-                f
-                for f in facets
-                if sum(a * b for a, b in zip(f[0], p)) == f[1]
-            ]
-        )
+    incident = [
+        frozenset(i for i, f in enumerate(facets) if _on_facet(p, f)) for p in cleaned
+    ]
+    # A vertex is the only point on all of its facets.  Any other point lies
+    # on fewer facets than each vertex of the smallest face holding it.
     vertices = tuple(
-        k
-        for k, p in enumerate(cleaned)
-        if len(active[k]) >= m and exact_rank([list(f[0]) for f in active[k]]) == m
+        k for k, faces in enumerate(incident) if not any(faces < o for o in incident)
     )
-    edges = []
-    for a, b in itertools.combinations(vertices, 2):
-        common = [list(f[0]) for f in active[a] if f in active[b]]
-        if len(common) >= m - 1 and exact_rank(common) == m - 1:
-            edges.append((a, b))
-    return LatticePolytope(
-        m, tuple(cleaned), affine_dim, facets, vertices, tuple(edges)
+    # The facets a and b share cut out the smallest face holding both (P
+    # itself when they share none); it is an edge iff no third vertex is on it.
+    edges = tuple(
+        (a, b)
+        for a, b in itertools.combinations(vertices, 2)
+        if not any(
+            incident[a] & incident[b] <= incident[c]
+            for c in vertices
+            if c not in (a, b)
+        )
     )
+    return LatticePolytope(m, tuple(cleaned), affine_dim, facets, vertices, edges)
 
 
 def build_polytope(system) -> LatticePolytope:
@@ -185,17 +182,15 @@ def build_polytope(system) -> LatticePolytope:
 
 
 def _vertex_edge_data(polytope: LatticePolytope):
-    """For each vertex index: list of (other endpoint, lattice length, primitive dir)."""
+    """For each vertex index: list of (lattice length, primitive dir) of its edges."""
     data = {v: [] for v in polytope.vertices}
     for a, b in polytope.edges:
         pa, pb = polytope.points[a], polytope.points[b]
         direction = tuple(x - y for x, y in zip(pb, pa))
-        length = 0
-        for c in direction:
-            length = gcd(length, abs(c))
+        length = gcd(*direction)
         unit = tuple(c // length for c in direction)
-        data[a].append((b, length, unit))
-        data[b].append((a, length, tuple(-c for c in unit)))
+        data[a].append((length, unit))
+        data[b].append((length, tuple(-c for c in unit)))
     return data
 
 
@@ -235,10 +230,10 @@ def smoothness_report(polytope: LatticePolytope) -> SmoothnessReport:
     fired = False
     for v in polytope.vertices:
         base = polytope.points[v]
-        units = [unit for _, _, unit in data[v]]
+        units = [unit for _, unit in data[v]]
         if abs(det_int(units)) != 1:
             smooth = False
-        for _, length, unit in data[v]:
+        for length, unit in data[v]:
             if length >= 2:
                 fired = True
             first = tuple(x + u for x, u in zip(base, unit))
@@ -267,9 +262,9 @@ def _nvol(points, m: int, facets=None) -> int:
         height = offset - sum(a * b for a, b in zip(normal, apex))
         if height == 0:
             continue
-        section = [points[k] for k in _facet_members(points, (normal, offset))]
+        section = [p for p in points if _on_facet(p, (normal, offset))]
         base = section[0]
-        _, inverse = integer_kernel_of_vector(normal)
+        inverse = lattice_coordinate_rows(normal)
         coords = []
         for p in section:
             diff = [a - b for a, b in zip(p, base)]

@@ -148,3 +148,19 @@ def test_verify_r4_smoke():
     assert entry["d"] == 4
     assert entry["distinct_monomial_ideals"] > 0
     assert "witness" in entry
+
+
+@pytest.mark.parametrize(
+    "d_min, d_max, counts, message",
+    [
+        (2, 4, {}, "d_min must be at least 3"),
+        (1, 4, {}, "d_min must be at least 3"),
+        (5, 3, {}, "empty degree range"),
+        (4, 4, {"monomial_samples": -2}, "sample counts must be non-negative"),
+        (4, 4, {"random_samples": -1}, "sample counts must be non-negative"),
+    ],
+    ids=["dmin-two", "dmin-one", "empty-range", "monomial-samples", "random-samples"],
+)
+def test_verify_r4_rejects_bad_ranges(d_min, d_max, counts, message):
+    with pytest.raises(ValueError, match=message):
+        verify_r4_theorem(d_min, d_max, seed=0, trials=2, **counts)

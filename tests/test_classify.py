@@ -218,6 +218,12 @@ def test_max_extra_below_one_is_rejected():
             enumerate_cubic_togliatti(4, max_extra=max_extra)
 
 
+def test_workers_below_one_are_rejected():
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            enumerate_cubic_togliatti(2, workers=workers)
+
+
 def test_n3_census(run3):
     census = Counter(r.verdict for r in run3.records)
     assert census == {"singular": 209, "quasi-smooth": 11, "smooth": 4}

@@ -159,6 +159,16 @@ def test_wlp_non_artinian_exits_one(capsys):
     assert "analysis failed: ideal is not artinian" in err
 
 
+def test_splitting_non_artinian_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "splitting", "--gen", "x^3", "--gen", "y^3",
+        "--variables", "x,y,z", "--degree", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "analysis failed: ideal is not artinian\n"
+
+
 def test_parse_error_exits_two(capsys):
     code, out, err = run_cli(
         capsys, "wlp", "--gen", "x^3 + q", "--variables", "x,y,z", "--degree", "3",
@@ -281,6 +291,44 @@ def test_classify_rejects_max_extra_below_one(capsys, tmp_path):
     assert out == ""
     assert "--max-extra must be at least 1" in err
     assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "--n", "2", "--threads", "0"), "--threads must be at least 1"),
+        (("classify", "--n", "2", "--threads", "-4"), "--threads must be at least 1"),
+        (("classify", "--n", "2", "--resume"), "--resume needs --cache"),
+        (("verify-r4", "--dmin", "5", "--dmax", "3"), "--dmax must be at least 5"),
+        (
+            ("verify-r4", "--dmin", "4", "--dmax", "4", "--monomial-samples", "-2"),
+            "--monomial-samples must be at least 0",
+        ),
+        (
+            ("verify-r4", "--dmin", "4", "--dmax", "4", "--random-samples", "-1"),
+            "--random-samples must be at least 0",
+        ),
+        (("verify-r4", "--dmin", "1", "--dmax", "4"), "--dmin must be at least 3"),
+        (("verify-r4", "--dmin", "2", "--dmax", "4"), "--dmin must be at least 3"),
+        (("osculate", *TOG, "--order", "-1"), "--order must be at least 0"),
+    ],
+    ids=[
+        "threads-zero",
+        "threads-negative",
+        "resume-without-cache",
+        "dmax-below-dmin",
+        "negative-monomial-samples",
+        "negative-random-samples",
+        "dmin-one",
+        "dmin-two",
+        "negative-order",
+    ],
+)
+def test_flag_below_its_floor_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
 
 
 def test_classify_cache_resume(capsys, tmp_path):

@@ -3,7 +3,6 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 import pytest
 
@@ -13,8 +12,8 @@ from lefschetz.linalg import (
     clear_denominators,
     det_int,
     exact_rank,
-    integer_kernel_of_vector,
     kernel_basis,
+    lattice_coordinate_rows,
     primitive_kernel_vector,
     primitive_vector,
     rational_rank,
@@ -374,7 +373,7 @@ def test_primitive_vector():
     assert primitive_vector([5, 7]) == (5, 7)
 
 
-def test_integer_kernel_of_vector():
+def test_lattice_coordinate_rows():
     rng = rng_for(0, "linalg-intkernel")
     points = rng_for(0, "linalg-intkernel-points")
     for trial in range(40):
@@ -383,40 +382,20 @@ def test_integer_kernel_of_vector():
         while not any(vec):
             vec = [rng.randrange(-6, 7) for _ in range(m)]
         vec = list(primitive_vector(vec))
-        cols, inverse = integer_kernel_of_vector(vec)
-        assert len(cols) == m - 1
-        for col in cols:
-            assert sum(a * b for a, b in zip(vec, col)) == 0
-        matrix = [list(c) for c in cols]
-        assert exact_rank(matrix) == m - 1
-        # saturated: the gcd of the maximal minors of the kernel matrix is 1,
-        # so the columns generate the full kernel lattice
-        minors = [
-            det_int([[matrix[i][j] for j in sub] for i in range(m - 1)])
-            for sub in combinations(range(m), m - 1)
-        ]
-        g = 0
-        for value in minors:
-            g = gcd(g, abs(value))
-        assert g == 1
-        # inverse is U^-1 for a unimodular U whose columns 1..m-1 are the
-        # kernel columns: det(inverse) = +-1, inverse . U[:, j] = e_j for
-        # j >= 1, and inverse[0] is +-vec (vec . U = (+-1, 0, ..., 0))
+        inverse = lattice_coordinate_rows(vec)
+        # inverse is U^-1 for a unimodular U with vec . U = (+-1, 0, ..., 0):
+        # det(inverse) = +-1 and inverse[0] is +-vec
+        assert len(inverse) == m
         assert abs(det_int([list(r) for r in inverse])) == 1
-        product = [
-            [sum(a * b for a, b in zip(row, col)) for col in cols] for row in inverse
-        ]
-        assert product == [[int(i == j + 1) for j in range(m - 1)] for i in range(m)]
         assert list(inverse[0]) in (vec, [-x for x in vec])
-        # a point base + sum c_j u_j gets back exactly its coefficients c_j
-        base = [points.randrange(-9, 10) for _ in range(m)]
-        coeffs = [points.randrange(-9, 10) for _ in range(m - 1)]
-        point = [
-            b + sum(c * col[i] for c, col in zip(coeffs, cols))
-            for i, b in enumerate(base)
-        ]
-        diff = [p - b for p, b in zip(point, base)]
-        image = [sum(a * b for a, b in zip(row, diff)) for row in inverse]
-        assert image == [0] + coeffs
+        # a kernel point, built from the vectors vec[j] e_i - vec[i] e_j,
+        # maps to 0 in row 0
+        point = [0] * m
+        for i, j in combinations(range(m), 2):
+            c = points.randrange(-9, 10)
+            point[i] += c * vec[j]
+            point[j] -= c * vec[i]
+        assert sum(a * b for a, b in zip(vec, point)) == 0
+        assert sum(a * b for a, b in zip(inverse[0], point)) == 0
     with pytest.raises(ValueError):
-        integer_kernel_of_vector([0, 0, 0])
+        lattice_coordinate_rows([0, 0, 0])

@@ -5,12 +5,13 @@ from math import factorial
 
 import pytest
 
+from lefschetz import polytope
 from lefschetz.classify import classification_case_system
-from lefschetz.linalg import det_int
+from lefschetz.linalg import det_int, rational_rank
 from lefschetz.osculating import LinearSystem
 from lefschetz.polytope import (
     DegeneratePolytopeError,
-    _facet_members,
+    _on_facet,
     build_polytope,
     normalized_volume,
     polytope_from_points,
@@ -77,7 +78,7 @@ def test_case_polytopes(case):
     rep = smoothness_report(P)
     assert rep.simple
     assert rep.smooth is smooth
-    assert sorted(len(_facet_members(P.points, f)) for f in P.facets) == sizes
+    assert sorted(sum(_on_facet(p, f) for p in P.points) for f in P.facets) == sizes
 
 
 def test_case_one_never_needs_edge_rule():
@@ -126,6 +127,65 @@ def test_polytope_json_shape():
     import json
 
     json.dumps(data)
+
+
+# Vertices and edges come from the facet incidence table; the rank criterion
+# below is the reference: a point is a vertex iff the normals of its facets
+# span R^m, two vertices span an edge iff their common normals have rank m-1.
+
+
+def rank_criterion(P):
+    normals = [[f[0] for f in P.facets if _on_facet(p, f)] for p in P.points]
+    m = P.dim
+    vertices = tuple(
+        k for k, rows in enumerate(normals) if rows and rational_rank(rows) == m
+    )
+    edges = []
+    for a, b in itertools.combinations(vertices, 2):
+        common = [row for row in normals[a] if row in normals[b]]
+        if (rational_rank(common) if common else 0) == m - 1:
+            edges.append((a, b))
+    return vertices, tuple(edges)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_vertices_and_edges_match_the_rank_criterion(m):
+    rng = rng_for(m, "polytope-incidence")
+    full = 0
+    for trial in range(60):
+        pts = [
+            tuple(rng.randrange(-2, 3) for _ in range(m))
+            for _ in range(rng.randrange(1, 10))
+        ]
+        a, b = pts[0], pts[-1]
+        extra = rng.randrange(4)
+        if extra == 1:  # a duplicate
+            pts.append(a)
+        elif extra == 2:  # a and 2a - b now lie inside the segment [3a - 2b, b]
+            pts += [tuple(k * x - (k - 1) * y for x, y in zip(a, b)) for k in (2, 3)]
+        elif extra == 3:  # a degenerate set: all on one line
+            pts = [tuple(x + k * (y - x) for x, y in zip(a, b)) for k in range(4)]
+        P = polytope_from_points(pts)
+        if not P.is_full_dimensional:
+            assert P.vertices == P.edges == P.facets == ()
+            continue
+        full += 1
+        assert (P.vertices, P.edges) == rank_criterion(P)
+    assert full >= 20
+
+
+def test_hull_takes_one_rank_computation(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    rank = polytope.exact_rank
+    monkeypatch.setattr(polytope, "exact_rank", counting)
+    P = case_polytope(4)
+    assert P.is_full_dimensional and len(P.vertices) == 10
+    assert calls == [len(P.points) - 1]
 
 
 # Volume checks that do not go through the pyramid recursion's own logic:

@@ -5,7 +5,7 @@ import pytest
 from lefschetz.algebra import Form, pure_power
 from lefschetz.apolarity import apolar_complement
 from lefschetz.bundles import splitting_type
-from lefschetz.osculating import LinearSystem, laplace_count, osculating_dimension
+from lefschetz.osculating import LinearSystem, laplace_count
 from lefschetz.sampling import random_form, rng_for
 from lefschetz.wlp import (
     IdealSpec,
@@ -40,7 +40,6 @@ CALLS = {
     ),
     "is_togliatti": lambda trials: is_togliatti(GENERAL, trials=trials),
     "trivial_type_b_test": lambda trials: trivial_type_b_test(TOGLIATTI, trials=trials),
-    "osculating_dimension": lambda trials: osculating_dimension(SYSTEM, 2, trials=trials),
     "laplace_count": lambda trials: laplace_count(SYSTEM, 2, trials=trials),
     "splitting_type": lambda trials: splitting_type(GENERAL, trials=trials),
 }
