@@ -11,11 +11,13 @@ Conventions used throughout the package:
   every matrix in the package is written against such an ordered basis.
 * ``multiples_matrix`` is the one place Macaulay matrices are laid out: the
   integer rows of the monomial multiples x^e * f of forms, used for dim I_t,
-  the Lefschetz multiplication maps, the type-B tangent intersection, the
-  syzygy kernels on a line and the span of a list of forms.
-* ``linear_substitution`` is the one place restrictions are expanded: the
-  forms at x = M*y, used for the restriction to a general hyperplane
-  (``substitute_variable``) and to a general line (``restrict_to_line``).
+  the Lefschetz multiplication maps, the syzygy kernels on a line and the
+  span of a list of forms.
+* Restrictions run in integers on one memoized expansion of monomial
+  images.  ``hyperplane_table`` holds the rows of the degree-d monomials on a
+  hyperplane, from which ``wlp`` reads the restricted generators;
+  ``linear_substitution`` expands forms at x = M*y, for the restriction to a
+  line (``bundles.restrict_to_line``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 from math import comb
 from operator import add
 
-from .linalg import clear_denominators, exact_rank
+from .linalg import clear_denominators, exact_rank, scale_to_integers
 
 Exponent = tuple  # tuple of n+1 non-negative ints
 
@@ -65,7 +67,7 @@ def pure_power(n: int, i: int, k: int = 1) -> Exponent:
 class Form:
     """A homogeneous polynomial with exact rational coefficients.
 
-    Immutable in practice: arithmetic returns new forms, the term dict is
+    Immutable in practice: products return new forms, the term dict is
     never mutated after construction, and zero coefficients are dropped so
     equality of forms is equality of term maps (plus matching n and degree;
     zero forms remember their declared degree).
@@ -108,16 +110,6 @@ class Form:
         exponent = tuple(int(e) for e in exponent)
         return cls(len(exponent) - 1, sum(exponent), {exponent: coeff})
 
-    @classmethod
-    def variable(cls, n: int, i: int) -> "Form":
-        if not 0 <= i <= n:
-            raise IndexError(f"variable index {i} out of range for n={n}")
-        return cls(n, 1, {pure_power(n, i): 1})
-
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "Form":
-        return cls(n, degree, {})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -127,32 +119,13 @@ class Form:
         """Single term with coefficient exactly 1."""
         return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
 
-    def _check_compatible(self, other):
-        if self.n != other.n:
-            raise ValueError(f"forms in different rings: n={self.n} vs n={other.n}")
-
-    def __add__(self, other: "Form") -> "Form":
-        self._check_compatible(other)
-        if self.degree != other.degree and not (self.is_zero or other.is_zero):
-            raise ValueError("cannot add forms of different degrees")
-        degree = other.degree if self.is_zero else self.degree
-        terms = dict(self.terms)
-        for exponent, coeff in other.terms.items():
-            terms[exponent] = terms.get(exponent, Fraction(0)) + coeff
-        return Form(self.n, degree, terms)
-
-    def __neg__(self) -> "Form":
-        return Form(self.n, self.degree, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Form(
                 self.n, self.degree, {e: c * other for e, c in self.terms.items()}
             )
-        self._check_compatible(other)
+        if self.n != other.n:
+            raise ValueError(f"forms in different rings: n={self.n} vs n={other.n}")
         return Form(
             self.n, self.degree + other.degree, _product(self.terms, other.terms)
         )
@@ -173,19 +146,6 @@ class Form:
 
     def __hash__(self):
         return hash((self.n, self.degree, frozenset(self.terms.items())))
-
-    def evaluate(self, point):
-        """Value at a point with integer or Fraction coordinates."""
-        if len(point) != self.n + 1:
-            raise ValueError("point has wrong length")
-        total = Fraction(0)
-        for exponent, coeff in self.terms.items():
-            value = coeff
-            for base, power in zip(point, exponent):
-                if power:
-                    value *= Fraction(base) ** power
-            total += value
-        return total
 
     def __repr__(self):
         from .parser import format_form
@@ -208,13 +168,10 @@ def _product(a: dict, b: dict) -> dict:
     return terms
 
 
-def linear_substitution(forms, rows):
-    """The forms at x_k := sum_j rows[k][j] * y_j, as forms in y_0, ..., y_m.
-
-    ``rows`` holds one row of m+1 entries for each variable of the forms.
-    Exact for int and Fraction entries.  Each monomial's image is built once
-    per call, as the image of the monomial one degree lower times one row.
-    """
+def _monomial_images(rows):
+    """Images of monomials under the integer substitution x_k := sum_j
+    rows[k][j] * y_j, as {y-exponent: int} dicts.  Each image is built once,
+    as the image of the monomial one degree lower times one row."""
     m = len(rows[0]) - 1
     linear = [{pure_power(m, j): c for j, c in enumerate(row) if c} for row in rows]
     images = {(0,) * len(rows): {(0,) * (m + 1): 1}}
@@ -226,16 +183,53 @@ def linear_substitution(forms, rows):
             images[exponent] = _product(image(lower), linear[k])
         return images[exponent]
 
+    return image
+
+
+def hyperplane_table(n: int, d: int, a) -> dict:
+    """Integer restriction of each degree-d monomial to sum(a_i x_i) = 0.
+
+    Maps each exponent of ``monomial_basis(n, d)`` to its row over
+    ``monomial_basis(n - 1, d)``: the image under x_i := a_n * y_i (i < n),
+    x_n := -(a_0 y_0 + ... + a_{n-1} y_{n-1}), which is a_n^d times the
+    restriction (x_n := -sum a_i y_i / a_n), so no rank changes.
+    """
+    rows = [[a[n] if j == i else 0 for j in range(n)] for i in range(n)]
+    rows.append([-c for c in a[:n]])
+    image = _monomial_images(rows)
+    columns = monomial_basis(n - 1, d)
+    return {
+        e: tuple(image(e).get(c, 0) for c in columns) for e in monomial_basis(n, d)
+    }
+
+
+def linear_substitution(forms, rows):
+    """The forms at x_k := sum_j rows[k][j] * y_j, as forms in y_0, ..., y_m.
+
+    ``rows`` holds one row of m+1 int or Fraction entries for each variable
+    of the forms.  The work runs in integers: the rows are cleared by one
+    common denominator D, so a degree-d monomial's image is D^d times its
+    true image, and each form is cleared by its own denominator; one
+    ``Fraction`` per output term divides both back out.
+    """
+    m = len(rows[0]) - 1
+    flat, scale = scale_to_integers([c for row in rows for c in row])
+    image = _monomial_images(
+        [flat[k : k + m + 1] for k in range(0, len(flat), m + 1)]
+    )
     restricted = []
     for form in forms:
         if form.n + 1 != len(rows):
             raise ValueError(f"{form.n + 1} variables but {len(rows)} rows")
+        coeffs, den = scale_to_integers(form.terms.values())
         terms = {}
-        for exponent, coeff in form.terms.items():
+        for exponent, coeff in zip(form.terms, coeffs):
             for key, value in image(exponent).items():
-                prev = terms.get(key)
-                terms[key] = coeff * value if prev is None else prev + coeff * value
-        restricted.append(Form(m, form.degree, terms))
+                terms[key] = terms.get(key, 0) + coeff * value
+        den *= scale**form.degree
+        restricted.append(
+            Form(m, form.degree, {e: Fraction(v, den) for e, v in terms.items() if v})
+        )
     return restricted
 
 
@@ -270,10 +264,7 @@ def forms_to_matrix(forms, columns=None):
     """
     if not forms:
         return [], tuple(columns or ())
-    n, degree = forms[0].n, forms[0].degree
-    for f in forms:
-        if f.n != n or f.degree != degree:
-            raise ValueError("forms must share n and degree")
+    _check_same_shape(forms)
     if columns is None:
         present = set()
         for f in forms:
@@ -283,28 +274,53 @@ def forms_to_matrix(forms, columns=None):
     return rows, columns
 
 
+def _check_same_shape(forms):
+    if len({(f.n, f.degree) for f in forms}) > 1:
+        raise ValueError("forms must share n and degree")
+
+
+@lru_cache(maxsize=None)
+def _shift_table(n: int, t: int, degree: int) -> dict:
+    """For each exponent a of the given degree, the column of x^(a+e) in
+    ``monomial_basis(n, t + degree)`` for every e in ``monomial_basis(n, t)``."""
+    column = {e: k for k, e in enumerate(monomial_basis(n, t + degree))}
+    shifts = monomial_basis(n, t)
+    return {
+        a: tuple(column[tuple(map(add, a, e))] for e in shifts)
+        for a in monomial_basis(n, degree)
+    }
+
+
 def multiples_matrix(forms, t: int):
     """Integer Macaulay matrix of the multiples x^e * f of same-degree forms.
 
     One row per form f (form by form) and per e in ``monomial_basis(n, t)``
     (in basis order), over the columns ``monomial_basis(n, t + degree)``.
     Each form's coefficients are cleared to integers once (row scaling keeps
-    every rank), and its row for x^e is that vector shifted by e.
+    every rank), and each term fills its column of every row of the form's
+    block from the cached shift table.
     """
-    if len({(f.n, f.degree) for f in forms}) > 1:
-        raise ValueError("forms must share n and degree")
+    _check_same_shape(forms)
     rows = []
     for f in forms:
-        column = {e: k for k, e in enumerate(monomial_basis(f.n, t + f.degree))}
-        terms = list(zip(f.terms, clear_denominators(f.terms.values())))
-        for e in monomial_basis(f.n, t):
-            row = [0] * len(column)
-            for a, c in terms:
-                row[column[tuple(x + y for x, y in zip(a, e))]] = c
-            rows.append(row)
+        width = comb(f.n + t + f.degree, f.n)
+        block = [[0] * width for _ in range(comb(f.n + t, f.n))]
+        shifts = _shift_table(f.n, t, f.degree)
+        for a, c in zip(f.terms, clear_denominators(f.terms.values())):
+            for row, k in zip(block, shifts[a]):
+                row[k] = c
+        rows += block
     return rows
 
 
 def rank_of_span(forms) -> int:
-    """Dimension of the span of a list of same-degree forms.  Exact."""
-    return exact_rank(multiples_matrix([f for f in forms if not f.is_zero], 0))
+    """Dimension of the span of a list of same-degree forms.  Exact.
+
+    When every nonzero form has one term the rank is the number of distinct
+    exponents; otherwise it is the rank of the forms' coefficient rows.
+    """
+    forms = [f for f in forms if not f.is_zero]
+    if all(len(f.terms) == 1 for f in forms):
+        _check_same_shape(forms)
+        return len({e for f in forms for e in f.terms})
+    return exact_rank(multiples_matrix(forms, 0))

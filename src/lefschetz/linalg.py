@@ -53,21 +53,21 @@ _PRIME = 2_147_483_647
 _PRIME_INT64 = np.int64(_PRIME)
 
 
-def clear_denominators(row):
-    """Scale a row of Fractions/ints to integers (row scaling preserves rank).
+def scale_to_integers(row):
+    """(integers, scale): a row of Fractions/ints times ``scale``, the least
+    common multiple of its denominators.
 
     ints and Fractions are read through ``numerator``/``denominator`` directly;
     re-wrapping each entry in a new ``Fraction`` dominated the harness profile.
     """
     fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    lcm = 1
-    for f in fracs:
-        den = f.denominator
-        if den != 1:
-            lcm = lcm * den // math.gcd(lcm, den)
-    if lcm == 1:
-        return [int(f.numerator) for f in fracs]
-    return [int(f.numerator) * (lcm // f.denominator) for f in fracs]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs], scale
+
+
+def clear_denominators(row):
+    """Scale a row of Fractions/ints to integers (row scaling preserves rank)."""
+    return scale_to_integers(row)[0]
 
 
 def _bareiss(rows):

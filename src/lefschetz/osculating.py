@@ -21,7 +21,6 @@ evaluation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, perm
 from typing import Optional
 
@@ -126,35 +125,6 @@ def _jet_matrix(system: LinearSystem, s: int, chart_point):
                 if not dead:
                     matrix[bi][j] += value
     return matrix
-
-
-def homogeneous_jet_rank(
-    system: LinearSystem, s: int, point
-) -> int:
-    """Rank of the order-exactly-s homogeneous partials at a full point.
-
-    By the Euler relation this equals the affine order <= s jet rank at the
-    same point (used as a cross-check; ``point`` has n+1 coordinates).
-    """
-    rows = []
-    for beta in monomial_basis(system.n, s):
-        row = []
-        for member in system.members:
-            value = Fraction(0)
-            for alpha, c in member.terms.items():
-                if any(a < b for a, b in zip(alpha, beta)):
-                    continue
-                term = Fraction(c)
-                for a, b in zip(alpha, beta):
-                    if b:
-                        term *= perm(a, b)
-                for p, e in zip(point, (a - b for a, b in zip(alpha, beta))):
-                    if e:
-                        term *= Fraction(p) ** e
-                value += term
-            row.append(value)
-        rows.append(clear_denominators(row))
-    return exact_rank(rows)
 
 
 def laplace_count(

@@ -19,25 +19,28 @@ map is a multiplication on R itself) up to the first surjective degree
 The degree d-1 is the interesting one: for r <= comb(n+d-1, d) the map in
 degree d-1 fails maximal rank exactly when the restrictions of the
 generators to a general hyperplane become linearly dependent, which is the
-bridge to Laplace equations (module ``osculating``) and makes
-``is_togliatti`` a finite, exact decision.
+bridge to Laplace equations (module ``osculating``).  The restrictions are
+integer rows read off ``algebra.hyperplane_table``; for a monomial ideal,
+x_0 + ... + x_n = 0 is general enough, so ``is_togliatti`` is one exact rank
+of rows from one cached table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import comb
+from operator import add
 from typing import Optional
 
 from .algebra import (
     Form,
+    hyperplane_table,
     monomial_basis,
     multiples_matrix,
     pure_power,
     rank_of_span,
-    substitute_variable,
 )
 from .linalg import clear_denominators, exact_rank
 from .sampling import (
@@ -324,23 +327,46 @@ def generator_bound(n: int, d: int) -> int:
     return comb(n + d - 1, n - 1)
 
 
-def restricted_generators(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
-    """Restrictions of the generators to one general hyperplane (per trial).
+@lru_cache(maxsize=None)
+def _sum_hyperplane_table(n: int, d: int) -> dict:
+    """``hyperplane_table`` of x_0 + ... + x_n = 0, enough for monomial ideals."""
+    return hyperplane_table(n, d, (1,) * (n + 1))
 
-    Yields lists of forms in n variables, one ``substitute_variable`` call per
-    hyperplane sum(a_i x_i) = 0 solved for x_n: x_0 + ... + x_n = 0 for
-    monomial ideals, ``trials`` random ones for general ideals.
-    """
+
+def _restricted_rows(spec: IdealSpec, seed, trials):
+    """Integer rows of the generators on one general hyperplane per trial:
+    x_0 + ... + x_n = 0 (a cached table) for monomial ideals, ``trials``
+    random ones for general ideals.  A generator's row is the sum of its
+    cleared coefficients times the ``hyperplane_table`` rows of its terms,
+    a nonzero multiple of its restriction."""
     check_trials(trials)
-    n = spec.n
+    n, d = spec.n, spec.d
     if spec.is_monomial:
-        hyperplanes = [[1] * (n + 1)]
-    else:
-        rng = rng_for(seed, "hyperplane")
-        hyperplanes = (random_hyperplane(n, rng) for _ in range(trials))
-    for a in hyperplanes:
-        terms = {pure_power(n, i): Fraction(-a[i], a[n]) for i in range(n)}
-        yield substitute_variable(spec.generators, n, Form(n, 1, terms))
+        table = _sum_hyperplane_table(n, d)
+        yield [table[next(iter(g.terms))] for g in spec.generators]
+        return
+    rng = rng_for(seed, "hyperplane")
+    for _ in range(trials):
+        table = hyperplane_table(n, d, random_hyperplane(n, rng))
+        rows = []
+        for g in spec.generators:
+            row = [0] * comb(n - 1 + d, d)
+            for e, c in zip(g.terms, clear_denominators(g.terms.values())):
+                row = [x + c * y for x, y in zip(row, table[e])]
+            rows.append(row)
+        yield rows
+
+
+def restricted_generators(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
+    """Restrictions of the generators to one general hyperplane per trial,
+    each up to a nonzero scalar: the rows ``fails_in_degree_dminus1`` ranks,
+    as forms in n variables."""
+    columns = monomial_basis(spec.n - 1, spec.d)
+    for rows in _restricted_rows(spec, seed, trials):
+        yield [
+            Form(spec.n - 1, spec.d, {e: c for e, c in zip(columns, row) if c})
+            for row in rows
+        ]
 
 
 def fails_in_degree_dminus1(
@@ -350,7 +376,10 @@ def fails_in_degree_dminus1(
 
     Decided by restriction: for r <= comb(n+d-1, d) the map fails maximal
     rank iff the generators become linearly dependent on a general
-    hyperplane.  Raises ValueError when r exceeds the bound.
+    hyperplane.  For a monomial ideal that is one exact rank on
+    x_0 + ... + x_n = 0, certified both ways; for a general ideal full rank
+    on a sampled hyperplane is certified and a drop is Monte Carlo.  Raises
+    ValueError when r exceeds the bound.
     """
     if spec.r > generator_bound(spec.n, spec.d):
         raise ValueError(
@@ -360,8 +389,8 @@ def fails_in_degree_dminus1(
     if spec.r == 0:
         return False
     best = 0
-    for restricted in restricted_generators(spec, seed=seed, trials=trials):
-        best = max(best, rank_of_span(restricted))
+    for rows in _restricted_rows(spec, seed, trials):
+        best = max(best, exact_rank(rows))
         if best == spec.r:
             return False
     return best < spec.r
@@ -409,31 +438,41 @@ class TypeBResult:
     witness: Optional[int]
 
 
+def _tangent_rows(n: int, i: int, m: Form, columns: dict):
+    """Integer rows of x_k * x_i * m, k = 0..n, kept on ``columns`` only."""
+    rows = [[0] * len(columns) for _ in range(n + 1)]
+    for e, c in zip(m.terms, clear_denominators(m.terms.values())):
+        e = tuple(map(add, e, pure_power(n, i)))
+        for k, row in enumerate(rows):
+            column = columns.get(tuple(map(add, e, pure_power(n, k))))
+            if column is not None:
+                row[column] = c
+    return rows
+
+
 def trivial_type_b_test(
     spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS
 ) -> TypeBResult:
     if not spec.is_monomial or spec.d != 3:
         raise ValueError("trivial type B probe needs a monomial cubic ideal")
     check_trials(trials)
+    n = spec.n
     gens = spec.monomial_exponents()
-    gen_rows = multiples_matrix([Form.monomial(e) for e in gens], 0)
+    outside = [e for e in monomial_basis(n, 3) if e not in gens]
+    columns = {e: k for k, e in enumerate(outside)}
     sufficient = False
     witness = None
-    for i in range(spec.n + 1):
+    for i in range(n + 1):
         divisible = sum(1 for e in gens if e[i] >= 1)
-        if divisible > comb(spec.n + 1, 2):
+        if divisible > comb(n + 1, 2):
             sufficient = True
         rng = rng_for(seed, "type-b", i)
-        x_i = Form.variable(spec.n, i)
-        tangents = (
-            multiples_matrix([x_i * random_linear_form(spec.n, rng)], 1)
-            for _ in range(trials)
-        )
-        # dim(I_3 meet x_i*m*R_1) = r + (n+1) - rank(stacked rows), as the
-        # generators are independent and x_i*m*R_1 has dimension n+1 (R is
-        # a domain): the intersection is nonzero iff the rank falls short
+        # x_i*m*R_1 has dimension n+1 (R is a domain) and the generators are
+        # unit rows, so dim(I_3 meet x_i*m*R_1) = (n+1) - rank of the tangent
+        # rows on the columns outside I_3: nonzero iff that rank falls short
         if witness is None and all(
-            exact_rank(gen_rows + tangent) < spec.r + spec.n + 1 for tangent in tangents
+            exact_rank(_tangent_rows(n, i, random_linear_form(n, rng), columns)) < n + 1
+            for _ in range(trials)
         ):
             witness = i
     return TypeBResult(sufficient, witness is not None, witness)

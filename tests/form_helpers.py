@@ -1,0 +1,42 @@
+"""Sums and values of forms for the tests; the package itself only multiplies
+forms and never evaluates them."""
+
+from fractions import Fraction
+
+from lefschetz.algebra import Form, pure_power
+
+
+def variable(n: int, i: int) -> Form:
+    """The linear form x_i in n+1 variables."""
+    return Form.monomial(pure_power(n, i))
+
+
+def form_sum(*forms) -> Form:
+    """Sum of forms that share n and degree."""
+    shapes = {(f.n, f.degree) for f in forms}
+    if len(shapes) != 1:
+        raise ValueError(f"cannot add forms of shapes {sorted(shapes)}")
+    ((n, degree),) = shapes
+    terms = {}
+    for f in forms:
+        for exponent, coeff in f.terms.items():
+            terms[exponent] = terms.get(exponent, 0) + coeff
+    return Form(n, degree, terms)
+
+
+def form_difference(left: Form, right: Form) -> Form:
+    return form_sum(left, right * -1)
+
+
+def evaluate(form: Form, point) -> Fraction:
+    """Value of a form at a point with integer or Fraction coordinates."""
+    if len(point) != form.n + 1:
+        raise ValueError("point has wrong length")
+    total = Fraction(0)
+    for exponent, coeff in form.terms.items():
+        value = coeff
+        for base, power in zip(point, exponent):
+            if power:
+                value *= Fraction(base) ** power
+        total += value
+    return total

@@ -35,6 +35,8 @@ from lefschetz import (
 from lefschetz.algebra import Form
 from lefschetz.sampling import random_linear_form, rng_for
 
+from form_helpers import evaluate
+
 HEXAGON = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
@@ -51,14 +53,14 @@ def proportional(left, right):
 
 def quadratic_form(n, coefficient):
     """Sum of coefficient(i, j) * x_i * x_j over i <= j."""
-    total = Form.zero(n, 2)
+    terms = {}
     for i in range(n + 1):
         for j in range(i, n + 1):
             exponent = [0] * (n + 1)
             exponent[i] += 1
             exponent[j] += 1
-            total = total + Form.monomial(tuple(exponent), coefficient(i, j))
-    return total
+            terms[tuple(exponent)] = coefficient(i, j)
+    return Form(n, 2, terms)
 
 
 def test_criterion_1_togliatti_fixture():
@@ -196,7 +198,7 @@ def test_criterion_5_quadric_certificates():
     left = (-2, -2, 1, 1)
     right = (-1, -1, 2, 2)
     for point in itertools.product(range(-2, 3), repeat=4):
-        assert factored.evaluate(point) == sum(
+        assert evaluate(factored, point) == sum(
             a * x for a, x in zip(left, point)
         ) * sum(b * x for b, x in zip(right, point))
 
@@ -256,7 +258,7 @@ def test_criterion_8_counterexample_family():
             n, lambda i, j: 2 if i == j else (4 if j <= n - 2 else -5)
         )
         for point in system.exponents():
-            assert stated.evaluate(point) == 0
+            assert evaluate(stated, point) == 0
         recovered = perkinson_quadric(system.exponents())
         assert recovered is not None and proportional(recovered, stated)
     il3 = tuple(

@@ -17,8 +17,10 @@ from lefschetz.algebra import (
     substitute_variable,
 )
 from lefschetz.bundles import restrict_to_line
-from lefschetz.linalg import exact_rank, rational_rank
+from lefschetz.linalg import clear_denominators, exact_rank, rational_rank
 from lefschetz.sampling import random_form, random_linear_form, rng_for
+
+from form_helpers import evaluate, form_difference, form_sum, variable
 
 
 def test_monomial_basis_counts_and_order():
@@ -37,41 +39,40 @@ def test_form_construction_and_cleaning():
     f = Form(2, 2, {(1, 1, 0): 1, (0, 0, 2): 0})
     assert f.terms == {(1, 1, 0): 1}
     assert not f.is_zero
-    assert Form.zero(2, 5).is_zero
-    assert Form.zero(2, 5).degree == 5
+    assert Form(2, 5).is_zero
+    assert Form(2, 5).degree == 5
     with pytest.raises(ValueError):
         Form(2, 2, {(1, 1, 1): 1})
     with pytest.raises(ValueError):
         Form(2, 2, {(1, 1): 1})
     with pytest.raises(AttributeError):
-        Form.variable(2, 0).n = 3
+        variable(2, 0).n = 3
 
 
 def test_form_arithmetic():
-    x = Form.variable(2, 0)
-    y = Form.variable(2, 1)
-    z = Form.variable(2, 2)
-    f = (x + y) * (x - y)
-    assert f == x * x - y * y
+    x = variable(2, 0)
+    y = variable(2, 1)
+    z = variable(2, 2)
+    f = form_sum(x, y) * form_difference(x, y)
+    assert f == form_difference(x * x, y * y)
     assert (x * y * z).terms == {(1, 1, 1): 1}
     assert (2 * x).terms.get((1, 0, 0), 0) == 2
     assert (x * Fraction(1, 3)).terms.get((1, 0, 0), 0) == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        x + x * x
-    # adding a zero form of mismatched declared degree is tolerated
-    assert (Form.zero(2, 7) + x * x) == x * x
+    # forms are only multiplied: sums are built from terms
+    with pytest.raises(TypeError):
+        x + y
 
 
 def test_form_monomial_flag():
     assert Form.monomial((2, 1, 0)).is_monomial
     assert not (2 * Form.monomial((2, 1, 0))).is_monomial
-    assert not (Form.variable(2, 0) + Form.variable(2, 1)).is_monomial
+    assert not form_sum(variable(2, 0), variable(2, 1)).is_monomial
 
 
 def test_evaluate():
     f = Form(2, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -3})
-    assert f.evaluate((1, 1, 1)) == 0
-    assert f.evaluate((1, 2, 3)) == 1 + 8 + 27 - 18
+    assert evaluate(f, (1, 1, 1)) == 0
+    assert evaluate(f, (1, 2, 3)) == 1 + 8 + 27 - 18
 
 
 def test_substitution_is_a_ring_map():
@@ -92,10 +93,10 @@ def test_substitution_is_a_ring_map():
             },
         )
         sub_f, sub_g, sub_product, sub_sum = substitute_variable(
-            [f, g, f * g, f + g], i, replacement
+            [f, g, f * g, form_sum(f, g)], i, replacement
         )
         assert sub_product == sub_f * sub_g
-        assert sub_sum == sub_f + sub_g
+        assert sub_sum == form_sum(sub_f, sub_g)
 
 
 def test_substitution_drops_the_variable():
@@ -107,7 +108,7 @@ def test_substitution_drops_the_variable():
     # (y+z)^2 + 2(y+z)y + 5z^2 = 3y^2 + 4yz + 6z^2
     assert g.terms == {(2, 0): 3, (1, 1): 4, (0, 2): 6}
     with pytest.raises(ValueError):
-        substitute_variable([f], 0, Form.variable(2, 0))
+        substitute_variable([f], 0, variable(2, 0))
 
 
 def test_rank_of_span_invariances():
@@ -117,9 +118,9 @@ def test_rank_of_span_invariances():
         d = rng.choice([2, 3])
         forms = [random_form(n, d, rng, bound=9) for _ in range(rng.randrange(1, 6))]
         base = rank_of_span(forms)
-        assert rank_of_span(forms + [Form.zero(n, d)]) == base
+        assert rank_of_span(forms + [Form(n, d)]) == base
         assert rank_of_span(forms + [forms[0] * 3]) == base
-        assert rank_of_span(forms + [forms[0] + forms[-1]]) == base
+        assert rank_of_span(forms + [form_sum(forms[0], forms[-1])]) == base
         scaled = [f * Fraction(rng.randrange(1, 5), rng.randrange(1, 5)) for f in forms]
         assert rank_of_span(scaled) == base
         # multiplying every form by one linear form preserves independence
@@ -128,8 +129,8 @@ def test_rank_of_span_invariances():
 
 
 def test_forms_to_matrix_columns():
-    x = Form.variable(1, 0)
-    y = Form.variable(1, 1)
+    x = variable(1, 0)
+    y = variable(1, 1)
     rows, cols = forms_to_matrix([x * x, x * y])
     assert cols == ((2, 0), (1, 1))
     assert rows == [[1, 0], [0, 1]]
@@ -141,7 +142,7 @@ def test_forms_to_matrix_columns():
 def _fraction_linear_form(n, rng):
     coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
     form = Form(n, 1, dict(zip(monomial_basis(n, 1), coeffs)))
-    return form if not form.is_zero else Form.variable(n, 0)
+    return form if not form.is_zero else variable(n, 0)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
@@ -173,11 +174,11 @@ def test_multiples_matrix_matches_form_products(t):
 
 
 def test_multiples_matrix_rejects_mixed_forms():
-    x = Form.variable(2, 0)
+    x = variable(2, 0)
     with pytest.raises(ValueError):
         multiples_matrix([x, x * x], 1)
     with pytest.raises(ValueError):
-        multiples_matrix([x, Form.variable(1, 0)], 0)
+        multiples_matrix([x, variable(1, 0)], 0)
     assert multiples_matrix([], 2) == []
 
 
@@ -185,7 +186,7 @@ def test_form_pickle_round_trip():
     for form in (
         Form.monomial((1, 0, 0)),
         Form(2, 3, {(3, 0, 0): Fraction(1, 2), (1, 1, 1): -3}),
-        Form.zero(3, 4),
+        Form(3, 4),
     ):
         copy = pickle.loads(pickle.dumps(form))
         assert copy == form
@@ -200,7 +201,7 @@ def _integer_points(m, rng, count=4):
     return [[rng.randint(-5, 5) for _ in range(m + 1)] for _ in range(count)]
 
 
-# Form.evaluate is separate code from the substitution routine, so each check
+# evaluate is separate code from the substitution routine, so each check
 # below is g(y) == f(M*y) at a few integer points y.
 def test_linear_substitution_matches_evaluation():
     rng = rng_for(0, "linear-substitution")
@@ -209,7 +210,7 @@ def test_linear_substitution_matches_evaluation():
         m = rng.randint(0, 3)
         d = rng.randint(0, 4)
         forms = [random_form(n, d, rng, bound=9) * Fraction(1, rng.randint(1, 5))]
-        forms.append(Form.zero(n, d))
+        forms.append(Form(n, d))
         if trial % 2:
             rows = [[rng.randint(-4, 4) for _ in range(m + 1)] for _ in range(n + 1)]
         else:
@@ -221,9 +222,10 @@ def test_linear_substitution_matches_evaluation():
         assert [(g.n, g.degree) for g in restricted] == [(m, d), (m, d)]
         assert restricted[1].is_zero
         for y in _integer_points(m, rng):
-            assert restricted[0].evaluate(y) == forms[0].evaluate(_image_point(rows, y))
+            image = _image_point(rows, y)
+            assert evaluate(restricted[0], y) == evaluate(forms[0], image)
     with pytest.raises(ValueError):
-        linear_substitution([Form.variable(2, 0)], [[1, 0], [0, 1]])
+        linear_substitution([variable(2, 0)], [[1, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("kind", ["int", "Fraction", "float"])
@@ -237,7 +239,7 @@ def test_restrict_to_line_matches_evaluation(kind):
     for trial in range(20):
         n = rng.randint(1, 3)
         d = rng.randint(1, 4)
-        forms = [random_form(n, d, rng, bound=9) for _ in range(2)] + [Form.zero(n, d)]
+        forms = [random_form(n, d, rng, bound=9) for _ in range(2)] + [Form(n, d)]
         while True:
             p = [convert(rng.randint(-6, 6)) for _ in range(n + 1)]
             q = [convert(rng.randint(-6, 6)) for _ in range(n + 1)]
@@ -251,7 +253,7 @@ def test_restrict_to_line_matches_evaluation(kind):
         rows = list(zip(p, q))
         for y in _integer_points(1, rng):
             for f, g in zip(forms, restricted):
-                assert g.evaluate(y) == f.evaluate(_image_point(rows, y))
+                assert evaluate(g, y) == evaluate(f, _image_point(rows, y))
 
 
 def test_substitute_variable_matches_evaluation():
@@ -260,7 +262,7 @@ def test_substitute_variable_matches_evaluation():
         n = rng.randint(1, 3)
         d = rng.randint(1, 4)
         i = rng.randint(0, n)
-        forms = [random_form(n, d, rng, bound=9) for _ in range(2)] + [Form.zero(n, d)]
+        forms = [random_form(n, d, rng, bound=9) for _ in range(2)] + [Form(n, d)]
         replacement = Form(
             n,
             1,
@@ -274,6 +276,108 @@ def test_substitute_variable_matches_evaluation():
         assert all((g.n, g.degree) == (n - 1, d) for g in restricted)
         assert restricted[2].is_zero
         for y in _integer_points(n - 1, rng):
-            x = list(y[:i]) + [replacement.evaluate(y[:i] + [0] + y[i:])] + list(y[i:])
+            x = list(y[:i]) + [evaluate(replacement, y[:i] + [0] + y[i:])] + list(y[i:])
             for f, g in zip(forms, restricted):
-                assert g.evaluate(y) == f.evaluate(x)
+                assert evaluate(g, y) == evaluate(f, x)
+
+
+def test_rank_of_span_counts_single_term_forms():
+    x0_squared = Form.monomial((2, 0, 0))
+    y_squared = Form.monomial((0, 2, 0))
+    assert rank_of_span([x0_squared * 2, x0_squared * -3, y_squared]) == 2
+    assert rank_of_span([]) == 0
+    assert rank_of_span([Form(2, 2), Form(2, 2)]) == 0
+    assert rank_of_span([x0_squared * Fraction(1, 3), Form(2, 2), x0_squared]) == 1
+    with pytest.raises(ValueError):
+        rank_of_span([x0_squared, Form.monomial((1, 0, 0))])
+    # against the coefficient-matrix rank, with one-term and many-term mixes
+    rng = rng_for(0, "rank-of-span-terms")
+    mixed = 0
+    for trial in range(80):
+        n, d = rng.randint(0, 3), rng.randint(0, 3)
+        basis = monomial_basis(n, d)
+        forms = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.random()
+            if kind < 0.15:
+                forms.append(Form(n, d))
+            elif kind < 0.85 or trial % 2 == 0:
+                coeff = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                forms.append(Form.monomial(rng.choice(basis), coeff))
+            else:
+                forms.append(random_form(n, d, rng, bound=3))
+        nonzero = [f for f in forms if not f.is_zero]
+        mixed += any(len(f.terms) > 1 for f in nonzero)
+        assert rank_of_span(forms) == exact_rank(multiples_matrix(nonzero, 0))
+    assert mixed > 0
+
+
+def _cell_by_cell_multiples(forms, t):
+    """The Macaulay builder the shift tables replaced: one tuple sum per cell."""
+    rows = []
+    for f in forms:
+        column = {e: k for k, e in enumerate(monomial_basis(f.n, t + f.degree))}
+        coeffs = clear_denominators(list(f.terms.values()))
+        for e in monomial_basis(f.n, t):
+            row = [0] * len(column)
+            for a, c in zip(f.terms, coeffs):
+                row[column[tuple(x + y for x, y in zip(a, e))]] = c
+            rows.append(row)
+    return rows
+
+
+def test_multiples_matrix_matches_the_cell_by_cell_builder():
+    rng = rng_for(0, "multiples-matrix-cells")
+    for trial in range(40):
+        n, d, t = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        forms = [
+            random_form(n, d, rng, bound=9) * Fraction(1, rng.randint(1, 6))
+            for _ in range(rng.randint(0, 3))
+        ]
+        if trial % 5 == 0:
+            forms.append(Form(n, d))
+        assert multiples_matrix(forms, t) == _cell_by_cell_multiples(forms, t)
+
+
+def _fraction_substitution(forms, rows):
+    """The Fraction route linear_substitution replaced: each monomial's image
+    multiplied out one variable at a time, every product a Fraction."""
+    m = len(rows[0]) - 1
+    linear = [
+        {pure_power(m, j): Fraction(c) for j, c in enumerate(row) if c} for row in rows
+    ]
+    restricted = []
+    for form in forms:
+        terms = {}
+        for exponent, coeff in form.terms.items():
+            image = {(0,) * (m + 1): coeff}
+            for k, power in enumerate(exponent):
+                for _ in range(power):
+                    product = {}
+                    for e1, c1 in image.items():
+                        for e2, c2 in linear[k].items():
+                            key = tuple(x + y for x, y in zip(e1, e2))
+                            product[key] = product.get(key, 0) + c1 * c2
+                    image = product
+            for key, value in image.items():
+                terms[key] = terms.get(key, 0) + value
+        restricted.append(Form(m, form.degree, terms))
+    return restricted
+
+
+def test_linear_substitution_matches_the_fraction_route():
+    rng = rng_for(0, "linear-substitution-fractions")
+    for trial in range(40):
+        n, m, d = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4)
+        scales = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(2)]
+        forms = [random_form(n, d, rng, bound=9) * c for c in scales] + [Form(n, d)]
+        if trial % 2:
+            rows = [[rng.randint(-4, 4) for _ in range(m + 1)] for _ in range(n + 1)]
+        else:
+            rows = [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(m + 1)]
+                for _ in range(n + 1)
+            ]
+        restricted = linear_substitution(forms, rows)
+        assert restricted == _fraction_substitution(forms, rows)
+        assert all(type(c) is Fraction for g in restricted for c in g.terms.values())

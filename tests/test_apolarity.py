@@ -9,6 +9,8 @@ from lefschetz.algebra import Form, monomial_basis
 from lefschetz.sampling import random_linear_form, rng_for
 from lefschetz.wlp import IdealSpec, certified_lefschetz_report, h_vector
 
+from form_helpers import form_sum
+
 
 def term_dict(form):
     return {e: c for e, c in form.terms.items() if c}
@@ -31,7 +33,7 @@ def test_contract_falling_factorials():
 
 
 def test_contract_is_bilinear():
-    op = Form.monomial((1, 0, 0), 2) + Form.monomial((0, 1, 0))
+    op = form_sum(Form.monomial((1, 0, 0), 2), Form.monomial((0, 1, 0)))
     tgt = Form.monomial((2, 1, 0))
     assert term_dict(contract(op, tgt)) == {
         (1, 1, 0): Fraction(4),
@@ -41,9 +43,8 @@ def test_contract_is_bilinear():
 
 def test_contract_composes():
     rng = rng_for(0, "apolarity", "compose")
-    f = sum(
-        (Form.monomial(e, rng.randrange(-5, 6)) for e in monomial_basis(2, 4)),
-        Form.zero(2, 4),
+    f = form_sum(
+        *(Form.monomial(e, rng.randrange(-5, 6)) for e in monomial_basis(2, 4))
     )
     a = Form.monomial((1, 0, 0))
     b = Form.monomial((0, 1, 1))

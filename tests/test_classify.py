@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from lefschetz.algebra import monomial_basis
+from lefschetz.algebra import Form, monomial_basis, rank_of_span, substitute_variable
 from lefschetz.classify import (
     ClassificationRecord,
     _pure_cubes,
@@ -23,7 +23,9 @@ from lefschetz.classify import (
 )
 from lefschetz.parser import format_form
 from lefschetz.sampling import rng_for
-from lefschetz.wlp import IdealSpec, is_togliatti
+from lefschetz.wlp import IdealSpec, fails_in_degree_dminus1, is_togliatti
+
+from form_helpers import evaluate
 
 NAMES4 = ("x0", "x1", "x2", "x3")
 
@@ -161,6 +163,21 @@ def test_n3_run_totals(run3):
     assert len(run3.records) == 224
     assert run3.j_max == 6
     assert sum(run3.hit_counts.values()) == run3.subsets_seen
+
+
+def test_table_verdicts_match_substitution_on_the_census_candidates(census3):
+    # the route the integer hyperplane table replaced: Fraction forms at
+    # x_3 := -(x_0 + x_1 + x_2), ranked as a span
+    run, tested = census3
+    minus_sum = Form(3, 1, {(1, 0, 0, 0): -1, (0, 1, 0, 0): -1, (0, 0, 1, 0): -1})
+    dependent = 0
+    for key in tested:
+        spec = IdealSpec.from_monomials(3, 3, key)
+        restricted = substitute_variable(spec.generators, 3, minus_sum)
+        verdict = rank_of_span(restricted) < spec.r
+        assert fails_in_degree_dminus1(spec) == verdict
+        dependent += verdict
+    assert (len(tested), dependent) == (714, len(run.records))
 
 
 def _brute_force_hit_counts(n, j_max):
@@ -423,7 +440,7 @@ def test_case_three_quadric_factors():
     left = (-2, -2, 1, 1)
     right = (-1, -1, 2, 2)
     for e in itertools.product(range(-3, 4), repeat=4):
-        lhs = q.evaluate(e)
+        lhs = evaluate(q, e)
         rhs = sum(l * x for l, x in zip(left, e)) * sum(r * x for r, x in zip(right, e))
         assert lhs == rhs
 

@@ -85,7 +85,7 @@ def test_greedy_names():
 def test_format_known():
     f = Form(2, 2, {(1, 1, 0): Fraction(-1, 2), (0, 0, 2): 3})
     assert format_form(f, XYZ) == "-1/2*x0*x1 + 3*x2^2"
-    assert format_form(Form.zero(2, 4), XYZ) == "0"
+    assert format_form(Form(2, 4), XYZ) == "0"
     assert format_form(Form.monomial((1, 0, 1)), XYZ) == "x0*x2"
 
 

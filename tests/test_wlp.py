@@ -1,9 +1,14 @@
 """Multiplication maps, h-vectors, and the degree d-1 failure criteria."""
 
+from fractions import Fraction
+from math import comb, lcm
+
 import pytest
 
 from lefschetz.wlp import (
     IdealSpec,
+    TypeBResult,
+    _tangent_rows,
     certified_lefschetz_report,
     fails_in_degree_dminus1,
     generator_bound,
@@ -14,8 +19,23 @@ from lefschetz.wlp import (
     trivial_type_a,
     trivial_type_b_test,
 )
-from lefschetz.algebra import rank_of_span
+from lefschetz.algebra import (
+    Form,
+    monomial_basis,
+    multiples_matrix,
+    pure_power,
+    rank_of_span,
+    substitute_variable,
+)
+from lefschetz.classify import classification_case_ideal
+from lefschetz.linalg import exact_rank
 from lefschetz.parser import parse_polynomial
+from lefschetz.sampling import (
+    random_form,
+    random_hyperplane,
+    random_linear_form,
+    rng_for,
+)
 
 
 def test_h_vector_togliatti(togliatti_cubic):
@@ -177,3 +197,120 @@ def test_non_monomial_complete_intersection():
     assert h_vector(spec) == (1, 3, 6, 7, 6, 3, 1)
     ok, failures = has_wlp(spec, seed=0, trials=3)
     assert ok and failures == []
+
+
+# The routes that the integer hyperplane table and the apolar-column type-B
+# rank replaced, written out here as references.
+
+
+def _substituted_generators(spec):
+    """The generators at x_n := -(x_0 + ... + x_{n-1}), through Fraction forms."""
+    n = spec.n
+    minus_sum = Form(n, 1, {pure_power(n, i): -1 for i in range(n)})
+    return substitute_variable(spec.generators, n, minus_sum)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_table_restriction_matches_substitution_on_monomial_ideals(n):
+    rng = rng_for(0, "hyperplane-table", n)
+    verdicts = set()
+    for d in (3, 4, 5):
+        basis = monomial_basis(n, d)
+        for _ in range(15):
+            r = rng.randint(1, generator_bound(n, d))
+            spec = IdealSpec.from_monomials(n, d, rng.sample(basis, r))
+            old = _substituted_generators(spec)
+            # a = (1, ..., 1) has a_n = 1, so the table rows are the restriction
+            assert list(restricted_generators(spec)) == [old]
+            dependent = rank_of_span(old) < r
+            assert fails_in_degree_dminus1(spec) == dependent
+            verdicts.add(dependent)
+    assert verdicts == {False, True}
+
+
+GENERAL_TOGLIATTI = IdealSpec(
+    2,
+    3,
+    [Form.monomial(pure_power(2, i, 3)) for i in range(3)]
+    + [Form(2, 3, {(1, 1, 1): 1, (3, 0, 0): Fraction(1, 2)})],
+)
+
+
+def test_table_restriction_is_a_multiple_of_the_substitution_on_general_ideals():
+    rng = rng_for(0, "hyperplane-table-general")
+    specs = [GENERAL_TOGLIATTI]
+    for _ in range(10):
+        n, d = rng.choice([2, 3]), rng.choice([3, 4])
+        r = rng.randint(1, generator_bound(n, d))
+        scales = [Fraction(1, rng.randint(1, 6)) for _ in range(r)]
+        specs.append(IdealSpec(n, d, [random_form(n, d, rng, 9) * c for c in scales]))
+    verdicts = set()
+    for seed, spec in enumerate(specs):
+        n, d = spec.n, spec.d
+        hyperplanes = rng_for(seed, "hyperplane")
+        best = 0
+        for batch in restricted_generators(spec, seed=seed, trials=2):
+            a = random_hyperplane(n, hyperplanes)
+            solved = {pure_power(n, i): Fraction(-a[i], a[n]) for i in range(n)}
+            old = substitute_variable(spec.generators, n, Form(n, 1, solved))
+            for g, new, reference in zip(spec.generators, batch, old):
+                cleared = lcm(*(c.denominator for c in g.terms.values()))
+                assert new == reference * (a[n] ** d * cleared)
+            best = max(best, rank_of_span(old))
+        dependent = best < spec.r
+        assert fails_in_degree_dminus1(spec, seed=seed, trials=2) == dependent
+        verdicts.add(dependent)
+    assert verdicts == {False, True}
+
+
+def _stacked_type_b(spec, seed, trials):
+    """The type-B probe on the generator rows stacked over the tangent rows."""
+    n = spec.n
+    gens = spec.monomial_exponents()
+    gen_rows = multiples_matrix([Form.monomial(e) for e in gens], 0)
+    sufficient = False
+    witness = None
+    for i in range(n + 1):
+        if sum(1 for e in gens if e[i] >= 1) > comb(n + 1, 2):
+            sufficient = True
+        rng = rng_for(seed, "type-b", i)
+        x_i = Form.monomial(pure_power(n, i))
+        tangents = (
+            multiples_matrix([x_i * random_linear_form(n, rng)], 1)
+            for _ in range(trials)
+        )
+        if witness is None and all(
+            exact_rank(gen_rows + tangent) < spec.r + n + 1 for tangent in tangents
+        ):
+            witness = i
+    return TypeBResult(sufficient, witness is not None, witness)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_type_b_apolar_rank_matches_the_stacked_rank(n):
+    rng = rng_for(0, "type-b-routes", n)
+    basis = monomial_basis(n, 3)
+    divisible = [e for e in basis if e[0]]
+    specs = [IdealSpec.from_monomials(n, 3, divisible)]
+    for _ in range(12):
+        r = rng.randint(1, len(basis) - 1)
+        specs.append(IdealSpec.from_monomials(n, 3, rng.sample(basis, r)))
+    if n == 3:
+        specs += [classification_case_ideal(case) for case in (1, 2, 3, 4)]
+    short = full = 0
+    for seed, spec in enumerate(specs):
+        gens = spec.monomial_exponents()
+        gen_rows = multiples_matrix([Form.monomial(e) for e in gens], 0)
+        outside = [e for e in basis if e not in gens]
+        columns = {e: k for k, e in enumerate(outside)}
+        for i in range(n + 1):
+            m = random_linear_form(n, rng)
+            x_i = Form.monomial(pure_power(n, i))
+            stacked = exact_rank(gen_rows + multiples_matrix([x_i * m], 1))
+            rank = exact_rank(_tangent_rows(n, i, m, columns))
+            assert rank == stacked - spec.r
+            short += rank < n + 1
+            full += rank == n + 1
+        result = trivial_type_b_test(spec, seed=seed, trials=3)
+        assert result == _stacked_type_b(spec, seed, 3)
+    assert short > 0 and full > 0
