@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * ``n`` is the projective dimension, so forms live in n+1 variables
   x_0, ..., x_n.
 * An exponent vector is a tuple of n+1 non-negative integers; a form of
-  degree d is a dict mapping exponent vectors of weight d to nonzero
-  ``Fraction`` coefficients.  The zero form is the empty dict.
+  degree d is a dict mapping exponent vectors of weight d to nonzero ``int``
+  (when integral) or ``Fraction`` coefficients.  The zero form is the empty dict.
 * Monomial bases are ordered lexicographically on the exponent tuple, and
   every matrix in the package is written against such an ordered basis.
 * ``multiples_matrix`` is the one place Macaulay matrices are laid out: the
@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, index
 
 from .linalg import clear_denominators, exact_rank, scale_to_integers
 
@@ -80,23 +80,21 @@ class Form:
             raise ValueError("n and degree must be non-negative")
         clean = {}
         for exponent, coeff in (terms or {}).items():
-            # Fractions are immutable, so an exact Fraction is kept as is
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if not coeff:
                 continue
-            exponent = tuple(int(e) for e in exponent)
+            # integer entries come back unchanged, so distinct keys stay distinct
+            exponent = tuple(map(index, exponent))
             if len(exponent) != n + 1 or any(e < 0 for e in exponent):
                 raise ValueError(f"bad exponent {exponent} for n={n}")
             if sum(exponent) != degree:
                 raise ValueError(
                     f"exponent {exponent} has degree {sum(exponent)}, expected {degree}"
                 )
-            prev = clean.get(exponent)
-            clean[exponent] = coeff if prev is None else prev + coeff
+            clean[exponent] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
@@ -107,8 +105,13 @@ class Form:
 
     @classmethod
     def monomial(cls, exponent, coeff=1) -> "Form":
-        exponent = tuple(int(e) for e in exponent)
-        return cls(len(exponent) - 1, sum(exponent), {exponent: coeff})
+        """coeff * x^exponent, built without the per-term pass of ``__init__``."""
+        exponent = tuple(map(index, exponent))
+        if not exponent or min(exponent) < 0:
+            raise ValueError(f"bad exponent {exponent}")
+        form, coeff = cls(len(exponent) - 1, sum(exponent)), _exact(coeff)
+        object.__setattr__(form, "terms", {exponent: coeff} if coeff else {})
+        return form
 
     @property
     def is_zero(self) -> bool:
@@ -154,6 +157,12 @@ class Form:
             return f"Form(n={self.n}, degree={self.degree}, 0)"
         names = [f"x{i}" for i in range(self.n + 1)]
         return f"Form({format_form(self, names)})"
+
+
+def _exact(c):
+    """A coefficient read exactly: an ``int`` when integral, else a ``Fraction``."""
+    c = c if type(c) is int or type(c) is Fraction else Fraction(c)
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def _product(a: dict, b: dict) -> dict:
@@ -210,7 +219,7 @@ def linear_substitution(forms, rows):
     of the forms.  The work runs in integers: the rows are cleared by one
     common denominator D, so a degree-d monomial's image is D^d times its
     true image, and each form is cleared by its own denominator; one
-    ``Fraction`` per output term divides both back out.
+    ``Fraction`` per output term divides both back out when they are not 1.
     """
     m = len(rows[0]) - 1
     flat, scale = scale_to_integers([c for row in rows for c in row])
@@ -227,9 +236,8 @@ def linear_substitution(forms, rows):
             for key, value in image(exponent).items():
                 terms[key] = terms.get(key, 0) + coeff * value
         den *= scale**form.degree
-        restricted.append(
-            Form(m, form.degree, {e: Fraction(v, den) for e, v in terms.items() if v})
-        )
+        terms = {e: v if den == 1 else Fraction(v, den) for e, v in terms.items() if v}
+        restricted.append(Form(m, form.degree, terms))
     return restricted
 
 
@@ -260,7 +268,7 @@ def forms_to_matrix(forms, columns=None):
 
     Columns follow ``columns`` if given, else the sorted union of exponents
     appearing in the forms (dropping all-zero columns does not change rank).
-    Returns (rows of Fractions, column exponents).
+    Returns (rows of int and Fraction coefficients, column exponents).
     """
     if not forms:
         return [], tuple(columns or ())
@@ -270,7 +278,7 @@ def forms_to_matrix(forms, columns=None):
         for f in forms:
             present.update(f.terms)
         columns = tuple(sorted(present, reverse=True))
-    rows = [[f.terms.get(e, Fraction(0)) for e in columns] for f in forms]
+    rows = [[f.terms.get(e, 0) for e in columns] for f in forms]
     return rows, columns
 
 

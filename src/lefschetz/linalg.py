@@ -8,8 +8,9 @@ exact.  There are exactly two elimination routines, independent of each other:
 * ``_bareiss``: fraction-free one-step Bareiss elimination on integer
   matrices.  Integer pivots, exact divisions, no rationals.  Authoritative.
   ``bareiss_rank`` (its rank), ``det_int`` (sign times last pivot),
-  ``kernel_basis`` and ``primitive_kernel_vector`` are read off it; the two
-  kernels share one integer back-substitution, ``_back_substitute``.
+  ``integer_kernel`` (with ``kernel_basis``, its vectors over Q) and
+  ``primitive_kernel_vector`` are read off it; the kernels share one integer
+  back-substitution, ``_back_substitute``.
   Entries are read through ``operator.index``, so a ``Fraction`` or
   ``float`` entry raises ``TypeError`` instead of being truncated.
 * ``_rref``: Gauss-Jordan elimination over ``Fraction`` to the reduced row
@@ -256,23 +257,24 @@ def _back_substitute(pivots, echelon, free, ncols):
     return x
 
 
+def integer_kernel(rows, ncols):
+    """Integer right-kernel basis of an integer matrix: ``_back_substitute``
+    for each free column in order, its last nonzero entry at that column."""
+    _, _, _, pivots, echelon = _bareiss(rows)
+    free_columns = sorted(set(range(ncols)) - set(pivots))
+    return [_back_substitute(pivots, echelon, f, ncols) for f in free_columns]
+
+
 def kernel_basis(rows, ncols):
     """Basis of the right kernel over Q, one vector per free column.
 
-    Rows may be Fractions or ints.  Returns a list of length-ncols Fraction
-    vectors; the basis is the reduced-echelon one (free column set to 1).
-    Each row's denominators are cleared, ``_bareiss`` eliminates in
-    integers, and each vector is one integer back-substitution divided by
-    its free entry at the end.
+    Rows may be Fractions or ints.  Returns the reduced-echelon basis (free
+    column set to 1) as Fraction vectors: each ``integer_kernel`` vector of
+    the denominator-cleared rows divided by its last nonzero entry.
     """
-    _, _, _, pivots, echelon = _bareiss([clear_denominators(row) for row in rows])
-    pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        x = _back_substitute(pivots, echelon, free, ncols)
-        scale = x[free]
+    for x in integer_kernel([clear_denominators(row) for row in rows], ncols):
+        scale = next(v for v in reversed(x) if v)
         basis.append([Fraction(v, scale) for v in x])
     return basis
 

@@ -104,11 +104,7 @@ def _jet_matrix(system: LinearSystem, s: int, chart_point):
     betas = [b for t in range(s + 1) for b in monomial_basis(n - 1, t)]
     matrix = [[0] * len(system.members) for _ in betas]
     for j, member in enumerate(system.members):
-        coeffs = clear_denominators(
-            [member.terms[e] for e in sorted(member.terms)]
-        )
-        exponents = sorted(member.terms)
-        for alpha, c in zip(exponents, coeffs):
+        for alpha, c in zip(member.terms, clear_denominators(member.terms.values())):
             for bi, beta in enumerate(betas):
                 value = c
                 dead = False

@@ -185,14 +185,8 @@ def parse_polynomial(text: str, variables, expected_degree=None) -> Form:
         degree = expected_degree
     terms = {}
     for coeff, exponent, _ in triples:
-        terms[exponent] = terms.get(exponent, Fraction(0)) + coeff
+        terms[exponent] = terms.get(exponent, 0) + coeff
     return Form(n, degree, terms)
-
-
-def _format_coefficient(coeff: Fraction) -> str:
-    if coeff.denominator == 1:
-        return str(coeff.numerator)
-    return f"{coeff.numerator}/{coeff.denominator}"
 
 
 def format_form(form: Form, variables) -> str:
@@ -212,11 +206,11 @@ def format_form(form: Form, variables) -> str:
                 factors.append(f"{name}^{power}")
         magnitude = abs(coeff)
         if not factors:
-            body = _format_coefficient(magnitude)
+            body = str(magnitude)
         elif magnitude == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_format_coefficient(magnitude)] + factors)
+            body = "*".join([str(magnitude)] + factors)
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

@@ -18,6 +18,7 @@ from lefschetz.algebra import (
 )
 from lefschetz.bundles import restrict_to_line
 from lefschetz.linalg import clear_denominators, exact_rank, rational_rank
+from lefschetz.parser import format_form, parse_polynomial
 from lefschetz.sampling import random_form, random_linear_form, rng_for
 
 from form_helpers import evaluate, form_difference, form_sum, variable
@@ -61,6 +62,20 @@ def test_form_arithmetic():
     # forms are only multiplied: sums are built from terms
     with pytest.raises(TypeError):
         x + y
+
+
+def test_form_monomial_checks_its_exponent():
+    for exponent, coeff in (((2, 0, 1), Fraction(3, 4)), ((0, 4), -2), ((1,), 1)):
+        built = Form(len(exponent) - 1, sum(exponent), {exponent: coeff})
+        assert Form.monomial(exponent, coeff) == built
+    for bad in ((1, -1, 2), ()):
+        with pytest.raises(ValueError):
+            Form.monomial(bad)
+    # a non-integer entry is refused, not truncated
+    with pytest.raises(TypeError):
+        Form.monomial((1.5, 0.5))
+    with pytest.raises(TypeError):
+        Form(1, 2, {(1.5, 0.5): 1})
 
 
 def test_form_monomial_flag():
@@ -191,6 +206,52 @@ def test_form_pickle_round_trip():
         copy = pickle.loads(pickle.dumps(form))
         assert copy == form
         assert (copy.n, copy.degree) == (form.n, form.degree)
+        assert {e: type(c) for e, c in copy.terms.items()} == {
+            e: type(c) for e, c in form.terms.items()
+        }
+
+
+def exact_types(form):
+    """Every coefficient is an int when integral and a Fraction otherwise."""
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        for c in form.terms.values()
+    )
+
+
+def test_form_coefficients_are_int_when_integral():
+    e, f = (2, 1, 0), (0, 1, 2)
+    three = Form(2, 3, {e: Fraction(6, 2)})
+    assert type(three.terms[e]) is int
+    assert three == Form(2, 3, {e: 3}) and hash(three) == hash(Form(2, 3, {e: 3}))
+    # a bool and a float are read exactly
+    mixed = Form(2, 3, {e: Fraction(1, 2), (1, 2, 0): True, f: 0.25})
+    assert mixed.terms == {e: Fraction(1, 2), (1, 2, 0): 1, f: Fraction(1, 4)}
+    assert exact_types(mixed)
+    tripled = Form(2, 3, {e: Fraction(1, 3)}) * 3
+    assert tripled.terms == {e: 1} and exact_types(tripled)
+    for coeff, kind in ((Fraction(4, 2), int), (Fraction(1, 2), Fraction), (5, int)):
+        assert type(Form.monomial(e, coeff).terms[e]) is kind
+    assert Form.monomial(e, Fraction(0)).is_zero
+    rng = rng_for(0, "algebra", "exact-types")
+    for _ in range(20):
+        n, d = rng.randint(0, 3), rng.randint(0, 3)
+        scale = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        f1 = random_form(n, d, rng, bound=5) * scale
+        f2 = random_form(n, d, rng, bound=5) * Fraction(2, rng.randint(1, 2))
+        product = f1 * f2
+        assert exact_types(f1) and exact_types(f2) and exact_types(product)
+        assert exact_types(random_linear_form(n, rng))
+        assert all(type(c) is int for c in random_form(n, d, rng).terms.values())
+        names = [f"x{i}" for i in range(n + 1)]
+        parsed = parse_polynomial(format_form(product, names), names, product.degree)
+        assert parsed == product and exact_types(parsed)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
+            for _ in range(n + 1)
+        ]
+        assert all(exact_types(g) for g in linear_substitution([f1, product], rows))
+    assert exact_types(parse_polynomial("2/2*x^2 - 3/6*x*y + 4*y^2", ["x", "y"]))
 
 
 def _image_point(rows, y):
@@ -380,4 +441,4 @@ def test_linear_substitution_matches_the_fraction_route():
             ]
         restricted = linear_substitution(forms, rows)
         assert restricted == _fraction_substitution(forms, rows)
-        assert all(type(c) is Fraction for g in restricted for c in g.terms.values())
+        assert all(exact_types(g) for g in restricted)

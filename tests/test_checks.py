@@ -45,6 +45,37 @@ def test_rref_serves_only_the_cross_check_and_solve_exact():
     assert sorted(found) == [("linalg.py", "rational_rank"), ("linalg.py", "solve_exact")]
 
 
+def test_fraction_is_named_only_where_coefficients_are_read_or_printed():
+    # integers wherever the entries are integers: Fraction is constructed or
+    # named only by these functions, and the list may only shrink
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        enclosing = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    enclosing.setdefault(inner, node.name)
+        found |= {
+            (path.name, enclosing.get(node, "<module>"))
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "Fraction")
+            or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+        }
+    assert sorted(found) == [
+        ("algebra.py", "__mul__"),  # scalar multiples
+        ("algebra.py", "__rmul__"),
+        ("algebra.py", "_exact"),  # Form: int when integral, else Fraction
+        ("algebra.py", "linear_substitution"),  # one division per output term
+        ("bundles.py", "restrict_to_line"),  # non-int line points
+        ("linalg.py", "_rref"),  # the rational cross-check route
+        ("linalg.py", "kernel_basis"),  # the kernel over Q
+        ("linalg.py", "scale_to_integers"),
+        ("linalg.py", "solve_exact"),
+        ("parser.py", "_term"),  # fractional coefficients in the input
+    ]
+
+
 DROPPED_VECTOR = """
 import sys
 from lefschetz import apolarity
@@ -52,15 +83,27 @@ from lefschetz.algebra import Form
 from lefschetz.wlp import IdealSpec
 
 assert False, "python -O did not strip this assert"
-full_kernel = apolarity.kernel_basis
-apolarity.kernel_basis = lambda rows, ncols: full_kernel(rows, ncols)[1:]
+
+
+def dropped(kernel):
+    return lambda rows, ncols: kernel(rows, ncols)[1:]
+
+
+# the check both the inverse system and the dual map go through
+apolarity.kernel_basis = dropped(apolarity.kernel_basis)
+apolarity.integer_kernel = dropped(apolarity.integer_kernel)
 spec = IdealSpec(1, 2, [Form(1, 2, {(2, 0): 1, (1, 1): 1}), Form.monomial((0, 2))])
-try:
-    apolarity.apolar_complement(spec)
-except ArithmeticError as exc:
-    print("raised:", exc)
-    sys.exit(0)
-sys.exit(1)
+linear = Form.monomial((1, 0))
+for route in (
+    lambda: apolarity.apolar_complement(spec),
+    lambda: apolarity.dual_map_rank(spec, linear),
+):
+    try:
+        route()
+    except ArithmeticError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit(1)
 """
 
 
@@ -74,4 +117,6 @@ def test_apolar_dimension_check_runs_under_optimize():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised: apolar system has dimension 0, not 1")
+    assert done.stdout.splitlines() == [
+        "raised: apolar system has dimension 0, not 1"
+    ] * 2

@@ -1,5 +1,6 @@
 """Command line interface: payloads, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -411,3 +412,80 @@ def test_example_case_names(capsys):
     code, out, err = run_cli(capsys, "example", "--name", "no-such", "--n", "3")
     assert code == 2
     assert "unknown example name" in err
+
+
+# Two plane cubic documents with fractional coefficients: the first spans the
+# monomial ideal (x^3, y^3, z^3, xyz), the second has a non-monomial apolar
+# basis with fractional coefficients of its own.
+FRACTION_PLANE_DOCUMENTS = {
+    "plane-half": ["x^3", "y^3", "z^3", "x*y*z + 1/2*x^3"],
+    "plane-thirds": [
+        "2/3*x^3 - y^2*z",
+        "y^3 + 5/7*x*z^2",
+        "z^3 - 1/4*x^2*y",
+        "x*y*z + 3/2*y*z^2 - 1/5*x^3",
+    ],
+}
+
+GOLDEN_COMMANDS = {
+    "apolar": [],
+    "togliatti": [],
+    "wlp": [],
+    "splitting": [],
+    "osculate": ["--order", "2"],
+}
+
+# SHA-256 of the --json stdout of each command on each document
+GOLDEN_JSON = {
+    ("case-1", "apolar"): "905dd3dd044505ebade628e40d322ea5a89412e3c950d586e7dfa3e6e14cc4dd",
+    ("case-1", "togliatti"): "7436a8328b962cf536626210cd24707be00ac914735531feefe76776631562b4",
+    ("case-1", "wlp"): "643d0d8ea3bdbade6157be8ca0748f566786662336db4bcf571681c52643acc3",
+    ("case-1", "splitting"): "4c365227aa433b4273a391952468300a74f1c022df9d2177b8a6c09e7f143dfc",
+    ("case-1", "osculate"): "fff938c9d7ab7eaf742930d7ca2c5d465bce2feba3778a439062d2df46bbf29c",
+    ("case-2", "apolar"): "cc5e07d629646d63c8b686a53f44f40c58bd1111e654468c6946b69bc79e40fd",
+    ("case-2", "togliatti"): "7436a8328b962cf536626210cd24707be00ac914735531feefe76776631562b4",
+    ("case-2", "wlp"): "f68968ea603179eecfc9b356b373c2f28eee851d54f1e051c92dcaf19070cf79",
+    ("case-2", "splitting"): "4c365227aa433b4273a391952468300a74f1c022df9d2177b8a6c09e7f143dfc",
+    ("case-2", "osculate"): "fff938c9d7ab7eaf742930d7ca2c5d465bce2feba3778a439062d2df46bbf29c",
+    ("case-3", "apolar"): "b5868f9bb9bbc8180748422fe0157fb4a3397fecb38e508c9ed9bd3105aaa9b5",
+    ("case-3", "togliatti"): "7436a8328b962cf536626210cd24707be00ac914735531feefe76776631562b4",
+    ("case-3", "wlp"): "9faa46d56f5ab7e3b660fbaa3de4d0941a4e0f7a229511a7a5e2de8047514ba0",
+    ("case-3", "splitting"): "4c365227aa433b4273a391952468300a74f1c022df9d2177b8a6c09e7f143dfc",
+    ("case-3", "osculate"): "fff938c9d7ab7eaf742930d7ca2c5d465bce2feba3778a439062d2df46bbf29c",
+    ("case-4", "apolar"): "fb9c0ab29daa6ae932ec0184d06b902b7de4d7525dc0662f110ae8f05c52c7d5",
+    ("case-4", "togliatti"): "7436a8328b962cf536626210cd24707be00ac914735531feefe76776631562b4",
+    ("case-4", "wlp"): "86b115e3ab6ce5718d93083f82444d019644cec32e4c78aecb055ab07f04b6cc",
+    ("case-4", "splitting"): "4c365227aa433b4273a391952468300a74f1c022df9d2177b8a6c09e7f143dfc",
+    ("case-4", "osculate"): "fff938c9d7ab7eaf742930d7ca2c5d465bce2feba3778a439062d2df46bbf29c",
+    ("plane-half", "apolar"): "f9d59313a1a38cc6ca2ff68adbc41bb37ca08686159bd6b7846dbaf2bfc2db39",
+    ("plane-half", "togliatti"): "5834f549098c3cb433d5076ed691fcfa6a51f086574663094f8601f556d550fa",
+    ("plane-half", "wlp"): "3392e64221ad9c7db87df5674d077f522e4838b2ec76b43f3ba6c2935247758d",
+    ("plane-half", "splitting"): "7a042285462e7c86c7e876154363c78d8bf2d176a2de3719fb8d42c2257cac90",
+    ("plane-half", "osculate"): "cd9206d4e79f3d9ec550b8041b6bbafc1a3f032a9fc57c7fcc1e13a186230ea3",
+    ("plane-thirds", "apolar"): "a5eeba2ac692c4544bbdb0be88da6a4db969f66ce3e1cba064b160b517a18820",
+    ("plane-thirds", "togliatti"): "4510a8fa0233adf612a1a5636fd2edf62583043e5a9af7fe3a8e31e830b193e1",
+    ("plane-thirds", "wlp"): "ab250a1ba906c68c54a60007b25766b08a9fdde576888560192454fe70d2dd77",
+    ("plane-thirds", "splitting"): "a336992beaff97cd456139c9c48e0a34deb57867a45ad97462549802f06e7394",
+    ("plane-thirds", "osculate"): "11a953cff2df2ca09b38521477797a16c25a65d544d98f19bf1f19f6df283202",
+}
+
+
+@pytest.mark.parametrize(
+    "document", ["case-1", "case-2", "case-3", "case-4", *FRACTION_PLANE_DOCUMENTS]
+)
+def test_json_stdout_bytes_are_pinned(capsys, tmp_path, document):
+    path = tmp_path / f"{document}.json"
+    if document in FRACTION_PLANE_DOCUMENTS:
+        generators = FRACTION_PLANE_DOCUMENTS[document]
+        path.write_text(
+            json.dumps({"variables": ["x", "y", "z"], "degree": 3, "generators": generators})
+        )
+    else:
+        code, _, err = run_cli(capsys, "example", "--name", document, "--out", str(path))
+        assert code == 0, err
+    digests = {}
+    for command, extra in GOLDEN_COMMANDS.items():
+        code, out, err = run_cli(capsys, command, str(path), *extra, "--json")
+        assert (code, err) == (0, "")
+        digests[document, command] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {key: GOLDEN_JSON[key] for key in digests}
