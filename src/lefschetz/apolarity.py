@@ -9,48 +9,31 @@ differentiation with honest factorials:
 inverse system of an ideal generated in degree d is the annihilator
 (I_d)^perp under the pairing; for monomial ideals it is spanned by the
 monomials NOT in I_d, otherwise by the kernel of the factorial-weighted
-generator matrix.  Contraction by a linear form L maps (I^-1)_d into degree
-d-1 and its rank equals the rank of x L : (R/I)_{d-1} -> (R/I)_d, which is
-the duality every Togliatti argument runs on (property tested).
+generator matrix.  ``apolar_complement`` returns that piece as the
+``LinearSystem`` it defines: R/I fails the WLP in degree d-1 exactly when
+this system satisfies Laplace equations of order d-1, so the two are one
+object.  Contraction by a linear form L maps (I^-1)_d into degree d-1 and
+its rank equals the rank of x L : (R/I)_{d-1} -> (R/I)_d, which is the
+duality every Togliatti argument runs on (property tested).
 ``dual_map_rank`` ranks that contraction as one integer matrix on the
 integer kernel vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 
 from .algebra import Form, monomial_basis
 from .linalg import clear_denominators, exact_rank, integer_kernel, kernel_basis
-
-
-@dataclass(frozen=True)
-class ApolarSystem:
-    """The degree-d piece of an inverse system, with an explicit basis."""
-
-    n: int
-    d: int
-    basis: tuple
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def is_monomial(self) -> bool:
-        return all(f.is_monomial for f in self.basis)
-
-    def exponents(self):
-        """Exponent vectors of a monomial basis (error if not monomial)."""
-        if not self.is_monomial():
-            raise ValueError("apolar system basis is not monomial")
-        return tuple(sorted(next(iter(f.terms)) for f in self.basis))
+from .osculating import LinearSystem
+from .wlp import quotient_basis
 
 
 def _apolar_kernel(spec, kernel):
     """``kernel`` (``kernel_basis`` or ``integer_kernel``) of the generator
     rows weighted by the pairing x^alpha . y^alpha = alpha!, checked to have
-    dimension comb(n+d, d) - r (independent rows stay independent under it)."""
+    dimension comb(n+d, d) - r (independent rows stay independent under it),
+    each vector as a dict over the degree-d monomials."""
     basis = monomial_basis(spec.n, spec.d)
     weights = [prod(map(factorial, alpha)) for alpha in basis]
     rows = [
@@ -62,27 +45,23 @@ def _apolar_kernel(spec, kernel):
         raise ArithmeticError(
             f"apolar system has dimension {len(vectors)}, not {len(basis) - spec.r}"
         )
-    return vectors
+    return [dict(zip(basis, v)) for v in vectors]
 
 
-def apolar_complement(spec) -> ApolarSystem:
-    """(I_d)^perp inside the dual degree-d piece.
+def apolar_complement(spec) -> LinearSystem:
+    """(I_d)^perp inside the dual degree-d piece, as the linear system it
+    defines.
 
-    Monomial ideals: the monomials outside I_d.  General ideals: the
-    reduced-echelon kernel of the contraction pairing against the
-    generators, which is exact.
+    Monomial ideals: the monomials outside I_d, in basis order.  General
+    ideals: the reduced-echelon kernel of the contraction pairing against
+    the generators, which is exact.
     """
     n, d = spec.n, spec.d
-    basis = monomial_basis(n, d)
     if spec.is_monomial:
-        gens = spec.monomial_exponents()
-        members = tuple(Form.monomial(e) for e in basis if e not in gens)
+        members = [Form.monomial(e) for e in quotient_basis(spec, d)]
     else:
-        members = tuple(
-            Form(n, d, dict(zip(basis, vec)))
-            for vec in _apolar_kernel(spec, kernel_basis)
-        )
-    return ApolarSystem(n, d, members)
+        members = [Form(n, d, vec) for vec in _apolar_kernel(spec, kernel_basis)]
+    return LinearSystem(n, d, members)
 
 
 def dual_map_rank(spec, linear_form: Form) -> int:
@@ -97,12 +76,10 @@ def dual_map_rank(spec, linear_form: Form) -> int:
     if linear_form.degree != 1 or linear_form.n != spec.n:
         raise ValueError("need a linear form in the same ring")
     n, d = spec.n, spec.d
-    basis = monomial_basis(n, d)
     if spec.is_monomial:
-        gens = spec.monomial_exponents()
-        kernel = [{alpha: 1} for alpha in basis if alpha not in gens]
+        kernel = [{alpha: 1} for alpha in quotient_basis(spec, d)]
     else:
-        kernel = [dict(zip(basis, v)) for v in _apolar_kernel(spec, integer_kernel)]
+        kernel = _apolar_kernel(spec, integer_kernel)
     c = clear_denominators([linear_form.terms.get(e, 0) for e in monomial_basis(n, 1)])
     column = {beta: j for j, beta in enumerate(monomial_basis(n, d - 1))}
     rows = []

@@ -9,6 +9,9 @@ marks the whole orbit.  Each orbit's canonical form (its lex-minimal member)
 is tested with ``is_togliatti``, and each hit is fully certified: apolar
 system, Laplace count re-verified, lattice quadric, polytope verdict (smooth
 / quasi-smooth / singular), toric degree, triviality flags, orbit size.
+A ``ClassificationRecord`` keeps only what it certified.  Its r, j, mixed
+generators and Togliatti flag are read off the generators; the JSON writes
+them too, and reading a cache back rejects a line where they disagree.
 
 The records are every Togliatti system, minimal or not: a record may keep
 the property after a mixed generator is dropped (the n = 3 smooth record of
@@ -36,7 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from math import comb
 from typing import Optional
@@ -44,7 +47,7 @@ from typing import Optional
 from .algebra import Form, monomial_basis, pure_power
 from .apolarity import apolar_complement
 from .bundles import AnalysisError
-from .osculating import LinearSystem, laplace_count, perkinson_quadric
+from .osculating import laplace_count, perkinson_quadric
 from .parser import format_form, parse_polynomial
 from .polytope import (
     VERDICT_DEGENERATE,
@@ -53,7 +56,13 @@ from .polytope import (
     smoothness_report,
 )
 from .sampling import DEFAULT_SEED, DEFAULT_TRIALS
-from .wlp import IdealSpec, is_togliatti, trivial_type_a, trivial_type_b_test
+from .wlp import (
+    IdealSpec,
+    TypeBResult,
+    is_togliatti,
+    trivial_type_a,
+    trivial_type_b_test,
+)
 
 RECORD_SCHEMA = 1
 
@@ -90,26 +99,50 @@ def _variable_names(n: int):
     return [f"x{i}" for i in range(n + 1)]
 
 
+def _to_json(value, names):
+    """A record value as JSON: Forms printed, tuples as lists."""
+    if isinstance(value, Form):
+        return format_form(value, names)
+    if isinstance(value, TypeBResult):
+        return asdict(value)
+    if isinstance(value, tuple):
+        return [_to_json(v, names) for v in value]
+    return value
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+_DERIVED = ("r", "j", "extra", "togliatti")
+
+
 @dataclass(frozen=True)
 class ClassificationRecord:
-    """A fully certified monomial Togliatti system of cubics."""
+    """A fully certified monomial Togliatti system of cubics.  The fields
+    are its JSON keys; the ``_DERIVED`` keys are written beside them."""
 
     n: int
     generators: tuple  # canonical, ascending
-    extra: tuple  # the mixed monomials among the generators
-    r: int
-    apolar_exponents: tuple
-    togliatti: bool
+    apolar: tuple  # exponents of the inverse system, ascending
     trivial_a: Optional[tuple]  # witness monomial of degree 2, or None
-    trivial_b_sufficient: bool
-    trivial_b_full: bool
-    trivial_b_witness: Optional[int]
+    trivial_b: TypeBResult
     verdict: str
     edge_rule_fired: bool
     toric_degree: Optional[int]
     quadric: Optional[Form]
     laplace_delta: int
     orbit_size: int
+
+    togliatti = True  # a record is made for a certified Togliatti system only
+
+    @property
+    def extra(self) -> tuple:  # the mixed monomials among the generators
+        return tuple(e for e in self.generators if max(e) < 3)
+
+    @property
+    def r(self) -> int:
+        return len(self.generators)
 
     @property
     def j(self) -> int:
@@ -120,57 +153,27 @@ class ClassificationRecord:
 
     def to_json_dict(self) -> dict:
         names = _variable_names(self.n)
-        return {
-            "schema": RECORD_SCHEMA,
-            "n": self.n,
-            "j": self.j,
-            "r": self.r,
-            "generators": [list(e) for e in self.generators],
-            "extra": [list(e) for e in self.extra],
-            "apolar": [list(e) for e in self.apolar_exponents],
-            "togliatti": self.togliatti,
-            "trivial_a": list(self.trivial_a) if self.trivial_a else None,
-            "trivial_b": {
-                "sufficient": self.trivial_b_sufficient,
-                "full": self.trivial_b_full,
-                "witness": self.trivial_b_witness,
-            },
-            "verdict": self.verdict,
-            "edge_rule_fired": self.edge_rule_fired,
-            "toric_degree": self.toric_degree,
-            "quadric": format_form(self.quadric, names) if self.quadric else None,
-            "laplace_delta": self.laplace_delta,
-            "orbit_size": self.orbit_size,
-        }
+        data = {"schema": RECORD_SCHEMA}
+        for name in _DERIVED + tuple(f.name for f in fields(self)):
+            data[name] = _to_json(getattr(self, name), names)
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClassificationRecord":
-        if data.get("schema") != RECORD_SCHEMA:
-            raise ValueError(f"unsupported record schema {data.get('schema')!r}")
-        n = data["n"]
-        quadric = (
-            parse_polynomial(data["quadric"], _variable_names(n), 2)
-            if data["quadric"]
-            else None
-        )
-        return cls(
-            n=n,
-            generators=tuple(tuple(e) for e in data["generators"]),
-            extra=tuple(tuple(e) for e in data["extra"]),
-            r=data["r"],
-            apolar_exponents=tuple(tuple(e) for e in data["apolar"]),
-            togliatti=data["togliatti"],
-            trivial_a=tuple(data["trivial_a"]) if data["trivial_a"] else None,
-            trivial_b_sufficient=data["trivial_b"]["sufficient"],
-            trivial_b_full=data["trivial_b"]["full"],
-            trivial_b_witness=data["trivial_b"]["witness"],
-            verdict=data["verdict"],
-            edge_rule_fired=data["edge_rule_fired"],
-            toric_degree=data["toric_degree"],
-            quadric=quadric,
-            laplace_delta=data["laplace_delta"],
-            orbit_size=data["orbit_size"],
-        )
+        """The record ``to_json_dict`` wrote; ValueError when the schema or a
+        value derived from the generators disagrees with the record."""
+        names = _variable_names(data["n"])
+        values = {f.name: _tuples(data[f.name]) for f in fields(cls)}
+        if values["quadric"] is not None:
+            values["quadric"] = parse_polynomial(values["quadric"], names, 2)
+        values["trivial_b"] = TypeBResult(**data["trivial_b"])
+        record = cls(**values)
+        written = record.to_json_dict()
+        for name in ("schema",) + _DERIVED:
+            if data.get(name) != written[name]:
+                message = f"record {name} is {data.get(name)!r}, not {written[name]!r}"
+                raise ValueError(message)
+        return record
 
 
 def _pure_cubes(n: int):
@@ -190,42 +193,30 @@ def certify_candidate(
     spec = IdealSpec.from_monomials(n, 3, generators)
     if not is_togliatti(spec, seed=seed, trials=trials):
         return None
-    apolar = apolar_complement(spec)
-    apolar_exponents = apolar.exponents()
-    system = LinearSystem.from_apolar(apolar)
+    system = apolar_complement(spec)
+    apolar = system.exponents()
     laplace = laplace_count(system, 2, seed=seed, trials=trials)
     if laplace.delta < 1:
         raise AnalysisError(
             f"Togliatti candidate {generators} shows no order-2 Laplace equation"
         )
-    quadric = perkinson_quadric(apolar_exponents)
+    quadric = perkinson_quadric(apolar)
     if quadric is None:
         raise AnalysisError(
             f"Togliatti candidate {generators} has no lattice quadric certificate"
         )
     polytope = build_polytope(system)
+    verdict, edge_rule_fired, degree = VERDICT_DEGENERATE, False, None
     if polytope.is_full_dimensional:
         report = smoothness_report(polytope)
-        verdict = report.verdict
-        edge_rule_fired = report.edge_rule_fired
+        verdict, edge_rule_fired = report.verdict, report.edge_rule_fired
         degree = normalized_volume(polytope)
-    else:
-        verdict = VERDICT_DEGENERATE
-        edge_rule_fired = False
-        degree = None
-    mixed = tuple(e for e in generators if max(e) < 3)
-    type_b = trivial_type_b_test(spec, seed=seed, trials=trials)
     return ClassificationRecord(
         n=n,
         generators=generators,
-        extra=mixed,
-        r=spec.r,
-        apolar_exponents=apolar_exponents,
-        togliatti=True,
+        apolar=apolar,
         trivial_a=trivial_type_a(spec),
-        trivial_b_sufficient=type_b.sufficient,
-        trivial_b_full=type_b.full,
-        trivial_b_witness=type_b.witness,
+        trivial_b=trivial_type_b_test(spec, seed=seed, trials=trials),
         verdict=verdict,
         edge_rule_fired=edge_rule_fired,
         toric_degree=degree,
@@ -403,15 +394,12 @@ def load_cache(path) -> dict:
             if not line:
                 continue
             data = json.loads(line)
+            if data.get("schema") != RECORD_SCHEMA:
+                raise ValueError(f"unsupported record schema {data.get('schema')!r}")
             key = tuple(sorted(tuple(e) for e in data["generators"]))
-            if data["togliatti"]:
-                cache[key] = ClassificationRecord.from_json_dict(data)
-            else:
-                if data.get("schema") != RECORD_SCHEMA:
-                    raise ValueError(
-                        f"unsupported record schema {data.get('schema')!r}"
-                    )
-                cache[key] = None
+            cache[key] = (
+                ClassificationRecord.from_json_dict(data) if data["togliatti"] else None
+            )
     return cache
 
 

@@ -128,7 +128,6 @@ def _sampling_settings(args, data=None):
 
 
 def _load_document(args) -> Document:
-    data = None
     if getattr(args, "file", None):
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
@@ -149,12 +148,15 @@ def _load_document(args) -> Document:
         }
     else:
         raise UsageError("give an ideal document file or --gen expressions")
-    try:
-        names = list(data["variables"])
-        degree = int(data["degree"])
-        expressions = list(data["generators"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"document needs variables/degree/generators: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("an ideal document is a JSON object")
+    names, expressions = data.get("variables"), data.get("generators")
+    for key, value in (("variables", names), ("generators", expressions)):
+        if type(value) is not list or not all(type(v) is str for v in value):
+            raise UsageError(f"{key} must be a list of strings, not {value!r}")
+    degree = _integer_setting("degree", data.get("degree"))
+    if degree is None:
+        raise UsageError("document needs a degree")
     if len(set(names)) != len(names):
         raise UsageError("duplicate variable names")
     try:
@@ -169,7 +171,7 @@ def _load_document(args) -> Document:
 def _document_system(doc: Document, use_generators: bool) -> LinearSystem:
     if use_generators:
         return LinearSystem(doc.spec.n, doc.spec.d, tuple(doc.spec.generators))
-    return LinearSystem.from_apolar(apolar_complement(doc.spec))
+    return apolar_complement(doc.spec)
 
 
 def _cmd_wlp(args) -> int:
@@ -304,16 +306,11 @@ def _cmd_apolar(args) -> int:
     doc = _load_document(args)
     system = apolar_complement(doc.spec)
     report = Report("apolar")
-    basis = [doc.format(f) for f in system.basis]
+    basis = [doc.format(f) for f in system.members]
     report.payload.update(
-        {
-            "n": system.n,
-            "d": system.d,
-            "dimension": system.dimension,
-            "basis": basis,
-        }
+        {"n": system.n, "d": system.d, "dimension": len(basis), "basis": basis}
     )
-    report.line(f"inverse system dimension {system.dimension} in degree {system.d}")
+    report.line(f"inverse system dimension {len(basis)} in degree {system.d}")
     for text in basis:
         report.line("  " + text)
     _emit(report.render(args.json), args.out)

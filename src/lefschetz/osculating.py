@@ -56,7 +56,8 @@ class LinearSystem:
 
     @classmethod
     def from_apolar(cls, system) -> "LinearSystem":
-        return cls(system.n, system.d, tuple(system.basis))
+        """``system``: ``apolar_complement`` returns a LinearSystem already."""
+        return system
 
     @classmethod
     def from_monomials(cls, n: int, d: int, exponents) -> "LinearSystem":

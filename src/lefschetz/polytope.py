@@ -108,11 +108,8 @@ def _facet_sweep(points):
     normals = np.empty((combos.shape[0], m), dtype=np.int64)
     cols = np.arange(m)
     for i in range(m):
-        minors = _det_batch(diffs[:, :, cols != i]) if m > 1 else None
-        if minors is None:
-            normals[:, 0] = 1
-        else:
-            normals[:, i] = minors if i % 2 == 0 else -minors
+        minors = _det_batch(diffs[:, :, cols != i])  # k = 0 for m = 1: ones
+        normals[:, i] = minors if i % 2 == 0 else -minors
     live = np.any(normals != 0, axis=1)
     normals = normals[live]
     anchors = combos[live, 0]

@@ -11,7 +11,7 @@ L = x_0 + ... + x_n, which is what the monomial fast path does; general
 ideals are tested against a few random linear forms and the best rank wins
 (rank is lower semicontinuous, so the max over samples is the generic rank).
 A monomial ideal's map is written on its quotient bases, the monomials
-outside I_j and outside I_{j+1}, which ``IdealSpec`` memoizes per degree.
+outside I_j and outside I_{j+1}; ``quotient_basis`` lists them, memoized.
 ``has_wlp`` scans only the degrees that can fail: from d-1 (below it the
 map is a multiplication on R itself) up to the first surjective degree
 (after it every map is surjective).
@@ -123,15 +123,18 @@ class WlpReport:
         return self.rank == min(self.dim_source, self.dim_target)
 
 
-def _quotient_basis(spec: IdealSpec, t: int) -> dict:
+def quotient_basis(spec: IdealSpec, t: int) -> dict:
     """Monomials of degree t outside a monomial ideal, each mapped to its
-    column index (basis order), memoized per degree in ``spec._dim_cache``.
+    column index (basis order), memoized per degree in ``spec._dim_cache``:
+    the one place the package lists them.
 
     Below d nothing is in I; x^e of degree d is in I iff it is a generator,
     and above d iff some x^e / x_i is in I_{t-1} (all generators have degree
     d), so each degree is read off the one below it, filled upward from the
     highest degree already held.
     """
+    if not spec.is_monomial:
+        raise ValueError("the quotient basis is listed for monomial ideals only")
     cache = spec._dim_cache
     if t in cache:
         return cache[t]
@@ -166,7 +169,7 @@ def ideal_piece_dimension(spec: IdealSpec, t: int) -> int:
     if t < spec.d or spec.r == 0:
         return 0
     if spec.is_monomial:
-        return comb(spec.n + t, t) - len(_quotient_basis(spec, t))
+        return comb(spec.n + t, t) - len(quotient_basis(spec, t))
     cached = spec._dim_cache.get(t)
     if cached is None:
         cached = exact_rank(multiples_matrix(spec.generators, t - spec.d))
@@ -245,12 +248,12 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
         return WlpReport(j, hs, ht, 0, linear_form)
     if spec.is_monomial:
         n = spec.n
-        target = _quotient_basis(spec, j + 1)
+        target = quotient_basis(spec, j + 1)
         coeffs = clear_denominators(
             [linear_form.terms.get(pure_power(n, i), 0) for i in range(n + 1)]
         )
         rows = []
-        for e in _quotient_basis(spec, j):
+        for e in quotient_basis(spec, j):
             row = [0] * ht
             for i, c in enumerate(coeffs):
                 k = target.get(e[:i] + (e[i] + 1,) + e[i + 1 :])
@@ -458,8 +461,7 @@ def trivial_type_b_test(
     check_trials(trials)
     n = spec.n
     gens = spec.monomial_exponents()
-    outside = [e for e in monomial_basis(n, 3) if e not in gens]
-    columns = {e: k for k, e in enumerate(outside)}
+    columns = quotient_basis(spec, 3)
     sufficient = False
     witness = None
     for i in range(n + 1):

@@ -92,7 +92,7 @@ def test_contract_composes():
 
 def test_apolar_complement_is_hexagon(togliatti_cubic):
     ap = apolar_complement(togliatti_cubic)
-    assert ap.dimension == 6
+    assert len(ap.members) == 6
     assert ap.is_monomial()
     assert sorted(ap.exponents()) == [
         (0, 1, 2),
@@ -106,13 +106,13 @@ def test_apolar_complement_is_hexagon(togliatti_cubic):
 
 def test_apolar_complement_dimension_is_h_vector_entry(control_cubic):
     ap = apolar_complement(control_cubic)
-    assert ap.dimension == h_vector(control_cubic)[3] == 6
+    assert len(ap.members) == h_vector(control_cubic)[3] == 6
 
 
 def test_apolar_complement_counts_codimension():
     # complement dimension in degree d is C(d+n, n) minus the generator count
     spec = IdealSpec.from_monomials(2, 3, [(3, 0, 0), (0, 3, 0)])
-    assert apolar_complement(spec).dimension == 10 - 2
+    assert len(apolar_complement(spec).members) == 10 - 2
 
 
 @pytest.mark.parametrize("trial", range(4))
@@ -135,7 +135,7 @@ def test_dual_map_rank_detects_togliatti_drop(togliatti_cubic):
 
 
 def _contraction_rank(spec, linear):
-    return rank_of_span([contract(linear, f) for f in apolar_complement(spec).basis])
+    return rank_of_span([contract(linear, f) for f in apolar_complement(spec).members])
 
 
 def _duality_cases():
@@ -214,7 +214,7 @@ def test_dual_map_rank_matches_the_contraction_route():
             rank = dual_map_rank(spec, linear)
             assert rank == _contraction_rank(spec, linear)
             target = len(monomial_basis(spec.n, spec.d - 1))
-            verdicts.add(rank == min(apolar_complement(spec).dimension, target))
+            verdicts.add(rank == min(len(apolar_complement(spec).members), target))
     assert verdicts == {True, False}
     for spec, linear in _special_cases():
         assert not spec.is_monomial
@@ -222,4 +222,4 @@ def test_dual_map_rank_matches_the_contraction_route():
         assert rank == _contraction_rank(spec, linear)
         assert rank == multiplication_rank(spec, linear, spec.d - 1).rank
         target = len(monomial_basis(spec.n, spec.d - 1))
-        assert rank < min(apolar_complement(spec).dimension, target)
+        assert rank < min(len(apolar_complement(spec).members), target)

@@ -76,6 +76,37 @@ def test_fraction_is_named_only_where_coefficients_are_read_or_printed():
     ]
 
 
+def test_public_api_is_called_or_exported():
+    # no public API that nothing in the package calls: these module-level
+    # names are neither referenced by a module nor exported in __all__, and
+    # each is kept only because the benchmark scripts call or patch it.  The
+    # list may only shrink.
+    defined = set()
+    referenced = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined |= {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert sorted(defined - referenced - set(lefschetz.__all__)) == [
+        "forms_to_matrix",
+        "rational_rank",
+        "restricted_generators",
+        "solve_exact",
+        "substitute_variable",
+    ]
+
+
 DROPPED_VECTOR = """
 import sys
 from lefschetz import apolarity

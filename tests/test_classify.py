@@ -145,8 +145,8 @@ def test_n2_record_is_the_classical_one(run2):
     assert rec.j == 1
     assert rec.laplace_delta == 1
     assert rec.trivial_a is None
-    assert not rec.trivial_b_sufficient
-    assert sorted(rec.apolar_exponents) == [
+    assert not rec.trivial_b.sufficient
+    assert sorted(rec.apolar) == [
         (0, 1, 2),
         (0, 2, 1),
         (1, 0, 2),
@@ -390,7 +390,7 @@ def test_n3_record_internal_consistency(run3):
         assert rec.orbit_size == len(permutation_images(rec.generators))
         assert run3.hit_counts[rec.generators] == rec.orbit_size
         assert rec.togliatti
-        assert len(rec.apolar_exponents) == 20 - rec.r
+        assert len(rec.apolar) == 20 - rec.r
 
 
 def test_case_records():

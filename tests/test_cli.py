@@ -6,6 +6,7 @@ import json
 import pytest
 
 from lefschetz import cli
+from lefschetz.classify import load_cache
 
 TOG = [
     "--gen", "x^3", "--gen", "y^3", "--gen", "z^3", "--gen", "x*y*z",
@@ -100,7 +101,13 @@ def test_bad_environment_seed_exits_two(capsys, monkeypatch):
 
 
 def test_non_integer_document_settings_exit_two(capsys, tmp_path):
-    for key, value in (("seed", 1.5), ("seed", True), ("trials", 2.0)):
+    for key, value in (
+        ("seed", 1.5),
+        ("seed", True),
+        ("trials", 2.0),
+        ("degree", 3.9),
+        ("degree", True),
+    ):
         path = tmp_path / "bad.json"
         path.write_text(
             json.dumps(
@@ -116,6 +123,25 @@ def test_non_integer_document_settings_exit_two(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert f"{key} must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("generators", [3]), ("variables", ["x", "y", 3]), ("variables", "xyz")],
+    ids=["int-generator", "int-variable", "string-variables"],
+)
+def test_document_lists_of_strings_exit_two(capsys, tmp_path, key, value):
+    document = {
+        "variables": ["x", "y", "z"],
+        "degree": 3,
+        "generators": ["x^3", "y^3", "z^3", "x*y*z"],
+        key: value,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "wlp", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key} must be a list of strings, not {value!r}")
 
 
 def test_zero_trials_osculate_exits_two(capsys):
@@ -346,6 +372,29 @@ def test_classify_cache_resume(capsys, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "key, value", [("r", 5), ("j", 2), ("extra", [])], ids=["r", "j", "extra"]
+)
+def test_classify_resume_rejects_an_edited_record(capsys, tmp_path, key, value):
+    # r, j and extra are read off the generators: a cache line that states
+    # other values is rejected, never printed
+    cache = tmp_path / "cache.jsonl"
+    code, _, err = run_cli(capsys, "classify", "--n", "2", "--cache", str(cache))
+    assert code == 0, err
+    lines = [json.loads(line) for line in cache.read_text().splitlines()]
+    for data in lines:
+        if data["togliatti"]:
+            data[key] = value
+    cache.write_text("".join(json.dumps(data) + "\n" for data in lines))
+    with pytest.raises(ValueError, match=f"record {key} is"):
+        load_cache(cache)
+    code, out, err = run_cli(
+        capsys, "classify", "--n", "2", "--json", "--cache", str(cache), "--resume"
+    )
+    assert (code, out) == (1, "")
+    assert f"record {key} is {value!r}" in err
+
+
 def test_classify_threads_match_serial(capsys, tmp_path):
     outputs = []
     for threads in ("1", "2"):
@@ -435,6 +484,14 @@ GOLDEN_COMMANDS = {
     "osculate": ["--order", "2"],
 }
 
+# Pinned on the monomial case documents only: a lattice polytope needs a
+# monomial system
+CASE_COMMANDS = {
+    "polytope": [],
+    "polytope --system": ["--system"],
+    "osculate --system": ["--order", "2", "--system"],
+}
+
 # SHA-256 of the --json stdout of each command on each document
 GOLDEN_JSON = {
     ("case-1", "apolar"): "905dd3dd044505ebade628e40d322ea5a89412e3c950d586e7dfa3e6e14cc4dd",
@@ -467,6 +524,18 @@ GOLDEN_JSON = {
     ("plane-thirds", "wlp"): "ab250a1ba906c68c54a60007b25766b08a9fdde576888560192454fe70d2dd77",
     ("plane-thirds", "splitting"): "a336992beaff97cd456139c9c48e0a34deb57867a45ad97462549802f06e7394",
     ("plane-thirds", "osculate"): "11a953cff2df2ca09b38521477797a16c25a65d544d98f19bf1f19f6df283202",
+    ("case-1", "polytope"): "720eae528e04f69ae14fd7ccfaaf6517ee36a4b379eca3b5c075eb6539f3276d",
+    ("case-1", "polytope --system"): "c01cd0f1402b33632f60e3e6848d90ebfc14935f672a67223fa1ac3a10fd2803",
+    ("case-1", "osculate --system"): "50de21fed2775f3eddd6c0d8427a8c45c215ccc5551abfa1cfad38eb127f1058",
+    ("case-2", "polytope"): "5ae98507255f406424ca8905da6e6a02308d644000077519b77a05f664ebcef4",
+    ("case-2", "polytope --system"): "dbf9503b66f0f9a9082e3301d218a570633aadad1697e4be786d084ea315ce5a",
+    ("case-2", "osculate --system"): "89990ed094d987498066c211e4070418320736a8d86a95bbab048f18cc19e73d",
+    ("case-3", "polytope"): "9847974a48db5dd80a77855a6e9111fb7433d91c629af348c7e653d15cd103eb",
+    ("case-3", "polytope --system"): "5b31cbbf6cab8f2bfd70e37255f6205a23fa71fbd2e237840d156d49fd09fd9d",
+    ("case-3", "osculate --system"): "70924cf392448add7399aba81a96495525823db65896607caee48720e0e95bd2",
+    ("case-4", "polytope"): "a4056522c2ab4bd4a5b369af3d5567db2f106febd5a29a1dfc86acaf080f6efc",
+    ("case-4", "polytope --system"): "c5065525c78e096d62f32847b28272f7c27d1ff2007c8a2e0b9a9330a0181a97",
+    ("case-4", "osculate --system"): "89990ed094d987498066c211e4070418320736a8d86a95bbab048f18cc19e73d",
 }
 
 
@@ -483,9 +552,28 @@ def test_json_stdout_bytes_are_pinned(capsys, tmp_path, document):
     else:
         code, _, err = run_cli(capsys, "example", "--name", document, "--out", str(path))
         assert code == 0, err
+    commands = dict(GOLDEN_COMMANDS)
+    if document not in FRACTION_PLANE_DOCUMENTS:
+        commands.update(CASE_COMMANDS)
     digests = {}
-    for command, extra in GOLDEN_COMMANDS.items():
-        code, out, err = run_cli(capsys, command, str(path), *extra, "--json")
+    for command, extra in commands.items():
+        code, out, err = run_cli(capsys, command.split()[0], str(path), *extra, "--json")
         assert (code, err) == (0, "")
         digests[document, command] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == {key: GOLDEN_JSON[key] for key in digests}
+
+
+# SHA-256 of the stdout of the full n = 3 census, with and without --json
+CLASSIFY_N3 = {
+    "--json": "ba1935315ad21f62139153c4bd9daab1a5c33667b03c0ba79c288112086c03d0",
+    "": "599b3af768cc7e80f68d4bf79d0dffc7feefe1e4e917f0fe83f3e05face24362",
+}
+
+
+def test_classify_n3_stdout_bytes_are_pinned(capsys):
+    digests = {}
+    for flag in CLASSIFY_N3:
+        code, out, err = run_cli(capsys, "classify", "--n", "3", *flag.split())
+        assert (code, err) == (0, "")
+        digests[flag] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == CLASSIFY_N3
