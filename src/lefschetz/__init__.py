@@ -16,7 +16,7 @@ All randomized checks are seeded and certified one-sided: ranks are exact,
 and sampling only ever moves verdicts toward the generic value.
 """
 
-from .algebra import Form, monomial_basis
+from .algebra import Form, LinearSystem, monomial_basis
 from .apolarity import apolar_complement, dual_map_rank
 from .bundles import splitting_type, verify_r4_theorem
 from .classify import (
@@ -27,7 +27,7 @@ from .classify import (
     enumerate_cubic_togliatti,
     four_prime_projections,
 )
-from .osculating import LinearSystem, laplace_count, perkinson_quadric
+from .osculating import laplace_count, perkinson_quadric
 from .parser import ParseError, format_form, parse_polynomial
 from .polytope import build_polytope, smoothness_report
 from .wlp import (

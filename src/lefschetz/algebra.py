@@ -18,10 +18,14 @@ Conventions used throughout the package:
   hyperplane, from which ``wlp`` reads the restricted generators;
   ``linear_substitution`` expands forms at x = M*y, for the restriction to a
   line (``bundles.restrict_to_line``).
+* ``LinearSystem`` is r independent forms of one degree, read both as a
+  linear system (Laplace equations) and, as its subclass ``wlp.IdealSpec``,
+  as the generators of an ideal I (the WLP).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -62,6 +66,11 @@ def pure_power(n: int, i: int, k: int = 1) -> Exponent:
     exponent = [0] * (n + 1)
     exponent[i] = k
     return tuple(exponent)
+
+
+def shifted(e: Exponent, i: int, k: int = 1) -> Exponent:
+    """Exponent vector of x^e * x_i^k (k = -1: x^e / x_i)."""
+    return e[:i] + (e[i] + k,) + e[i + 1 :]
 
 
 class Form:
@@ -188,8 +197,7 @@ def _monomial_images(rows):
     def image(exponent):
         if exponent not in images:
             k = next(k for k, power in enumerate(exponent) if power)
-            lower = exponent[:k] + (exponent[k] - 1,) + exponent[k + 1 :]
-            images[exponent] = _product(image(lower), linear[k])
+            images[exponent] = _product(image(shifted(exponent, k, -1)), linear[k])
         return images[exponent]
 
     return image
@@ -332,3 +340,51 @@ def rank_of_span(forms) -> int:
         _check_same_shape(forms)
         return len({e for f in forms for e in f.terms})
     return exact_rank(multiples_matrix(forms, 0))
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """r independent nonzero forms of one degree d >= 1 in n+1 >= 1
+    variables, checked once here.  They define P^n -> P^(r-1) and generate
+    the ideal of ``wlp.IdealSpec``.  ``is_monomial``: every member a single
+    monomial with coefficient 1."""
+
+    n: int
+    d: int
+    members: tuple
+    is_monomial: bool = field(init=False)
+
+    def __post_init__(self):
+        members = tuple(self.members)
+        if self.n < 0 or self.d < 1:
+            raise ValueError("need n >= 0 and d >= 1")
+        for f in members:
+            if not isinstance(f, Form):
+                raise TypeError("generators must be Forms")
+            if f.n != self.n or f.degree != self.d:
+                raise ValueError("generators must be forms of degree d in n+1 variables")
+            if f.is_zero:
+                raise ValueError("zero generator")
+        if rank_of_span(members) != len(members):
+            raise ValueError("generators are not linearly independent")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "is_monomial", all(f.is_monomial for f in members))
+
+    @classmethod
+    def from_apolar(cls, system) -> "LinearSystem":
+        """``system``: ``apolar_complement`` returns a LinearSystem already."""
+        return system
+
+    @classmethod
+    def from_monomials(cls, n: int, d: int, exponents):
+        return cls(n, d, tuple(Form.monomial(e) for e in exponents))
+
+    @property
+    def projective_target(self) -> int:
+        return len(self.members) - 1
+
+    def exponents(self) -> tuple:
+        """The members' exponent vectors, sorted; monomial systems only."""
+        if not self.is_monomial:
+            raise ValueError("system is not monomial")
+        return tuple(sorted(next(iter(f.terms)) for f in self.members))

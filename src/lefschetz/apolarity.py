@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from math import factorial, prod
 
-from .algebra import Form, monomial_basis
+from .algebra import Form, LinearSystem, monomial_basis, shifted
 from .linalg import clear_denominators, exact_rank, integer_kernel, kernel_basis
-from .osculating import LinearSystem
 from .wlp import quotient_basis
 
 
@@ -58,10 +57,8 @@ def apolar_complement(spec) -> LinearSystem:
     """
     n, d = spec.n, spec.d
     if spec.is_monomial:
-        members = [Form.monomial(e) for e in quotient_basis(spec, d)]
-    else:
-        members = [Form(n, d, vec) for vec in _apolar_kernel(spec, kernel_basis)]
-    return LinearSystem(n, d, members)
+        return LinearSystem.from_monomials(n, d, quotient_basis(spec, d))
+    return LinearSystem(n, d, [Form(n, d, v) for v in _apolar_kernel(spec, kernel_basis)])
 
 
 def dual_map_rank(spec, linear_form: Form) -> int:
@@ -88,6 +85,6 @@ def dual_map_rank(spec, linear_form: Form) -> int:
         for alpha, v in vec.items():
             for i, a in enumerate(alpha):
                 if a and v and c[i]:
-                    row[column[alpha[:i] + (a - 1,) + alpha[i + 1 :]]] += c[i] * a * v
+                    row[column[shifted(alpha, i, -1)]] += c[i] * a * v
         rows.append(row)
     return exact_rank(rows)

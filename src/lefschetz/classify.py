@@ -115,6 +115,7 @@ def _tuples(value):
 
 
 _DERIVED = ("r", "j", "extra", "togliatti")
+_STUB_KEYS = {"schema", "togliatti", "generators"}  # a negative stub's keys
 
 
 @dataclass(frozen=True)
@@ -159,19 +160,29 @@ class ClassificationRecord:
         return data
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ClassificationRecord":
-        """The record ``to_json_dict`` wrote; ValueError when the schema or a
-        value derived from the generators disagrees with the record."""
-        names = _variable_names(data["n"])
+    def from_json_dict(cls, data) -> "ClassificationRecord":
+        """The record ``to_json_dict`` wrote; ValueError when a key is missing
+        or malformed, or when the schema or a value derived from the
+        generators disagrees with the record."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a record is a JSON object, not {data!r}")
+        keys = ("schema",) + _DERIVED + tuple(f.name for f in fields(cls))
+        missing = [name for name in keys if name not in data]
+        if missing:
+            raise ValueError("record lacks " + ", ".join(missing))
         values = {f.name: _tuples(data[f.name]) for f in fields(cls)}
-        if values["quadric"] is not None:
-            values["quadric"] = parse_polynomial(values["quadric"], names, 2)
-        values["trivial_b"] = TypeBResult(**data["trivial_b"])
-        record = cls(**values)
-        written = record.to_json_dict()
+        try:
+            if values["quadric"] is not None:
+                names = _variable_names(data["n"])
+                values["quadric"] = parse_polynomial(values["quadric"], names, 2)
+            values["trivial_b"] = TypeBResult(**data["trivial_b"])
+            record = cls(**values)
+            written = record.to_json_dict()
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed record: {exc}") from exc
         for name in ("schema",) + _DERIVED:
-            if data.get(name) != written[name]:
-                message = f"record {name} is {data.get(name)!r}, not {written[name]!r}"
+            if data[name] != written[name]:
+                message = f"record {name} is {data[name]!r}, not {written[name]!r}"
                 raise ValueError(message)
         return record
 
@@ -385,21 +396,36 @@ def cache_line(key, record: Optional[ClassificationRecord]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _generator_key(generators) -> tuple:
+    """The sorted exponent tuples of a cache line's generators."""
+    if type(generators) is not list or not all(
+        type(e) is list and all(type(c) is int for c in e) for e in generators
+    ):
+        raise ValueError(f"generators must be lists of integers, not {generators!r}")
+    return tuple(sorted(map(tuple, generators)))
+
+
 def load_cache(path) -> dict:
-    """Read a cache file back into the dict ``enumerate_cubic_togliatti`` takes."""
+    """Read a cache file back into the dict ``enumerate_cubic_togliatti`` takes:
+    each line a negative stub, with exactly a stub's keys, or a full record,
+    else ValueError naming the line."""
     cache: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
                 continue
-            data = json.loads(line)
-            if data.get("schema") != RECORD_SCHEMA:
-                raise ValueError(f"unsupported record schema {data.get('schema')!r}")
-            key = tuple(sorted(tuple(e) for e in data["generators"]))
-            cache[key] = (
-                ClassificationRecord.from_json_dict(data) if data["togliatti"] else None
-            )
+            try:
+                data = json.loads(line)
+                if isinstance(data, dict) and data.get("schema") != RECORD_SCHEMA:
+                    raise ValueError(f"unsupported record schema {data.get('schema')!r}")
+                stub = isinstance(data, dict) and data.keys() == _STUB_KEYS
+                if stub and data["togliatti"] is False:
+                    record = None
+                else:
+                    record = ClassificationRecord.from_json_dict(data)
+                cache[_generator_key(data["generators"])] = record
+            except ValueError as exc:
+                raise ValueError(f"cache line {number}: {exc}") from exc
     return cache
 
 
@@ -468,7 +494,7 @@ def four_prime_projections(*, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
     for case, subset in removals:
         removed = [_monomial_word_to_exponent(w) for w in subset]
         base = classification_case_ideal(case)
-        gens = tuple(sorted(base.monomial_exponents() | set(removed)))
+        gens = tuple(sorted(set(base.exponents()) | set(removed)))
         images = permutation_images(gens)
         entry = {
             "label": f"case-{case}-minus-{'-'.join(subset)}",

@@ -27,7 +27,7 @@ from .classify import (
     enumerate_cubic_togliatti,
     load_cache,
 )
-from .osculating import LinearSystem, laplace_count
+from .osculating import laplace_count
 from .parser import ParseError, format_form, parse_polynomial
 from .polytope import (
     VERDICT_DEGENERATE,
@@ -168,12 +168,6 @@ def _load_document(args) -> Document:
     return Document(spec, names, seed, trials)
 
 
-def _document_system(doc: Document, use_generators: bool) -> LinearSystem:
-    if use_generators:
-        return LinearSystem(doc.spec.n, doc.spec.d, tuple(doc.spec.generators))
-    return apolar_complement(doc.spec)
-
-
 def _cmd_wlp(args) -> int:
     doc = _load_document(args)
     hv = h_vector(doc.spec)
@@ -238,7 +232,7 @@ def _cmd_togliatti(args) -> int:
     )
     fails_wlp = not step.maximal_rank
     dependent = fails_in_degree_dminus1(spec, seed=doc.seed, trials=doc.trials)
-    system = _document_system(doc, use_generators=False)
+    system = apolar_complement(spec)
     laplace = laplace_count(system, spec.d - 1, seed=doc.seed, trials=doc.trials)
     has_laplace = laplace.delta >= 1
     if not (fails_wlp == dependent == has_laplace):
@@ -275,7 +269,7 @@ def _cmd_togliatti(args) -> int:
 def _cmd_osculate(args) -> int:
     doc = _load_document(args)
     _at_least("--order", args.order, 0)
-    system = _document_system(doc, args.system)
+    system = doc.spec if args.system else apolar_complement(doc.spec)
     osc = laplace_count(system, args.order, seed=doc.seed, trials=doc.trials)
     report = Report("osculate")
     report.payload.update(
@@ -319,7 +313,7 @@ def _cmd_apolar(args) -> int:
 
 def _cmd_polytope(args) -> int:
     doc = _load_document(args)
-    polytope = build_polytope(_document_system(doc, args.system))
+    polytope = build_polytope(doc.spec if args.system else apolar_complement(doc.spec))
     report = Report("polytope")
     if not polytope.is_full_dimensional:
         report.payload.update(

@@ -4,7 +4,9 @@ A linear system of N+1 independent forms of degree d defines a rational map
 P^n -> P^N.  At a general point of the image, the s-th osculating space is
 spanned by the jets of order <= s; its expected projective dimension is
 comb(n+s, s) - 1, and a shortfall of delta means the variety satisfies delta
-independent Laplace equations of order s.
+independent Laplace equations of order s.  The system is an
+``algebra.LinearSystem``: the apolar complement of an ideal, or (``osculate
+--system``) the ideal's own generators, since ``wlp.IdealSpec`` is one too.
 
 Jets are taken in the affine chart x_0 = 1 at integer points with all
 coordinates in [1, 999]; for a general point this realizes the osculating
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from math import comb, perm
 from typing import Optional
 
-from .algebra import Form, monomial_basis, rank_of_span
+from .algebra import Form, LinearSystem, monomial_basis
 from .linalg import clear_denominators, exact_rank, primitive_kernel_vector
 from .sampling import (
     DEFAULT_SEED,
@@ -33,47 +35,6 @@ from .sampling import (
     random_chart_point,
     rng_for,
 )
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """N+1 linearly independent forms of one degree, defining P^n -> P^N."""
-
-    n: int
-    d: int
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        for f in members:
-            if f.n != self.n or f.degree != self.d:
-                raise ValueError("members must share n and degree")
-            if f.is_zero:
-                raise ValueError("zero member")
-        if rank_of_span(list(members)) != len(members):
-            raise ValueError("members are not linearly independent")
-
-    @classmethod
-    def from_apolar(cls, system) -> "LinearSystem":
-        """``system``: ``apolar_complement`` returns a LinearSystem already."""
-        return system
-
-    @classmethod
-    def from_monomials(cls, n: int, d: int, exponents) -> "LinearSystem":
-        return cls(n, d, tuple(Form.monomial(e) for e in exponents))
-
-    @property
-    def projective_target(self) -> int:
-        return len(self.members) - 1
-
-    def is_monomial(self) -> bool:
-        return all(f.is_monomial for f in self.members)
-
-    def exponents(self):
-        if not self.is_monomial():
-            raise ValueError("system is not monomial")
-        return tuple(sorted(next(iter(f.terms)) for f in self.members))
 
 
 @dataclass(frozen=True)

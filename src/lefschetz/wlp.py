@@ -1,8 +1,9 @@
 """The Weak Lefschetz Property for artinian ideals generated in one degree.
 
 An ideal I in R = k[x_0, ..., x_n] is presented by r linearly independent
-forms of a single degree d.  R/I has the WLP when, for a general linear form
-L, every multiplication map
+forms of a single degree d: an ``IdealSpec`` is the ``algebra.LinearSystem``
+of those forms, read as the generators of I.  R/I has the WLP when, for a
+general linear form L, every multiplication map
 
     x L : (R/I)_j -> (R/I)_{j+1}
 
@@ -27,20 +28,20 @@ of rows from one cached table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
 from math import comb
-from operator import add
 from typing import Optional
 
 from .algebra import (
     Form,
+    LinearSystem,
     hyperplane_table,
     monomial_basis,
     multiples_matrix,
     pure_power,
-    rank_of_span,
+    shifted,
 )
 from .linalg import clear_denominators, exact_rank
 from .sampling import (
@@ -53,55 +54,21 @@ from .sampling import (
 )
 
 
-class IdealSpec:
-    """An ideal generated by independent forms of one degree.
+@dataclass(frozen=True)
+class IdealSpec(LinearSystem):
+    """The ideal I generated by the members of a ``LinearSystem``, with its
+    graded pieces memoized per degree in ``_dim_cache``: the quotient basis
+    of a monomial ideal, dim I_t of any other."""
 
-    Attributes: n (projective dimension; n+1 variables), d (generator
-    degree), generators (tuple of Forms), r (generator count), is_monomial
-    (every generator a single monomial with coefficient 1).  Construction
-    rejects generators that are not linearly independent, of mixed degree,
-    or from different rings.  Graded pieces are memoized per degree: the
-    quotient basis of a monomial ideal, dim I_t of any other.
-    """
+    _dim_cache: dict = field(default_factory=dict, init=False, compare=False)
 
-    __slots__ = ("n", "d", "generators", "is_monomial", "_exponents", "_dim_cache")
-
-    def __init__(self, n: int, d: int, generators):
-        generators = tuple(generators)
-        if n < 0 or d < 1:
-            raise ValueError("need n >= 0 and d >= 1")
-        for g in generators:
-            if not isinstance(g, Form):
-                raise TypeError("generators must be Forms")
-            if g.n != n or g.degree != d:
-                raise ValueError("generators must be forms of degree d in n+1 variables")
-            if g.is_zero:
-                raise ValueError("zero generator")
-        if rank_of_span(list(generators)) != len(generators):
-            raise ValueError("generators are not linearly independent")
-        self.n = n
-        self.d = d
-        self.generators = generators
-        self.is_monomial = all(g.is_monomial for g in generators)
-        self._exponents = (
-            frozenset(next(iter(g.terms)) for g in generators)
-            if self.is_monomial
-            else None
-        )
-        self._dim_cache = {}
-
-    @classmethod
-    def from_monomials(cls, n: int, d: int, exponents) -> "IdealSpec":
-        return cls(n, d, [Form.monomial(e) for e in exponents])
+    @property
+    def generators(self) -> tuple:
+        return self.members
 
     @property
     def r(self) -> int:
-        return len(self.generators)
-
-    def monomial_exponents(self) -> frozenset:
-        if self._exponents is None:
-            raise ValueError("not a monomial ideal")
-        return self._exponents
+        return len(self.members)
 
     def __repr__(self):
         kind = "monomial, " if self.is_monomial else ""
@@ -143,7 +110,7 @@ def quotient_basis(spec: IdealSpec, t: int) -> dict:
         low -= 1
     for s in range(low, t + 1):
         if s <= spec.d:
-            ideal = spec.monomial_exponents() if s == spec.d else ()
+            ideal = frozenset(spec.exponents()) if s == spec.d else ()
             outside = [e for e in monomial_basis(spec.n, s) if e not in ideal]
         elif not cache[s - 1]:
             outside = []  # I_{s-1} = R_{s-1}, so I_s = R_s
@@ -152,11 +119,7 @@ def quotient_basis(spec: IdealSpec, t: int) -> dict:
             outside = [
                 e
                 for e in monomial_basis(spec.n, s)
-                if all(
-                    e[:i] + (e[i] - 1,) + e[i + 1 :] in below
-                    for i in range(spec.n + 1)
-                    if e[i]
-                )
+                if all(shifted(e, i, -1) in below for i in range(spec.n + 1) if e[i])
             ]
         cache[s] = {e: k for k, e in enumerate(outside)}
     return cache[t]
@@ -201,7 +164,7 @@ def is_artinian(spec: IdealSpec) -> bool:
     if spec.r == 0:
         return False
     if spec.is_monomial:
-        gens = spec.monomial_exponents()
+        gens = frozenset(spec.exponents())
         return all(pure_power(spec.n, i, spec.d) in gens for i in range(spec.n + 1))
     for t in range(spec.d, artinian_bound(spec) + 1):
         if hilbert_function(spec, t) == 0:
@@ -256,7 +219,7 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
         for e in quotient_basis(spec, j):
             row = [0] * ht
             for i, c in enumerate(coeffs):
-                k = target.get(e[:i] + (e[i] + 1,) + e[i + 1 :])
+                k = target.get(shifted(e, i))
                 if c and k is not None:
                     row[k] = c
             if any(row):
@@ -416,12 +379,9 @@ def trivial_type_a(spec: IdealSpec):
     """
     if not spec.is_monomial:
         raise ValueError("trivial type A search needs a monomial ideal")
-    gens = spec.monomial_exponents()
+    gens = frozenset(spec.exponents())
     for q in monomial_basis(spec.n, spec.d - 1):
-        if all(
-            tuple(q[k] + (1 if k == i else 0) for k in range(spec.n + 1)) in gens
-            for i in range(spec.n + 1)
-        ):
+        if all(shifted(q, i) in gens for i in range(spec.n + 1)):
             return q
     return None
 
@@ -445,9 +405,9 @@ def _tangent_rows(n: int, i: int, m: Form, columns: dict):
     """Integer rows of x_k * x_i * m, k = 0..n, kept on ``columns`` only."""
     rows = [[0] * len(columns) for _ in range(n + 1)]
     for e, c in zip(m.terms, clear_denominators(m.terms.values())):
-        e = tuple(map(add, e, pure_power(n, i)))
+        e = shifted(e, i)
         for k, row in enumerate(rows):
-            column = columns.get(tuple(map(add, e, pure_power(n, k))))
+            column = columns.get(shifted(e, k))
             if column is not None:
                 row[column] = c
     return rows
@@ -460,7 +420,7 @@ def trivial_type_b_test(
         raise ValueError("trivial type B probe needs a monomial cubic ideal")
     check_trials(trials)
     n = spec.n
-    gens = spec.monomial_exponents()
+    gens = spec.exponents()
     columns = quotient_basis(spec, 3)
     sufficient = False
     witness = None

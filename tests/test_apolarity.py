@@ -93,7 +93,7 @@ def test_contract_composes():
 def test_apolar_complement_is_hexagon(togliatti_cubic):
     ap = apolar_complement(togliatti_cubic)
     assert len(ap.members) == 6
-    assert ap.is_monomial()
+    assert ap.is_monomial
     assert sorted(ap.exponents()) == [
         (0, 1, 2),
         (0, 2, 1),

@@ -64,14 +64,14 @@ def run2(census2):
 
 
 def test_canonical_form_is_idempotent():
-    exps = tuple(sorted(classification_case_ideal(2).monomial_exponents()))
+    exps = classification_case_ideal(2).exponents()
     can = canonical_form(exps)
     assert canonical_form(can) == can
     assert can == min(permutation_images(exps))
 
 
 def test_canonical_form_is_permutation_invariant():
-    exps = tuple(sorted(classification_case_ideal(3).monomial_exponents()))
+    exps = classification_case_ideal(3).exponents()
     rng = rng_for(0, "classify", "invariance")
     for _ in range(5):
         perm = list(range(4))
@@ -82,36 +82,26 @@ def test_canonical_form_is_permutation_invariant():
 
 def test_orbit_size_divides_group_order():
     for case in (1, 2, 3, 4):
-        exps = tuple(sorted(classification_case_ideal(case).monomial_exponents()))
+        exps = classification_case_ideal(case).exponents()
         orbit = len(permutation_images(exps))
         assert 24 % orbit == 0
 
 
 def test_named_example_identities():
-    il3 = tuple(sorted(build_named_example("ilardi-counterexample", 3).monomial_exponents()))
-    se3 = tuple(sorted(build_named_example("second-example", 3).monomial_exponents()))
-    c2 = tuple(sorted(classification_case_ideal(2).monomial_exponents()))
-    part = tuple(
-        sorted(
-            build_named_example(
-                "partition", 3, partition=[(0, 1), (2,), (3,)]
-            ).monomial_exponents()
-        )
-    )
+    il3 = build_named_example("ilardi-counterexample", 3).exponents()
+    se3 = build_named_example("second-example", 3).exponents()
+    c2 = classification_case_ideal(2).exponents()
+    part = build_named_example("partition", 3, partition=[(0, 1), (2,), (3,)]).exponents()
     assert canonical_form(il3) == canonical_form(se3) == canonical_form(c2)
     assert canonical_form(part) == canonical_form(c2)
 
 
 def test_truncated_simplex_is_singleton_partition():
-    ts = tuple(sorted(build_named_example("truncated-simplex", 3).monomial_exponents()))
-    c1 = tuple(sorted(classification_case_ideal(1).monomial_exponents()))
-    singles = tuple(
-        sorted(
-            build_named_example(
-                "partition", 3, partition=[(0,), (1,), (2,), (3,)]
-            ).monomial_exponents()
-        )
-    )
+    ts = build_named_example("truncated-simplex", 3).exponents()
+    c1 = classification_case_ideal(1).exponents()
+    singles = build_named_example(
+        "partition", 3, partition=[(0,), (1,), (2,), (3,)]
+    ).exponents()
     assert canonical_form(ts) == canonical_form(c1) == canonical_form(singles)
 
 
@@ -401,7 +391,7 @@ def test_case_records():
         4: ("quasi-smooth", 18),
     }
     for case, (verdict, degree) in expected.items():
-        exps = tuple(sorted(classification_case_ideal(case).monomial_exponents()))
+        exps = classification_case_ideal(case).exponents()
         can = canonical_form(exps)
         rec = certify_candidate(3, can, len(permutation_images(can)), seed=0, trials=3)
         assert rec is not None
@@ -412,7 +402,7 @@ def test_case_records():
 def test_case_quadrics():
     quadrics = {}
     for case in (1, 2, 3, 4):
-        exps = tuple(sorted(classification_case_ideal(case).monomial_exponents()))
+        exps = classification_case_ideal(case).exponents()
         can = canonical_form(exps)
         rec = certify_candidate(3, can, len(permutation_images(can)), seed=0, trials=3)
         quadrics[case] = format_form(rec.quadric, NAMES4)
@@ -432,7 +422,7 @@ def test_case_quadrics():
 
 
 def test_case_three_quadric_factors():
-    exps = tuple(sorted(classification_case_ideal(3).monomial_exponents()))
+    exps = classification_case_ideal(3).exponents()
     can = canonical_form(exps)
     rec = certify_candidate(3, can, len(permutation_images(can)), seed=0, trials=3)
     q = rec.quadric

@@ -395,6 +395,44 @@ def test_classify_resume_rejects_an_edited_record(capsys, tmp_path, key, value):
     assert f"record {key} is {value!r}" in err
 
 
+# (edit the certified hit rather than the negative stub, the edit)
+MALFORMED_CACHE_LINES = {
+    "hit-marked-not-togliatti": (True, lambda data: dict(data, togliatti=False)),
+    "stub-with-a-record-key": (False, lambda data: dict(data, verdict="smooth")),
+    "hit-without-verdict": (
+        True,
+        lambda data: {k: v for k, v in data.items() if k != "verdict"},
+    ),
+    "stub-marked-togliatti": (False, lambda data: dict(data, togliatti=True)),
+    "not-an-object": (True, lambda data: [1, 2]),
+    "generators-not-a-list": (True, lambda data: dict(data, generators=5)),
+}
+
+
+@pytest.mark.parametrize(
+    "hit, edit", MALFORMED_CACHE_LINES.values(), ids=MALFORMED_CACHE_LINES
+)
+def test_classify_resume_rejects_a_malformed_line(capsys, tmp_path, hit, edit):
+    # a line is a negative stub with exactly its three keys or a full record;
+    # anything else is one error naming the line, never a traceback or a
+    # certified record silently dropped
+    cache = tmp_path / "cache.jsonl"
+    code, _, err = run_cli(capsys, "classify", "--n", "2", "--cache", str(cache))
+    assert code == 0, err
+    lines = [json.loads(line) for line in cache.read_text().splitlines()]
+    number = next(k for k, data in enumerate(lines, 1) if data["togliatti"] == hit)
+    lines[number - 1] = edit(lines[number - 1])
+    cache.write_text("".join(json.dumps(data) + "\n" for data in lines))
+    with pytest.raises(ValueError, match=f"^cache line {number}: "):
+        load_cache(cache)
+    code, out, err = run_cli(
+        capsys, "classify", "--n", "2", "--json", "--cache", str(cache), "--resume"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"analysis failed: cache line {number}: ")
+    assert err.count("\n") == 1
+
+
 def test_classify_threads_match_serial(capsys, tmp_path):
     outputs = []
     for threads in ("1", "2"):

@@ -6,8 +6,9 @@ from math import perm
 
 import pytest
 
-from lefschetz.algebra import monomial_basis
+from lefschetz.algebra import Form, monomial_basis
 from lefschetz.apolarity import apolar_complement
+from lefschetz.classify import classification_case_ideal
 from lefschetz.linalg import clear_denominators, exact_rank
 from lefschetz.osculating import LinearSystem, laplace_count, perkinson_quadric
 from lefschetz.parser import format_form
@@ -22,6 +23,32 @@ HEXAGON = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 @pytest.fixture
 def hexagon_system():
     return LinearSystem.from_monomials(2, 3, HEXAGON)
+
+
+@pytest.mark.parametrize(
+    "n, d, members, error",
+    [
+        (2, 0, (), ValueError),
+        (-1, 2, (), ValueError),
+        (1, 1, ("x",), TypeError),
+        (1, 1, (Form.monomial((1, 0)), Form.monomial((0, 2))), ValueError),
+        (1, 1, (Form(1, 1),), ValueError),
+        (1, 1, (Form.monomial((1, 0)), Form.monomial((1, 0)) * 2), ValueError),
+    ],
+    ids=["degree-0", "negative-n", "not-a-form", "mixed-degree", "zero", "dependent"],
+)
+def test_linear_system_checks_its_members(n, d, members, error):
+    with pytest.raises(error):
+        LinearSystem(n, d, members)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_an_ideal_is_the_linear_system_of_its_generators(case):
+    spec = classification_case_ideal(case)
+    system = LinearSystem(spec.n, spec.d, spec.generators)
+    assert isinstance(spec, LinearSystem)
+    assert type(spec.is_monomial) is bool and spec.exponents() == system.exponents()
+    assert laplace_count(spec, 2) == laplace_count(system, 2)
 
 
 def test_from_apolar_matches_from_monomials(togliatti_cubic, hexagon_system):

@@ -49,7 +49,7 @@ def test_monomial_ideal_piece_counts_divisible_monomials(corpus):
     # I_t of a monomial ideal is spanned by the monomials divisible by a generator
     monomial = [spec for spec in corpus if spec.is_monomial]
     for spec in monomial:
-        gens = spec.monomial_exponents()
+        gens = spec.exponents()
         for t in range(spec.d - 1, spec.d + 4):
             divisible = sum(
                 1
@@ -111,7 +111,7 @@ def test_quotient_map_matches_general_route(corpus):
     monomial = [(i, spec) for i, spec in enumerate(corpus) if spec.is_monomial]
     for i, spec in monomial:
         n, d = spec.n, spec.d
-        gens = spec.monomial_exponents()
+        gens = spec.exponents()
         socle = len(h_vector(spec)) - 1
         dims = []
         for t in range(socle + 2):

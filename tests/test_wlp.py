@@ -266,7 +266,7 @@ def test_table_restriction_is_a_multiple_of_the_substitution_on_general_ideals()
 def _stacked_type_b(spec, seed, trials):
     """The type-B probe on the generator rows stacked over the tangent rows."""
     n = spec.n
-    gens = spec.monomial_exponents()
+    gens = spec.exponents()
     gen_rows = multiples_matrix([Form.monomial(e) for e in gens], 0)
     sufficient = False
     witness = None
@@ -299,7 +299,7 @@ def test_type_b_apolar_rank_matches_the_stacked_rank(n):
         specs += [classification_case_ideal(case) for case in (1, 2, 3, 4)]
     short = full = 0
     for seed, spec in enumerate(specs):
-        gens = spec.monomial_exponents()
+        gens = spec.exponents()
         gen_rows = multiples_matrix([Form.monomial(e) for e in gens], 0)
         outside = [e for e in basis if e not in gens]
         columns = {e: k for k, e in enumerate(outside)}
