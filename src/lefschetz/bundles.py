@@ -12,11 +12,11 @@ dimensions on the line:
 so c_t = k(t) - k(t-1) counts the a_i >= -t and the multiset of a_i follows.
 ``restrict_to_line`` takes the F_i|_L through ``algebra.linear_substitution``.
 Genericity: kernel dimension is upper semicontinuous, so the minimum of each
-k(t) over sampled lines is the generic value.  Sampling stops early at a
-line whose profile meets the rank floor k(t) >= max(0, r(t+1) - (t+d+1))
-in every t, since no line can go below it.  The recovered profile must
-satisfy the Chern checks (r-1 values, all <= 0, sum = -d) or an
-AnalysisError is raised.
+k(t) over sampled lines is the generic value, and a line whose profile meets
+the rank floor k(t) >= max(0, r(t+1) - (t+d+1)) in every t certifies it,
+since no line can go below that floor.  The recovered profile must satisfy
+the Chern checks (r-1 values, all <= 0, sum = -d) or an AnalysisError is
+raised.
 
 The figure of merit: a_{r-1} < 0 (equivalently k(0) = 0, the restricted
 generators stay independent) is exactly WLP in degree d-1, which gives the
@@ -31,7 +31,9 @@ from fractions import Fraction
 
 from .algebra import linear_substitution, monomial_basis, multiples_matrix, pure_power
 from .linalg import exact_rank
-from .sampling import DEFAULT_SEED, DEFAULT_TRIALS, check_trials, random_line, rng_for
+from .sampling import (
+    DEFAULT_SEED, DEFAULT_TRIALS, random_form, random_line, rng_for, sample_until
+)
 from .wlp import IdealSpec, fails_in_degree_dminus1, has_wlp, is_artinian
 
 _R4_RANDOM_FULL_SCANS = 3  # random ideals per degree that get a full WLP scan
@@ -90,30 +92,27 @@ def splitting_type(
 
     Minimum of each kernel dimension k(t), t = 0..d, over sampled lines.
     The multiples of degree t have t+d+1 columns, so no line gives
-    k(t) < max(0, r(t+1) - (t+d+1)); once one line's profile sits on that
-    floor at every t, no later line can lower the minimum and sampling
-    stops.  Chern consistency (r-1 twists, all <= 0, sum = -d) is asserted
-    on every call and failure raises AnalysisError.
+    k(t) < max(0, r(t+1) - (t+d+1)); a line whose profile sits on that
+    floor at every t certifies the minimum.  A line on which a generator
+    vanishes gives no profile.  Chern consistency (r-1 twists, all <= 0,
+    sum = -d) is asserted on every call and failure raises AnalysisError.
     """
     if not is_artinian(spec):
         raise ValueError("ideal is not artinian")
     if spec.r < 2:
         raise ValueError("splitting needs at least two generators")
-    check_trials(trials)
-    rng = rng_for(seed, "splitting-line")
     floor = [max(0, spec.r * (t + 1) - (t + spec.d + 1)) for t in range(spec.d + 1)]
-    profiles = []
-    for _ in range(trials):
-        p, q = random_line(spec.n, rng)
-        restricted = restrict_to_line(spec.generators, p, q)
+
+    def profile(rng):
+        restricted = restrict_to_line(spec.generators, *random_line(spec.n, rng))
         if any(f.is_zero for f in restricted):
-            # the line hit a generator's zero locus entirely; resample
-            continue
-        profiles.append(
-            [_kernel_dimension_on_line(restricted, t) for t in range(spec.d + 1)]
-        )
-        if profiles[-1] == floor:
-            break
+            return None  # the line lies in a generator's zero locus
+        return [_kernel_dimension_on_line(restricted, t) for t in range(spec.d + 1)]
+
+    draws = sample_until(
+        seed, ("splitting-line",), trials, profile, lambda drawn: drawn == floor
+    )
+    profiles = [drawn for drawn in draws if drawn is not None]
     if not profiles:
         raise AnalysisError("every sampled line was degenerate for the ideal")
     kernel_dims = [min(column) for column in zip(*profiles)]
@@ -166,8 +165,6 @@ def verify_r4_theorem(
     ValueError for d_min < 3 (r = 4 is over the generator bound d + 1 below
     that), an empty range or a negative count.
     """
-    from .sampling import random_form
-
     if d_min < 3:
         raise ValueError(f"d_min must be at least 3, not {d_min}")
     if d_max < d_min:

@@ -11,7 +11,8 @@ system, Laplace count re-verified, lattice quadric, polytope verdict (smooth
 / quasi-smooth / singular), toric degree, triviality flags, orbit size.
 A ``ClassificationRecord`` keeps only what it certified.  Its r, j, mixed
 generators and Togliatti flag are read off the generators; the JSON writes
-them too, and reading a cache back rejects a line where they disagree.
+them too, and reading a cache back rejects a line that does not write back
+to itself: one where they disagree, or one holding a value of another type.
 
 The records are every Togliatti system, minimal or not: a record may keep
 the property after a mixed generator is dropped (the n = 3 smooth record of
@@ -111,11 +112,25 @@ def _to_json(value, names):
 
 
 def _tuples(value):
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+    """Nested JSON lists of integers as nested tuples of ints."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else int(value)
+
+
+def _read(value, kind: str):
+    """A JSON value read as the field type ``kind`` (null for an ``Optional``
+    one), so that a value of another type does not write back the same."""
+    if kind.startswith("Optional["):
+        return None if value is None else _read(value, kind[len("Optional[") : -1])
+    if kind == "TypeBResult":
+        return TypeBResult(
+            **{f.name: _read(value[f.name], f.type) for f in fields(TypeBResult)}
+        )
+    if kind == "tuple":
+        return tuple(map(_tuples, value))
+    return {"int": int, "bool": bool, "str": str, "Form": str}[kind](value)
 
 
 _DERIVED = ("r", "j", "extra", "togliatti")
-_STUB_KEYS = {"schema", "togliatti", "generators"}  # a negative stub's keys
 
 
 @dataclass(frozen=True)
@@ -161,30 +176,22 @@ class ClassificationRecord:
 
     @classmethod
     def from_json_dict(cls, data) -> "ClassificationRecord":
-        """The record ``to_json_dict`` wrote; ValueError when a key is missing
-        or malformed, or when the schema or a value derived from the
-        generators disagrees with the record."""
+        """The record ``to_json_dict`` wrote, each field read as its type;
+        ValueError when a key is missing or a value cannot be read."""
         if not isinstance(data, dict):
             raise ValueError(f"a record is a JSON object, not {data!r}")
         keys = ("schema",) + _DERIVED + tuple(f.name for f in fields(cls))
         missing = [name for name in keys if name not in data]
         if missing:
             raise ValueError("record lacks " + ", ".join(missing))
-        values = {f.name: _tuples(data[f.name]) for f in fields(cls)}
         try:
+            values = {f.name: _read(data[f.name], f.type) for f in fields(cls)}
             if values["quadric"] is not None:
-                names = _variable_names(data["n"])
+                names = _variable_names(values["n"])
                 values["quadric"] = parse_polynomial(values["quadric"], names, 2)
-            values["trivial_b"] = TypeBResult(**data["trivial_b"])
-            record = cls(**values)
-            written = record.to_json_dict()
-        except (TypeError, AttributeError) as exc:
+            return cls(**values)
+        except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed record: {exc}") from exc
-        for name in ("schema",) + _DERIVED:
-            if data[name] != written[name]:
-                message = f"record {name} is {data[name]!r}, not {written[name]!r}"
-                raise ValueError(message)
-        return record
 
 
 def _pure_cubes(n: int):
@@ -252,9 +259,6 @@ class ClassificationRun:
     candidates_tested: int
     hit_counts: dict  # canonical key -> number of subsets in its orbit
     records: tuple
-
-    def __iter__(self):
-        return iter(self.records)
 
     @cached_property
     def _record_keys(self) -> frozenset:
@@ -393,6 +397,10 @@ def cache_line(key, record: Optional[ClassificationRecord]) -> str:
             "togliatti": False,
             "generators": [list(e) for e in key],
         }
+    return _json_line(payload)
+
+
+def _json_line(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -406,9 +414,13 @@ def _generator_key(generators) -> tuple:
 
 
 def load_cache(path) -> dict:
-    """Read a cache file back into the dict ``enumerate_cubic_togliatti`` takes:
-    each line a negative stub, with exactly a stub's keys, or a full record,
-    else ValueError naming the line."""
+    """Read a cache file back into the dict ``enumerate_cubic_togliatti`` takes.
+
+    A line with ``togliatti`` false is read as a negative stub, any other as
+    a full record, and ``cache_line`` must write it back to the same JSON:
+    the same keys, each value of the type a fresh run writes.  Else
+    ValueError naming the line.
+    """
     cache: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
@@ -416,14 +428,22 @@ def load_cache(path) -> dict:
                 continue
             try:
                 data = json.loads(line)
-                if isinstance(data, dict) and data.get("schema") != RECORD_SCHEMA:
+                if not isinstance(data, dict):
+                    raise ValueError(f"a cache line is a JSON object, not {data!r}")
+                if data.get("schema") != RECORD_SCHEMA:
                     raise ValueError(f"unsupported record schema {data.get('schema')!r}")
-                stub = isinstance(data, dict) and data.keys() == _STUB_KEYS
-                if stub and data["togliatti"] is False:
-                    record = None
-                else:
+                key = _generator_key(data.get("generators"))
+                record = None
+                if data.get("togliatti") is not False:
                     record = ClassificationRecord.from_json_dict(data)
-                cache[_generator_key(data["generators"])] = record
+                written = json.loads(cache_line(key, record))
+                for name in sorted(data.keys() | written.keys()):
+                    if name not in written:
+                        raise ValueError(f"unexpected key {name!r}")
+                    if _json_line(data[name]) != _json_line(written[name]):
+                        message = f"record {name} is {data[name]!r}, not {written[name]!r}"
+                        raise ValueError(message)
+                cache[key] = record
             except ValueError as exc:
                 raise ValueError(f"cache line {number}: {exc}") from exc
     return cache

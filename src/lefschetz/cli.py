@@ -4,7 +4,8 @@ Commands take an ideal document (JSON file with ``variables``, ``degree``,
 ``generators`` and optional ``seed`` / ``trials``) or inline ``--gen``
 expressions, and report either human-readable text or canonical JSON
 (``--json``; sorted keys, compact separators, so identical inputs and seeds
-give byte-identical bytes).
+give byte-identical bytes).  A report command returns its JSON payload and
+its text lines, and ``main`` renders one of them and writes it.
 
 Exit status: 0 success, 1 analysis failure (non-artinian input where
 artinian is required, certification disagreement, verification violations),
@@ -53,22 +54,6 @@ class UsageError(Exception):
 
 def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-class Report:
-    """Collects human lines and a JSON payload; emits one of them."""
-
-    def __init__(self, command: str):
-        self.lines = []
-        self.payload = {"command": command}
-
-    def line(self, text: str):
-        self.lines.append(text)
-
-    def render(self, as_json: bool) -> str:
-        if as_json:
-            return _dumps(self.payload) + "\n"
-        return "\n".join(self.lines) + "\n"
 
 
 def _emit(text: str, out_path):
@@ -168,21 +153,10 @@ def _load_document(args) -> Document:
     return Document(spec, names, seed, trials)
 
 
-def _cmd_wlp(args) -> int:
-    doc = _load_document(args)
+def _cmd_wlp(args, doc: Document):
     hv = h_vector(doc.spec)
-    report = Report("wlp")
-    report.payload.update(
-        {
-            "n": doc.spec.n,
-            "d": doc.spec.d,
-            "r": doc.spec.r,
-            "seed": doc.seed,
-            "h_vector": list(hv),
-            "reports": [],
-        }
-    )
-    report.line("h-vector: " + " ".join(str(h) for h in hv))
+    lines = ["h-vector: " + " ".join(str(h) for h in hv)]
+    reports = []
     failures = []
     for j in range(len(hv)):
         step = certified_lefschetz_report(
@@ -192,11 +166,11 @@ def _cmd_wlp(args) -> int:
         verdict = "maximal" if step.maximal_rank else "NOT maximal"
         if not step.maximal_rank:
             failures.append(j)
-        report.line(
+        lines.append(
             f"degree {j}: {step.dim_source} -> {step.dim_target}, "
             f"rank {step.rank}, {verdict}"
         )
-        report.payload["reports"].append(
+        reports.append(
             {
                 "degree": j,
                 "dim_source": step.dim_source,
@@ -206,18 +180,24 @@ def _cmd_wlp(args) -> int:
                 "linear_form": doc.format(step.lefschetz_form),
             }
         )
-    report.payload["wlp"] = not failures
-    report.payload["failures"] = failures
     if failures:
-        report.line("WLP fails in degrees: " + " ".join(str(j) for j in failures))
+        lines.append("WLP fails in degrees: " + " ".join(str(j) for j in failures))
     else:
-        report.line("WLP holds")
-    _emit(report.render(args.json), args.out)
-    return 0
+        lines.append("WLP holds")
+    payload = {
+        "n": doc.spec.n,
+        "d": doc.spec.d,
+        "r": doc.spec.r,
+        "seed": doc.seed,
+        "h_vector": list(hv),
+        "reports": reports,
+        "wlp": not failures,
+        "failures": failures,
+    }
+    return payload, lines
 
 
-def _cmd_togliatti(args) -> int:
-    doc = _load_document(args)
+def _cmd_togliatti(args, doc: Document):
     spec = doc.spec
     if not is_artinian(spec):
         raise AnalysisError("ideal is not artinian")
@@ -241,96 +221,76 @@ def _cmd_togliatti(args) -> int:
             f"wlp-failure={fails_wlp} hyperplane-dependence={dependent} "
             f"laplace={has_laplace} (delta={laplace.delta})"
         )
-    report = Report("togliatti")
-    report.payload.update(
-        {
-            "n": spec.n,
-            "d": spec.d,
-            "r": spec.r,
-            "bound": bound,
-            "seed": doc.seed,
-            "fails_dminus1": fails_wlp,
-            "hyperplane_dependent": dependent,
-            "laplace_order": spec.d - 1,
-            "laplace_delta": laplace.delta,
-            "togliatti": fails_wlp,
-        }
-    )
+    payload = {
+        "n": spec.n,
+        "d": spec.d,
+        "r": spec.r,
+        "bound": bound,
+        "seed": doc.seed,
+        "fails_dminus1": fails_wlp,
+        "hyperplane_dependent": dependent,
+        "laplace_order": spec.d - 1,
+        "laplace_delta": laplace.delta,
+        "togliatti": fails_wlp,
+    }
     yn = {True: "yes", False: "no"}
-    report.line(f"r = {spec.r}, generator bound = {bound}")
-    report.line(f"multiplication drops rank in degree {spec.d - 1}: {yn[fails_wlp]}")
-    report.line(f"generators dependent on a general hyperplane: {yn[dependent]}")
-    report.line(f"Laplace equations of order {spec.d - 1}: {laplace.delta}")
-    report.line(f"Togliatti system: {yn[fails_wlp]}")
-    _emit(report.render(args.json), args.out)
-    return 0
+    lines = [
+        f"r = {spec.r}, generator bound = {bound}",
+        f"multiplication drops rank in degree {spec.d - 1}: {yn[fails_wlp]}",
+        f"generators dependent on a general hyperplane: {yn[dependent]}",
+        f"Laplace equations of order {spec.d - 1}: {laplace.delta}",
+        f"Togliatti system: {yn[fails_wlp]}",
+    ]
+    return payload, lines
 
 
-def _cmd_osculate(args) -> int:
-    doc = _load_document(args)
+def _cmd_osculate(args, doc: Document):
     _at_least("--order", args.order, 0)
     system = doc.spec if args.system else apolar_complement(doc.spec)
     osc = laplace_count(system, args.order, seed=doc.seed, trials=doc.trials)
-    report = Report("osculate")
-    report.payload.update(
-        {
-            "order": osc.order,
-            "members": len(system.members),
-            "projective_target": system.projective_target,
-            "expected_dim": osc.expected_dim,
-            "actual_dim": osc.actual_dim,
-            "delta": osc.delta,
-            "degenerate": osc.degenerate,
-            "seed": doc.seed,
-        }
-    )
-    report.line(f"system of {len(system.members)} members in P^{system.projective_target}")
-    report.line(
+    payload = {
+        "order": osc.order,
+        "members": len(system.members),
+        "projective_target": system.projective_target,
+        "expected_dim": osc.expected_dim,
+        "actual_dim": osc.actual_dim,
+        "delta": osc.delta,
+        "degenerate": osc.degenerate,
+        "seed": doc.seed,
+    }
+    lines = [
+        f"system of {len(system.members)} members in P^{system.projective_target}",
         f"osculating space of order {osc.order}: expected dim {osc.expected_dim}, "
-        f"actual dim {osc.actual_dim}"
-    )
-    report.line(f"Laplace equations of order {osc.order}: {osc.delta}")
+        f"actual dim {osc.actual_dim}",
+        f"Laplace equations of order {osc.order}: {osc.delta}",
+    ]
     if osc.degenerate:
-        report.line("target too small for the expected dimension (degenerate count)")
-    _emit(report.render(args.json), args.out)
-    return 0
+        lines.append("target too small for the expected dimension (degenerate count)")
+    return payload, lines
 
 
-def _cmd_apolar(args) -> int:
-    doc = _load_document(args)
+def _cmd_apolar(args, doc: Document):
     system = apolar_complement(doc.spec)
-    report = Report("apolar")
     basis = [doc.format(f) for f in system.members]
-    report.payload.update(
-        {"n": system.n, "d": system.d, "dimension": len(basis), "basis": basis}
-    )
-    report.line(f"inverse system dimension {len(basis)} in degree {system.d}")
-    for text in basis:
-        report.line("  " + text)
-    _emit(report.render(args.json), args.out)
-    return 0
+    payload = {"n": system.n, "d": system.d, "dimension": len(basis), "basis": basis}
+    lines = [f"inverse system dimension {len(basis)} in degree {system.d}"]
+    lines += ["  " + text for text in basis]
+    return payload, lines
 
 
-def _cmd_polytope(args) -> int:
-    doc = _load_document(args)
+def _cmd_polytope(args, doc: Document):
     polytope = build_polytope(doc.spec if args.system else apolar_complement(doc.spec))
-    report = Report("polytope")
     if not polytope.is_full_dimensional:
-        report.payload.update(
-            {
-                "points": [list(p) for p in polytope.points],
-                "affine_dim": polytope.affine_dim,
-                "verdict": VERDICT_DEGENERATE,
-            }
-        )
-        report.line(
-            f"degenerate: affine dimension {polytope.affine_dim} < {polytope.dim}"
-        )
-        _emit(report.render(args.json), args.out)
-        return 0
+        payload = {
+            "points": [list(p) for p in polytope.points],
+            "affine_dim": polytope.affine_dim,
+            "verdict": VERDICT_DEGENERATE,
+        }
+        lines = [f"degenerate: affine dimension {polytope.affine_dim} < {polytope.dim}"]
+        return payload, lines
     smooth = smoothness_report(polytope)
-    report.payload.update(polytope_json(polytope))
-    report.payload.update(
+    payload = polytope_json(polytope)
+    payload.update(
         {
             "simple": smooth.simple,
             "smooth": smooth.smooth,
@@ -338,42 +298,34 @@ def _cmd_polytope(args) -> int:
             "verdict": smooth.verdict,
         }
     )
-    report.line(
+    lines = [
         f"{len(polytope.points)} lattice points, {len(polytope.vertices)} vertices, "
-        f"{len(polytope.facets)} facets, {len(polytope.edges)} edges"
-    )
-    report.line(f"verdict: {smooth.verdict}")
-    report.line(f"normalized volume (toric degree): {report.payload['normalized_volume']}")
-    _emit(report.render(args.json), args.out)
-    return 0
+        f"{len(polytope.facets)} facets, {len(polytope.edges)} edges",
+        f"verdict: {smooth.verdict}",
+        f"normalized volume (toric degree): {payload['normalized_volume']}",
+    ]
+    return payload, lines
 
 
-def _cmd_splitting(args) -> int:
-    doc = _load_document(args)
+def _cmd_splitting(args, doc: Document):
     result = splitting_type(doc.spec, seed=doc.seed, trials=doc.trials)
-    report = Report("splitting")
-    report.payload.update(
-        {
-            "d": result.d,
-            "values": list(result.values),
-            "wlp_dminus1": result.wlp_in_degree_dminus1,
-            "seed": doc.seed,
-        }
-    )
-    report.line(
+    payload = {
+        "d": result.d,
+        "values": list(result.values),
+        "wlp_dminus1": result.wlp_in_degree_dminus1,
+        "seed": doc.seed,
+    }
+    lines = [
         "splitting type on a general line: ("
         + ", ".join(str(a) for a in result.values)
-        + ")"
-    )
-    report.line(
+        + ")",
         f"WLP in degree {result.d - 1}: "
-        + ("yes" if result.wlp_in_degree_dminus1 else "no")
-    )
-    _emit(report.render(args.json), args.out)
-    return 0
+        + ("yes" if result.wlp_in_degree_dminus1 else "no"),
+    ]
+    return payload, lines
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     seed, trials = _sampling_settings(args)
     if args.max_extra is not None:
         _at_least("--max-extra", args.max_extra, 1)
@@ -443,10 +395,9 @@ def _cmd_classify(args) -> int:
             cache_handle.close()
         if args.out:
             out_handle.close()
-    return 0
 
 
-def _cmd_verify_r4(args) -> int:
+def _cmd_verify_r4(args):
     seed, trials = _sampling_settings(args)
     # r = 4 generators stay within the bound d + 1 only from d = 3 on
     _at_least("--dmin", args.dmin, 3)
@@ -461,8 +412,7 @@ def _cmd_verify_r4(args) -> int:
         monomial_samples=args.monomial_samples,
         random_samples=args.random_samples,
     )
-    report = Report("verify-r4")
-    report.payload.update(report_dict)
+    lines = []
     for entry in report_dict["per_degree"]:
         status = "ok"
         if entry["degree_dminus1_failures"] or entry["full_wlp_failures"]:
@@ -476,12 +426,9 @@ def _cmd_verify_r4(args) -> int:
                 f"; witness {entry['witness']['ideal']} fails in degrees "
                 + " ".join(str(j) for j in entry["witness"]["failure_degrees"])
             )
-        report.line(line)
-    report.line("verdict: " + ("ok" if report_dict["ok"] else "VIOLATIONS"))
-    _emit(report.render(args.json), args.out)
-    if not report_dict["ok"]:
-        raise AnalysisError("; ".join(report_dict["violations"]))
-    return 0
+        lines.append(line)
+    lines.append("verdict: " + ("ok" if report_dict["ok"] else "VIOLATIONS"))
+    return report_dict, lines
 
 
 def _parse_partition(text: str):
@@ -497,7 +444,7 @@ def _parse_partition(text: str):
     return parts
 
 
-def _cmd_example(args) -> int:
+def _cmd_example(args):
     try:
         if args.name.startswith("case-"):
             case = int(args.name.split("-", 1)[1])
@@ -520,7 +467,6 @@ def _cmd_example(args) -> int:
         "generators": [format_form(g, names) for g in spec.generators],
     }
     _emit(_dumps(document) + "\n", args.out)
-    return 0
 
 
 def _add_document_arguments(parser: argparse.ArgumentParser):
@@ -533,6 +479,7 @@ def _add_document_arguments(parser: argparse.ArgumentParser):
     )
     parser.add_argument("--variables", help="comma-separated variable names")
     parser.add_argument("--degree", type=int, help="generation degree d")
+    parser.set_defaults(document=True)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -545,6 +492,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common.add_argument("--trials", type=int, default=None, help="sampling trials")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", help="write the report to this file")
+    common.set_defaults(document=False)
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, help_text):
@@ -636,7 +584,21 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        if args.document:
+            result = args.handler(args, _load_document(args))
+        else:
+            result = args.handler(args)
+        if result is not None:  # classify and example write their own output
+            payload, lines = result
+            payload["command"] = args.command
+            if args.json:
+                _emit(_dumps(payload) + "\n", args.out)
+            else:
+                _emit("\n".join(lines) + "\n", args.out)
+            # a verify-r4 report is written in full before its violations fail
+            if payload.get("violations"):
+                raise AnalysisError("; ".join(payload["violations"]))
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,13 +28,7 @@ from typing import Optional
 
 from .algebra import Form, LinearSystem, monomial_basis
 from .linalg import clear_denominators, exact_rank, primitive_kernel_vector
-from .sampling import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    check_trials,
-    random_chart_point,
-    rng_for,
-)
+from .sampling import DEFAULT_SEED, DEFAULT_TRIALS, random_chart_point, sample_until
 
 
 @dataclass(frozen=True)
@@ -90,26 +84,24 @@ def laplace_count(
 ) -> LaplaceCount:
     """Osculating dimension of order s at a general point, and its shortfall.
 
-    Exact rank of the order <= s jet matrix, maximized over sample points
-    (the osculating dimension is lower semicontinuous, so the max over
-    samples is the general value).
+    Exact rank of the order <= s jet matrix at sampled points, the highest
+    one kept (the osculating dimension is lower semicontinuous, so it is the
+    general value); a rank on its ceiling min(comb(n+s, s), members) is
+    certified.
     """
     if s < 0:
         raise ValueError("order must be non-negative")
-    check_trials(trials)
-    rng = rng_for(seed, "osculating-point", s)
-    best = 0
     ceiling = min(comb(system.n + s, s), len(system.members))
-    for _ in range(trials):
-        point = random_chart_point(system.n, rng)
-        best = max(best, exact_rank(_jet_matrix(system, s, point)))
-        if best == ceiling:
-            break
+    ranks = sample_until(
+        seed, ("osculating-point", s), trials,
+        lambda rng: exact_rank(_jet_matrix(system, s, random_chart_point(system.n, rng))),
+        lambda rank: rank == ceiling,
+    )
     expected = comb(system.n + s, s) - 1
     return LaplaceCount(
         order=s,
         expected_dim=expected,
-        actual_dim=best - 1,
+        actual_dim=max(ranks) - 1,
         degenerate=system.projective_target < expected,
     )
 

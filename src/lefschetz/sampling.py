@@ -6,14 +6,15 @@ the max over samples of a rank is the generic rank unless every sample is
 degenerate.  Defaults: 3 samples, integer coefficients uniform in [-999, 999]
 (points for osculating computations use [1, 999] to stay off the coordinate
 hyperplanes).  Every operation derives its own generator from
-``(seed, operation, qualifier)`` so results do not depend on call order.
+``(seed, operation, qualifier)`` so results do not depend on call order,
+and every sampled operation draws through ``sample_until``.
 """
 
 from __future__ import annotations
 
 import random
 
-from .algebra import Form, pure_power
+from .algebra import Form, monomial_basis, pure_power
 
 COEFF_BOUND = 999
 DEFAULT_TRIALS = 3
@@ -31,6 +32,25 @@ def rng_for(seed, *tags) -> random.Random:
     return random.Random("|".join(str(t) for t in (seed, *tags)))
 
 
+def sample_until(seed, tags, trials, draw, done) -> list:
+    """The draws of one sampled operation: ``draw(rng)`` on the stream
+    ``rng_for(seed, *tags)``, at most ``trials`` times, stopping after the
+    first draw that ``done`` accepts.  The only loop that draws samples.
+
+    ``done`` accepts a draw that proves the generic value, such as a rank on
+    its ceiling: a verdict read off an accepted draw is certified, one read
+    off draws ``done`` never accepted is Monte Carlo.
+    """
+    check_trials(trials)
+    rng = rng_for(seed, *tags)
+    draws = []
+    for _ in range(trials):
+        draws.append(draw(rng))
+        if done(draws[-1]):
+            break
+    return draws
+
+
 def random_linear_form(n: int, rng: random.Random) -> Form:
     """Linear form with coefficients in [-999, 999], not identically zero."""
     while True:
@@ -42,8 +62,6 @@ def random_linear_form(n: int, rng: random.Random) -> Form:
 
 def random_form(n: int, degree: int, rng: random.Random, bound=COEFF_BOUND) -> Form:
     """Dense form of the given degree, nonzero, coefficients in [-bound, bound]."""
-    from .algebra import monomial_basis
-
     while True:
         terms = {
             e: rng.randint(-bound, bound) for e in monomial_basis(n, degree)

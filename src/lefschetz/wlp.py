@@ -9,7 +9,7 @@ general linear form L, every multiplication map
 
 has maximal rank.  For MONOMIAL ideals it is enough to test the single form
 L = x_0 + ... + x_n, which is what the monomial fast path does; general
-ideals are tested against a few random linear forms and the best rank wins
+ideals are tested against sampled linear forms and the best rank wins
 (rank is lower semicontinuous, so the max over samples is the generic rank).
 A monomial ideal's map is written on its quotient bases, the monomials
 outside I_j and outside I_{j+1}; ``quotient_basis`` lists them, memoized.
@@ -50,7 +50,7 @@ from .sampling import (
     check_trials,
     random_hyperplane,
     random_linear_form,
-    rng_for,
+    sample_until,
 )
 
 
@@ -244,22 +244,19 @@ def certified_lefschetz_report(
     """Best WlpReport over the sampling policy for one degree.
 
     Monomial ideals use L = x_0 + ... + x_n (sufficient for them); general
-    ideals take the best of ``trials`` random linear forms, stopping early
-    once maximal rank is certified.  ``force_generic`` samples random forms
+    ideals take the first report of highest rank over sampled linear forms,
+    certified once one has maximal rank.  ``force_generic`` samples forms
     even for monomial ideals (cross-validation of the fast path).
     """
-    check_trials(trials)
     if spec.is_monomial and not force_generic:
+        check_trials(trials)
         return multiplication_rank(spec, _sum_of_variables(spec.n), j)
-    rng = rng_for(seed, "wlp-linear-form", j)
-    best: Optional[WlpReport] = None
-    for _ in range(trials):
-        report = multiplication_rank(spec, random_linear_form(spec.n, rng), j)
-        if best is None or report.rank > best.rank:
-            best = report
-        if best.maximal_rank:
-            break
-    return best
+    reports = sample_until(
+        seed, ("wlp-linear-form", j), trials,
+        lambda rng: multiplication_rank(spec, random_linear_form(spec.n, rng), j),
+        lambda report: report.maximal_rank,
+    )
+    return max(reports, key=lambda report: report.rank)
 
 
 def has_wlp(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
@@ -299,20 +296,20 @@ def _sum_hyperplane_table(n: int, d: int) -> dict:
     return hyperplane_table(n, d, (1,) * (n + 1))
 
 
-def _restricted_rows(spec: IdealSpec, seed, trials):
-    """Integer rows of the generators on one general hyperplane per trial:
-    x_0 + ... + x_n = 0 (a cached table) for monomial ideals, ``trials``
-    random ones for general ideals.  A generator's row is the sum of its
-    cleared coefficients times the ``hyperplane_table`` rows of its terms,
-    a nonzero multiple of its restriction."""
-    check_trials(trials)
+def _restricted_rows(spec: IdealSpec, seed, trials, read, done) -> list:
+    """``read`` of the integer rows of the generators on general
+    hyperplanes: x_0 + ... + x_n = 0 (a cached table) for monomial ideals,
+    sampled ones until ``done`` accepts a read for general ideals.  A
+    generator's row is the sum of its cleared coefficients times the
+    ``hyperplane_table`` rows of its terms, a nonzero multiple of its
+    restriction."""
     n, d = spec.n, spec.d
     if spec.is_monomial:
+        check_trials(trials)
         table = _sum_hyperplane_table(n, d)
-        yield [table[next(iter(g.terms))] for g in spec.generators]
-        return
-    rng = rng_for(seed, "hyperplane")
-    for _ in range(trials):
+        return [read([table[next(iter(g.terms))] for g in spec.generators])]
+
+    def draw(rng):
         table = hyperplane_table(n, d, random_hyperplane(n, rng))
         rows = []
         for g in spec.generators:
@@ -320,7 +317,9 @@ def _restricted_rows(spec: IdealSpec, seed, trials):
             for e, c in zip(g.terms, clear_denominators(g.terms.values())):
                 row = [x + c * y for x, y in zip(row, table[e])]
             rows.append(row)
-        yield rows
+        return read(rows)
+
+    return sample_until(seed, ("hyperplane",), trials, draw, done)
 
 
 def restricted_generators(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
@@ -328,11 +327,14 @@ def restricted_generators(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_
     each up to a nonzero scalar: the rows ``fails_in_degree_dminus1`` ranks,
     as forms in n variables."""
     columns = monomial_basis(spec.n - 1, spec.d)
-    for rows in _restricted_rows(spec, seed, trials):
-        yield [
+
+    def forms(rows):
+        return [
             Form(spec.n - 1, spec.d, {e: c for e, c in zip(columns, row) if c})
             for row in rows
         ]
+
+    return _restricted_rows(spec, seed, trials, forms, lambda batch: False)
 
 
 def fails_in_degree_dminus1(
@@ -354,12 +356,8 @@ def fails_in_degree_dminus1(
         )
     if spec.r == 0:
         return False
-    best = 0
-    for rows in _restricted_rows(spec, seed, trials):
-        best = max(best, exact_rank(rows))
-        if best == spec.r:
-            return False
-    return best < spec.r
+    ranks = _restricted_rows(spec, seed, trials, exact_rank, lambda rank: rank == spec.r)
+    return ranks[-1] < spec.r
 
 
 def is_togliatti(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS) -> bool:
@@ -418,7 +416,6 @@ def trivial_type_b_test(
 ) -> TypeBResult:
     if not spec.is_monomial or spec.d != 3:
         raise ValueError("trivial type B probe needs a monomial cubic ideal")
-    check_trials(trials)
     n = spec.n
     gens = spec.exponents()
     columns = quotient_basis(spec, 3)
@@ -428,13 +425,18 @@ def trivial_type_b_test(
         divisible = sum(1 for e in gens if e[i] >= 1)
         if divisible > comb(n + 1, 2):
             sufficient = True
-        rng = rng_for(seed, "type-b", i)
+        if witness is not None:
+            continue
         # x_i*m*R_1 has dimension n+1 (R is a domain) and the generators are
         # unit rows, so dim(I_3 meet x_i*m*R_1) = (n+1) - rank of the tangent
         # rows on the columns outside I_3: nonzero iff that rank falls short
-        if witness is None and all(
-            exact_rank(_tangent_rows(n, i, random_linear_form(n, rng), columns)) < n + 1
-            for _ in range(trials)
-        ):
+        ranks = sample_until(
+            seed, ("type-b", i), trials,
+            lambda rng: exact_rank(
+                _tangent_rows(n, i, random_linear_form(n, rng), columns)
+            ),
+            lambda rank: rank == n + 1,
+        )
+        if ranks[-1] < n + 1:
             witness = i
     return TypeBResult(sufficient, witness is not None, witness)

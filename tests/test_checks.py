@@ -25,9 +25,9 @@ def test_src_has_no_assert_statements():
     assert found == []
 
 
-def test_rref_serves_only_the_cross_check_and_solve_exact():
-    # one rational elimination, kept as the cross-check: every kernel and
-    # rank in the package is read off the integer routines instead
+def _enclosing_functions(name: str) -> list:
+    """(file, outermost enclosing function) of each use of ``name`` in the
+    package, as a bare name or an attribute; "<module>" outside functions."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -39,30 +39,35 @@ def test_rref_serves_only_the_cross_check_and_solve_exact():
         found += [
             (path.name, enclosing.get(node, "<module>"))
             for node in ast.walk(tree)
-            if (isinstance(node, ast.Name) and node.id == "_rref")
-            or (isinstance(node, ast.Attribute) and node.attr == "_rref")
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
         ]
-    assert sorted(found) == [("linalg.py", "rational_rank"), ("linalg.py", "solve_exact")]
+    return found
+
+
+def test_rref_serves_only_the_cross_check_and_solve_exact():
+    # one rational elimination, kept as the cross-check: every kernel and
+    # rank in the package is read off the integer routines instead
+    assert sorted(_enclosing_functions("_rref")) == [
+        ("linalg.py", "rational_rank"),
+        ("linalg.py", "solve_exact"),
+    ]
+
+
+def test_only_the_sampling_loop_and_verify_r4_open_a_stream():
+    # one loop draws samples: every sampled verdict draws through
+    # sample_until, and verify_r4_theorem keeps its two sample-choice streams
+    assert sorted(_enclosing_functions("rng_for")) == [
+        ("bundles.py", "verify_r4_theorem"),
+        ("bundles.py", "verify_r4_theorem"),
+        ("sampling.py", "sample_until"),
+    ]
 
 
 def test_fraction_is_named_only_where_coefficients_are_read_or_printed():
     # integers wherever the entries are integers: Fraction is constructed or
     # named only by these functions, and the list may only shrink
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        enclosing = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in ast.walk(node):
-                    enclosing.setdefault(inner, node.name)
-        found |= {
-            (path.name, enclosing.get(node, "<module>"))
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.Name) and node.id == "Fraction")
-            or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
-        }
-    assert sorted(found) == [
+    assert sorted(set(_enclosing_functions("Fraction"))) == [
         ("algebra.py", "__mul__"),  # scalar multiples
         ("algebra.py", "__rmul__"),
         ("algebra.py", "_exact"),  # Form: int when integral, else Fraction

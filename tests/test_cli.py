@@ -406,6 +406,17 @@ MALFORMED_CACHE_LINES = {
     "stub-marked-togliatti": (False, lambda data: dict(data, togliatti=True)),
     "not-an-object": (True, lambda data: [1, 2]),
     "generators-not-a-list": (True, lambda data: dict(data, generators=5)),
+    # a value equal to the one a fresh run writes, but of another type
+    "hit-schema-true": (True, lambda data: dict(data, schema=True)),
+    "stub-schema-float": (False, lambda data: dict(data, schema=1.0)),
+    "togliatti-one": (True, lambda data: dict(data, togliatti=1)),
+    "r-float": (True, lambda data: dict(data, r=float(data["r"]))),
+    "orbit-size-float": (
+        True,
+        lambda data: dict(data, orbit_size=float(data["orbit_size"])),
+    ),
+    "laplace-delta-true": (True, lambda data: dict(data, laplace_delta=True)),
+    "edge-rule-fired-zero": (True, lambda data: dict(data, edge_rule_fired=0)),
 }
 
 
@@ -413,9 +424,9 @@ MALFORMED_CACHE_LINES = {
     "hit, edit", MALFORMED_CACHE_LINES.values(), ids=MALFORMED_CACHE_LINES
 )
 def test_classify_resume_rejects_a_malformed_line(capsys, tmp_path, hit, edit):
-    # a line is a negative stub with exactly its three keys or a full record;
-    # anything else is one error naming the line, never a traceback or a
-    # certified record silently dropped
+    # a line is a negative stub or a full record that writes back to itself;
+    # anything else is one error naming the line, never a traceback, a
+    # certified record silently dropped or a value a fresh run never prints
     cache = tmp_path / "cache.jsonl"
     code, _, err = run_cli(capsys, "classify", "--n", "2", "--cache", str(cache))
     assert code == 0, err

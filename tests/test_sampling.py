@@ -6,7 +6,7 @@ from lefschetz.algebra import Form, pure_power
 from lefschetz.apolarity import apolar_complement
 from lefschetz.bundles import splitting_type
 from lefschetz.osculating import LinearSystem, laplace_count
-from lefschetz.sampling import random_form, rng_for
+from lefschetz.sampling import random_form, random_hyperplane, rng_for, sample_until
 from lefschetz.wlp import (
     IdealSpec,
     certified_lefschetz_report,
@@ -51,3 +51,26 @@ def test_fewer_than_one_trial_is_rejected(name):
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials"):
             CALLS[name](trials)
+
+
+def test_sample_until_stops_after_the_first_accepted_draw():
+    drawn = []
+
+    def draw(rng):
+        drawn.append(rng.random())
+        return len(drawn)
+
+    assert sample_until(0, ("stop",), 5, draw, lambda k: k == 2) == [1, 2]
+    assert len(drawn) == 2
+    drawn.clear()
+    assert sample_until(0, ("stop",), 4, draw, lambda k: False) == [1, 2, 3, 4]
+    assert len(drawn) == 4
+
+
+def test_sample_until_draws_from_the_stream_of_its_tags():
+    stream = rng_for(7, "hyperplane", 2)
+    expected = [random_hyperplane(3, stream) for _ in range(3)]
+    drawn = sample_until(
+        7, ("hyperplane", 2), 3, lambda rng: random_hyperplane(3, rng), lambda a: False
+    )
+    assert drawn == expected
