@@ -14,9 +14,12 @@ so c_t = k(t) - k(t-1) counts the a_i >= -t and the multiset of a_i follows.
 Genericity: kernel dimension is upper semicontinuous, so the minimum of each
 k(t) over sampled lines is the generic value, and a line whose profile meets
 the rank floor k(t) >= max(0, r(t+1) - (t+d+1)) in every t certifies it,
-since no line can go below that floor.  The recovered profile must satisfy
-the Chern checks (r-1 values, all <= 0, sum = -d) or an AnalysisError is
-raised.
+since no line can go below that floor.  On each line the ranking stops at
+the first t where the multiples span every binary form of degree t+d: they
+then span every higher degree too (S_1 times all of S_{t+d} is S_{t+d+1}),
+so each later k(t) sits on the floor, certified without an elimination.
+The recovered profile must satisfy the Chern checks (r-1 values, all <= 0,
+sum = -d) or an AnalysisError is raised.
 
 The figure of merit: a_{r-1} < 0 (equivalently k(0) = 0, the restricted
 generators stay independent) is exactly WLP in degree d-1, which gives the
@@ -85,6 +88,23 @@ def _kernel_dimension_on_line(restricted, t: int) -> int:
     return len(restricted) * (t + 1) - exact_rank(multiples_matrix(restricted, t))
 
 
+def _kernel_profile(restricted, r: int, d: int) -> list:
+    """k(0), ..., k(d) on one line, ranking only up to the first t at which
+    the multiples span every binary form of degree t+d; the later k(t) are
+    read off the rank floor, where they sit."""
+    profile = []
+    for t in range(d + 1):
+        k = _kernel_dimension_on_line(restricted, t)
+        profile.append(k)
+        if r * (t + 1) - k == t + d + 1:
+            # J_{t+d} = S_{t+d} => J_{t+d+1} contains S_1 * J_{t+d} = S_{t+d+1},
+            # with J the span of the multiples and S the binary forms: every
+            # later map is onto, so k(t') = r(t'+1) - (t'+d+1), the floor.
+            profile.extend(r * (u + 1) - (u + d + 1) for u in range(t + 1, d + 1))
+            break
+    return profile
+
+
 def splitting_type(
     spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS
 ) -> SplittingType:
@@ -93,9 +113,12 @@ def splitting_type(
     Minimum of each kernel dimension k(t), t = 0..d, over sampled lines.
     The multiples of degree t have t+d+1 columns, so no line gives
     k(t) < max(0, r(t+1) - (t+d+1)); a line whose profile sits on that
-    floor at every t certifies the minimum.  A line on which a generator
-    vanishes gives no profile.  Chern consistency (r-1 twists, all <= 0,
-    sum = -d) is asserted on every call and failure raises AnalysisError.
+    floor at every t certifies the minimum.  Each line is ranked only up to
+    the first t where its multiples are onto degree t+d; every later k(t)
+    is then exactly the floor, so it is written down, not ranked.  A line
+    on which a generator vanishes gives no profile.  Chern consistency
+    (r-1 twists, all <= 0, sum = -d) is asserted on every call and failure
+    raises AnalysisError.
     """
     if not is_artinian(spec):
         raise ValueError("ideal is not artinian")
@@ -107,7 +130,7 @@ def splitting_type(
         restricted = restrict_to_line(spec.generators, *random_line(spec.n, rng))
         if any(f.is_zero for f in restricted):
             return None  # the line lies in a generator's zero locus
-        return [_kernel_dimension_on_line(restricted, t) for t in range(spec.d + 1)]
+        return _kernel_profile(restricted, spec.r, spec.d)
 
     draws = sample_until(
         seed, ("splitting-line",), trials, profile, lambda drawn: drawn == floor

@@ -200,6 +200,11 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
     at x^e * x_i for each coefficient c_i of L whose product stays outside
     I_{j+1}.  Rows that come out zero are dropped, so the mod-p screen
     checks full rank against min(rows, cols).
+
+    Below degree d-1 nothing is ranked: for j <= d-2, I_{j+1} = 0 and the
+    map is multiplication by a nonzero L on the domain R, injective, so the
+    rank is dim (R/I)_j (Migliore-Miro-Roig-Nagel, Trans. AMS 363 (2011),
+    Prop. 2.1).  A zero L keeps rank 0.
     """
     if linear_form.degree != 1 or linear_form.n != spec.n:
         raise ValueError("need a linear form in the same ring")
@@ -209,6 +214,8 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
     ht = hilbert_function(spec, j + 1)
     if hs == 0 or ht == 0:
         return WlpReport(j, hs, ht, 0, linear_form)
+    if j + 1 < spec.d and not linear_form.is_zero:
+        return WlpReport(j, hs, ht, hs, linear_form)
     if spec.is_monomial:
         n = spec.n
         target = quotient_basis(spec, j + 1)

@@ -8,12 +8,14 @@ from lefschetz import bundles
 from lefschetz.algebra import Form, multiples_matrix
 from lefschetz.bundles import (
     SplittingType,
+    _kernel_dimension_on_line,
+    _kernel_profile,
     restrict_to_line,
     splitting_type,
     verify_r4_theorem,
 )
 from lefschetz.linalg import exact_rank
-from lefschetz.sampling import random_line, rng_for
+from lefschetz.sampling import random_form, random_line, rng_for
 from lefschetz.wlp import IdealSpec, fails_in_degree_dminus1
 
 
@@ -53,7 +55,7 @@ def test_splitting_rejects_non_artinian():
         splitting_type(IdealSpec.from_monomials(2, 3, [(3, 0, 0)]))
 
 
-def _kernel_profile(spec, values):
+def _profile_of_twists(spec, values):
     # k(t) = sum_i max(0, a_i + t + 1) for the twists a_i, t = 0..d
     return [sum(max(0, a + t + 1) for a in values) for t in range(spec.d + 1)]
 
@@ -80,7 +82,7 @@ def test_floor_stop_keeps_the_minimum_over_three_lines(corpus):
         above_floor += profiles[0] != floor
         minimum = [min(column) for column in zip(*profiles)]
         values = splitting_type(spec, seed=i, trials=3).values
-        assert _kernel_profile(spec, values) == minimum, i
+        assert _profile_of_twists(spec, values) == minimum, i
     assert above_floor == 20
 
 
@@ -96,18 +98,62 @@ def test_floor_stop_draws_one_line_on_the_floor(
     monkeypatch.setattr(bundles, "restrict_to_line", counting)
     # control: k = (0, 3, 6, 9) is the floor; Togliatti: k(0) = 1 on every line
     st = splitting_type(control_cubic, seed=0, trials=3)
-    assert _kernel_profile(control_cubic, st.values) == [0, 3, 6, 9]
+    assert _profile_of_twists(control_cubic, st.values) == [0, 3, 6, 9]
     assert len(calls) == 1
     calls.clear()
     st = splitting_type(togliatti_cubic, seed=0, trials=3)
-    assert _kernel_profile(togliatti_cubic, st.values) == [1, 3, 6, 9]
+    assert _profile_of_twists(togliatti_cubic, st.values) == [1, 3, 6, 9]
     assert len(calls) == 3
     # on the floor at t = 0 only: the floor is (0, 0, 3, 6, 9, 12, 15)
     calls.clear()
     sextic = IdealSpec.from_monomials(2, 6, [(6, 0, 0), (0, 6, 0), (0, 0, 6), (1, 5, 0)])
     st = splitting_type(sextic, seed=0, trials=3)
-    assert _kernel_profile(sextic, st.values) == [0, 1, 3, 6, 9, 12, 15]
+    assert _profile_of_twists(sextic, st.values) == [0, 1, 3, 6, 9, 12, 15]
     assert len(calls) == 3
+
+
+def test_kernel_profile_stops_ranking_only_where_the_floor_is_exact(corpus):
+    # one seeded line per corpus ideal: the profile with the early stop is
+    # the profile ranked in every degree
+    ranked = degrees = 0
+    for i, spec in enumerate(corpus):
+        rng = rng_for(i, "kernel-profile")
+        restricted = restrict_to_line(spec.generators, *random_line(spec.n, rng))
+        if any(f.is_zero for f in restricted):
+            continue
+        full = [_kernel_dimension_on_line(restricted, t) for t in range(spec.d + 1)]
+        assert _kernel_profile(restricted, spec.r, spec.d) == full, i
+        onto = [spec.r * (t + 1) - k == t + spec.d + 1 for t, k in enumerate(full)]
+        ranked += onto.index(True) + 1
+        degrees += spec.d + 1
+    # every twist on these lines is >= -d, so each is onto by t = d-1
+    assert (ranked, degrees) == (656, 2480)
+
+
+def test_kernel_profile_ranks_once_when_degree_d_is_spanned(monkeypatch):
+    # r >= d+1 forms spanning the binary forms of degree d: t = 0 is onto
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return exact_rank(rows)
+
+    monkeypatch.setattr(bundles, "exact_rank", counting)
+    rng = rng_for(0, "spanned")
+    specs = [
+        IdealSpec.from_monomials(2, 2, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+        IdealSpec(2, 3, [random_form(2, 3, rng) for _ in range(5)]),
+    ]
+    for spec in specs:
+        assert spec.r >= spec.d + 1
+        for _ in range(3):
+            restricted = restrict_to_line(spec.generators, *random_line(spec.n, rng))
+            calls.clear()
+            profile = _kernel_profile(restricted, spec.r, spec.d)
+            assert len(calls) == 1
+            assert profile == [
+                spec.r * (t + 1) - (t + spec.d + 1) for t in range(spec.d + 1)
+            ]
 
 
 def test_restrict_to_line_binary_cubic():

@@ -22,6 +22,7 @@ def test_corpus_composition(corpus):
 
 def test_three_way_equivalence(corpus_audit):
     assert corpus_audit["checked"]["three_way"] == 500
+    assert corpus_audit["checked"]["three_way_delta_positive"] == 22
     assert corpus_audit["violations"]["three_way"] == []
 
 

@@ -5,6 +5,7 @@ from math import comb, lcm
 
 import pytest
 
+from lefschetz import wlp
 from lefschetz.wlp import (
     IdealSpec,
     TypeBResult,
@@ -15,6 +16,7 @@ from lefschetz.wlp import (
     h_vector,
     has_wlp,
     is_togliatti,
+    multiplication_rank,
     restricted_generators,
     trivial_type_a,
     trivial_type_b_test,
@@ -90,6 +92,48 @@ def test_monomial_sum_form_matches_generic(togliatti_cubic, control_cubic):
                 spec, j, seed=0, trials=3, force_generic=True
             )
             assert plain.rank == generic.rank
+
+
+def _below_d_specs():
+    rng = rng_for(0, "below-d")
+    monomial = IdealSpec.from_monomials(
+        2, 4, [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 2)]
+    )
+    general = IdealSpec(3, 4, [random_form(3, 4, rng) for _ in range(5)])
+    return [monomial, general]
+
+
+@pytest.mark.parametrize("spec", _below_d_specs(), ids=["monomial", "general"])
+def test_below_d_minus_1_the_map_is_injective_without_an_elimination(
+    monkeypatch, spec
+):
+    # for j <= d-2, I_{j+1} = 0 and L * R_j has dimension dim R_j
+    rng = rng_for(0, "below-d", "linear-form")
+    forms = [wlp._sum_of_variables(spec.n)]
+    forms += [random_linear_form(spec.n, rng) for _ in range(3)]
+    for form in forms:
+        for j in range(spec.d - 1):
+            assert exact_rank(multiples_matrix([form], j)) == comb(spec.n + j, j)
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return exact_rank(rows)
+
+    monkeypatch.setattr(wlp, "exact_rank", counting)
+    for form in forms:
+        for j in range(spec.d - 1):
+            report = multiplication_rank(spec, form, j)
+            assert report.dim_source == comb(spec.n + j, j)
+            assert report.rank == report.dim_source
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", _below_d_specs(), ids=["monomial", "general"])
+def test_a_zero_linear_form_has_rank_zero_in_every_degree(spec):
+    zero = Form(spec.n, 1, {})
+    for j in range(spec.d + 3):
+        assert multiplication_rank(spec, zero, j).rank == 0
 
 
 def test_generator_bound_values():
