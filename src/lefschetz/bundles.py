@@ -24,7 +24,8 @@ sum = -d) or an AnalysisError is raised.
 The figure of merit: a_{r-1} < 0 (equivalently k(0) = 0, the restricted
 generators stay independent) is exactly WLP in degree d-1, which gives the
 third, bundle-theoretic route to the Togliatti verdict.  ``verify_r4_theorem``
-runs the full r = 4, n = 2 picture over a degree range.
+runs the r = 4, n = 2 picture over a degree range: every S_3-orbit of the
+ideals (x^d, y^d, z^d, m), m a mixed monomial, and seeded random ideals.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .sampling import (
 from .wlp import IdealSpec, fails_in_degree_dminus1, has_wlp, is_artinian
 
 _R4_RANDOM_FULL_SCANS = 3  # random ideals per degree that get a full WLP scan
+_R4_RANDOM_DRAWS = 10  # draws allowed for one artinian random ideal
 
 
 class AnalysisError(RuntimeError):
@@ -173,59 +175,57 @@ def verify_r4_theorem(
     *,
     seed=DEFAULT_SEED,
     trials=DEFAULT_TRIALS,
-    monomial_samples: int = 50,
     random_samples: int = 5,
 ) -> dict:
     """Check the r = 4, n = 2 picture over d in [d_min, d_max].
 
-    For every d: no sampled 4-generator artinian ideal (x^d, y^d, z^d, m)
-    with m a mixed monomial, nor any sampled random artinian ideal, fails
-    WLP in degree d-1.  If d is not a multiple of 3, sampled ideals have
-    full WLP.  If d = 3*lambda with lambda odd, the witness
-    (x^d, y^d, z^d, x^lambda y^lambda z^lambda) fails exactly in degree
-    4*lambda - 2.  If d is a multiple of 6, sampled monomial ideals have
-    full WLP.  Returns a JSON-ready report; report["ok"] is the verdict.
-    ValueError for d_min < 3 (r = 4 is over the generator bound d + 1 below
-    that), an empty range or a negative count.
+    Every S_3-orbit of the ideals (x^d, y^d, z^d, m), m a mixed monomial,
+    is checked on its sorted exponent: the pure powers and L = x + y + z
+    are symmetric, so that verdict holds for the whole orbit.  No orbit and
+    no sampled random artinian ideal may fail WLP in degree d-1.  Every
+    orbit, and the first random ideals when 3 does not divide d, must have
+    full WLP, except at d = 3*lambda with lambda odd: there the failing
+    orbits go to "non_wlp_orbits", and the witness orbit of
+    x^lambda y^lambda z^lambda must fail exactly in degree 4*lambda - 2.
+    Returns a JSON-ready report; report["ok"] is the verdict.  ValueError
+    for d_min < 3 (r = 4 is over the generator bound d + 1 below that), an
+    empty range or a negative count; AnalysisError when _R4_RANDOM_DRAWS
+    draws give no artinian random ideal.
     """
     if d_min < 3:
         raise ValueError(f"d_min must be at least 3, not {d_min}")
     if d_max < d_min:
         raise ValueError(f"empty degree range [{d_min}, {d_max}]")
-    if monomial_samples < 0 or random_samples < 0:
+    if random_samples < 0:
         raise ValueError("sample counts must be non-negative")
     report = {"d_min": d_min, "d_max": d_max, "seed": seed, "per_degree": []}
     violations = []
     for d in range(d_min, d_max + 1):
+        pure = [pure_power(2, i, d) for i in range(3)]
+        orbits = sorted({tuple(sorted(e)) for e in monomial_basis(2, d) if max(e) < d})
         entry = {
             "d": d,
-            "monomial_samples": monomial_samples,
-            "distinct_monomial_ideals": 0,
+            "monomial_orbits": len(orbits),
             "random_samples": random_samples,
             "degree_dminus1_failures": [],
             "full_wlp_failures": [],
+            "non_wlp_orbits": [],
             "witness": None,
         }
-        pure = [pure_power(2, i, d) for i in range(3)]
-        mixed = [e for e in monomial_basis(2, d) if max(e) < d]
-        rng = rng_for(seed, "r4-monomial", d)
-        chosen = set()
-        for _ in range(monomial_samples):
-            chosen.add(mixed[rng.randrange(len(mixed))])
-        entry["distinct_monomial_ideals"] = len(chosen)
-        full_scan_everything = d % 3 != 0
-        scan_monomials = full_scan_everything or d % 6 == 0
-        for m in sorted(chosen):
+        failures_allowed = d % 3 == 0 and (d // 3) % 2 == 1
+        scans = {}
+        for m in orbits:
             spec = IdealSpec.from_monomials(2, d, pure + [m])
             if fails_in_degree_dminus1(spec):
                 entry["degree_dminus1_failures"].append(["monomial", list(m)])
-            if scan_monomials:
-                ok, failures = has_wlp(spec)
-                if not ok:
-                    entry["full_wlp_failures"].append(["monomial", list(m), failures])
+            ok, scans[m] = has_wlp(spec)
+            if not ok and failures_allowed:
+                entry["non_wlp_orbits"].append([list(m), scans[m]])
+            elif not ok:
+                entry["full_wlp_failures"].append(["monomial", list(m), scans[m]])
         rng_random = rng_for(seed, "r4-random", d)
         for k in range(random_samples):
-            while True:
+            for _ in range(_R4_RANDOM_DRAWS):
                 forms = [random_form(2, d, rng_random) for _ in range(4)]
                 try:
                     spec = IdealSpec(2, d, forms)
@@ -233,16 +233,19 @@ def verify_r4_theorem(
                     continue
                 if is_artinian(spec):
                     break
+            else:
+                raise AnalysisError(
+                    f"d={d}, k={k}: no artinian random ideal in {_R4_RANDOM_DRAWS} draws"
+                )
             if fails_in_degree_dminus1(spec, seed=seed, trials=trials):
                 entry["degree_dminus1_failures"].append(["random", k])
-            if full_scan_everything and k < _R4_RANDOM_FULL_SCANS:
+            if d % 3 != 0 and k < _R4_RANDOM_FULL_SCANS:
                 ok, failures = has_wlp(spec, seed=seed, trials=trials)
                 if not ok:
                     entry["full_wlp_failures"].append(["random", k, failures])
-        if d % 3 == 0 and (d // 3) % 2 == 1:
+        if failures_allowed:
             lam = d // 3
-            witness = IdealSpec.from_monomials(2, d, pure + [(lam, lam, lam)])
-            ok, failures = has_wlp(witness)
+            failures = scans[(lam,) * 3]
             entry["witness"] = {
                 "ideal": f"(x^{d}, y^{d}, z^{d}, x^{lam} y^{lam} z^{lam})",
                 "failure_degrees": failures,

@@ -397,10 +397,11 @@ def cache_line(key, record: Optional[ClassificationRecord]) -> str:
             "togliatti": False,
             "generators": [list(e) for e in key],
         }
-    return _json_line(payload)
+    return canonical_json(payload)
 
 
-def _json_line(payload) -> str:
+def canonical_json(payload) -> str:
+    """Sorted keys, compact separators: equal payloads give equal bytes."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -440,7 +441,7 @@ def load_cache(path) -> dict:
                 for name in sorted(data.keys() | written.keys()):
                     if name not in written:
                         raise ValueError(f"unexpected key {name!r}")
-                    if _json_line(data[name]) != _json_line(written[name]):
+                    if canonical_json(data[name]) != canonical_json(written[name]):
                         message = f"record {name} is {data[name]!r}, not {written[name]!r}"
                         raise ValueError(message)
                 cache[key] = record

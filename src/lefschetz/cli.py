@@ -24,6 +24,7 @@ from .bundles import AnalysisError, splitting_type, verify_r4_theorem
 from .classify import (
     build_named_example,
     cache_line,
+    canonical_json,
     classification_case_ideal,
     enumerate_cubic_togliatti,
     load_cache,
@@ -50,10 +51,6 @@ from .wlp import (
 
 class UsageError(Exception):
     """Bad document or flags; maps to exit status 2."""
-
-
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _emit(text: str, out_path):
@@ -349,7 +346,7 @@ def _cmd_classify(args):
         emitted += 1
         counts[record.verdict] = counts.get(record.verdict, 0) + 1
         if args.json:
-            out_handle.write(_dumps(record.to_json_dict()) + "\n")
+            out_handle.write(canonical_json(record.to_json_dict()) + "\n")
         else:
             quadric = record.to_json_dict()["quadric"]
             out_handle.write(
@@ -402,14 +399,12 @@ def _cmd_verify_r4(args):
     # r = 4 generators stay within the bound d + 1 only from d = 3 on
     _at_least("--dmin", args.dmin, 3)
     _at_least("--dmax", args.dmax, args.dmin)
-    _at_least("--monomial-samples", args.monomial_samples, 0)
     _at_least("--random-samples", args.random_samples, 0)
     report_dict = verify_r4_theorem(
         args.dmin,
         args.dmax,
         seed=seed,
         trials=trials,
-        monomial_samples=args.monomial_samples,
         random_samples=args.random_samples,
     )
     lines = []
@@ -418,7 +413,7 @@ def _cmd_verify_r4(args):
         if entry["degree_dminus1_failures"] or entry["full_wlp_failures"]:
             status = "FAIL"
         line = (
-            f"d={entry['d']}: {entry['distinct_monomial_ideals']} monomial + "
+            f"d={entry['d']}: {entry['monomial_orbits']} monomial orbits + "
             f"{entry['random_samples']} random ideals, {status}"
         )
         if entry["witness"]:
@@ -466,7 +461,7 @@ def _cmd_example(args):
         "degree": spec.d,
         "generators": [format_form(g, names) for g in spec.generators],
     }
-    _emit(_dumps(document) + "\n", args.out)
+    _emit(canonical_json(document) + "\n", args.out)
 
 
 def _add_document_arguments(parser: argparse.ArgumentParser):
@@ -559,7 +554,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = add_command("verify-r4", "scan the 4-generator picture on P^2 over a degree range")
     p.add_argument("--dmin", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--monomial-samples", type=int, default=50)
     p.add_argument("--random-samples", type=int, default=5)
     p.set_defaults(handler=_cmd_verify_r4)
 
@@ -592,7 +586,7 @@ def main(argv=None) -> int:
             payload, lines = result
             payload["command"] = args.command
             if args.json:
-                _emit(_dumps(payload) + "\n", args.out)
+                _emit(canonical_json(payload) + "\n", args.out)
             else:
                 _emit("\n".join(lines) + "\n", args.out)
             # a verify-r4 report is written in full before its violations fail

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from lefschetz import bundles
-from lefschetz.algebra import Form, multiples_matrix
+from lefschetz.algebra import Form, monomial_basis, multiples_matrix, pure_power
 from lefschetz.bundles import (
+    AnalysisError,
     SplittingType,
     _kernel_dimension_on_line,
     _kernel_profile,
@@ -14,6 +15,7 @@ from lefschetz.bundles import (
     splitting_type,
     verify_r4_theorem,
 )
+from lefschetz.classify import canonical_form
 from lefschetz.linalg import exact_rank
 from lefschetz.sampling import random_form, random_line, rng_for
 from lefschetz.wlp import IdealSpec, fails_in_degree_dminus1
@@ -184,16 +186,77 @@ def test_restrict_to_line_keeps_count(togliatti_cubic):
 
 
 def test_verify_r4_smoke():
-    report = verify_r4_theorem(
-        4, 4, seed=0, trials=2, monomial_samples=10, random_samples=2
-    )
+    report = verify_r4_theorem(4, 4, seed=0, trials=2, random_samples=2)
     assert report["ok"]
     assert report["violations"] == []
     assert report["d_min"] == report["d_max"] == 4
     (entry,) = report["per_degree"]
     assert entry["d"] == 4
-    assert entry["distinct_monomial_ideals"] > 0
-    assert "witness" in entry
+    assert entry["monomial_orbits"] == 3
+    assert entry["random_samples"] == 2
+    assert entry["non_wlp_orbits"] == []
+    assert entry["witness"] is None
+    assert "monomial_samples" not in entry
+    assert "distinct_monomial_ideals" not in entry
+
+
+def test_verify_r4_checks_one_monomial_per_orbit(monkeypatch):
+    # the brute-force orbit list: canonical forms of the whole generator
+    # sets (x^d, y^d, z^d, m) under the six coordinate permutations
+    checked = []
+
+    def counting(spec, **kwargs):
+        if spec.is_monomial:
+            (m,) = [e for e in spec.exponents() if max(e) < spec.d]
+            checked.append((spec.d, m))
+        return fails_in_degree_dminus1(spec, **kwargs)
+
+    monkeypatch.setattr(bundles, "fails_in_degree_dminus1", counting)
+    report = verify_r4_theorem(3, 12, seed=0, trials=1, random_samples=0)
+    counts = []
+    for entry in report["per_degree"]:
+        d = entry["d"]
+        pure = [pure_power(2, i, d) for i in range(3)]
+        mixed = [e for e in monomial_basis(2, d) if max(e) < d]
+        orbits = {canonical_form(pure + [m]) for m in mixed}
+        assert entry["monomial_orbits"] == len(orbits)
+        handed = [m for degree, m in checked if degree == d]
+        assert len(handed) == len(orbits)
+        assert {canonical_form(pure + [m]) for m in handed} == orbits
+        counts.append(len(orbits))
+    assert counts == [2, 3, 4, 6, 7, 9, 11, 13, 15, 18]
+
+
+def test_verify_r4_lists_the_non_wlp_orbits_at_d_nine():
+    report = verify_r4_theorem(9, 9, seed=0, trials=1, random_samples=0)
+    assert report["ok"], report["violations"]
+    (entry,) = report["per_degree"]
+    assert entry["non_wlp_orbits"] == [
+        [[1, 4, 4], [10]],
+        [[2, 2, 5], [10]],
+        [[3, 3, 3], [10]],
+    ]
+    assert entry["witness"] == {
+        "ideal": "(x^9, y^9, z^9, x^3 y^3 z^3)",
+        "failure_degrees": [10],
+        "expected": [10],
+    }
+    assert entry["full_wlp_failures"] == []
+
+
+def test_verify_r4_caps_the_random_ideal_redraw(monkeypatch):
+    calls = []
+
+    def never_artinian(spec):
+        calls.append(spec)
+        if len(calls) > 10_000:
+            raise RuntimeError("the random-ideal redraw does not stop")
+        return False
+
+    monkeypatch.setattr(bundles, "is_artinian", never_artinian)
+    with pytest.raises(AnalysisError, match="d=3, k=0"):
+        verify_r4_theorem(3, 3, seed=0, trials=1, random_samples=1)
+    assert 0 < len(calls) <= bundles._R4_RANDOM_DRAWS
 
 
 @pytest.mark.parametrize(
@@ -202,10 +265,9 @@ def test_verify_r4_smoke():
         (2, 4, {}, "d_min must be at least 3"),
         (1, 4, {}, "d_min must be at least 3"),
         (5, 3, {}, "empty degree range"),
-        (4, 4, {"monomial_samples": -2}, "sample counts must be non-negative"),
         (4, 4, {"random_samples": -1}, "sample counts must be non-negative"),
     ],
-    ids=["dmin-two", "dmin-one", "empty-range", "monomial-samples", "random-samples"],
+    ids=["dmin-two", "dmin-one", "empty-range", "random-samples"],
 )
 def test_verify_r4_rejects_bad_ranges(d_min, d_max, counts, message):
     with pytest.raises(ValueError, match=message):

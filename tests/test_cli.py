@@ -328,10 +328,6 @@ def test_classify_rejects_max_extra_below_one(capsys, tmp_path):
         (("classify", "--n", "2", "--resume"), "--resume needs --cache"),
         (("verify-r4", "--dmin", "5", "--dmax", "3"), "--dmax must be at least 5"),
         (
-            ("verify-r4", "--dmin", "4", "--dmax", "4", "--monomial-samples", "-2"),
-            "--monomial-samples must be at least 0",
-        ),
-        (
             ("verify-r4", "--dmin", "4", "--dmax", "4", "--random-samples", "-1"),
             "--random-samples must be at least 0",
         ),
@@ -344,7 +340,6 @@ def test_classify_rejects_max_extra_below_one(capsys, tmp_path):
         "threads-negative",
         "resume-without-cache",
         "dmax-below-dmin",
-        "negative-monomial-samples",
         "negative-random-samples",
         "dmin-one",
         "dmin-two",
@@ -474,17 +469,28 @@ def test_classify_n3_contains_the_classical_smooth_systems(capsys):
 
 def test_verify_r4_cli(capsys):
     payload = run_json(
-        capsys, "verify-r4", "--dmin", "4", "--dmax", "4",
-        "--monomial-samples", "8", "--random-samples", "2",
+        capsys, "verify-r4", "--dmin", "4", "--dmax", "4", "--random-samples", "2"
     )
     assert payload["ok"] is True
     assert payload["violations"] == []
+    (entry,) = payload["per_degree"]
+    assert (entry["monomial_orbits"], entry["random_samples"]) == (3, 2)
+    assert entry["non_wlp_orbits"] == []
     code, out, err = run_cli(
-        capsys, "verify-r4", "--dmin", "4", "--dmax", "4",
-        "--monomial-samples", "8", "--random-samples", "2",
+        capsys, "verify-r4", "--dmin", "4", "--dmax", "4", "--random-samples", "2"
     )
     assert code == 0
+    assert out.startswith("d=4: 3 monomial orbits + 2 random ideals, ok\n")
     assert "verdict: ok" in out
+
+
+def test_verify_r4_has_no_monomial_samples_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(
+            capsys, "verify-r4", "--dmin", "4", "--dmax", "4", "--monomial-samples", "8"
+        )
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --monomial-samples 8" in capsys.readouterr().err
 
 
 def test_example_round_trip(capsys, tmp_path):
