@@ -186,7 +186,8 @@ def verify_r4_theorem(
     orbit, and the first random ideals when 3 does not divide d, must have
     full WLP, except at d = 3*lambda with lambda odd: there the failing
     orbits go to "non_wlp_orbits", and the witness orbit of
-    x^lambda y^lambda z^lambda must fail exactly in degree 4*lambda - 2.
+    x^lambda y^lambda z^lambda must fail exactly in degree 4*lambda - 2,
+    its only rule (at d = 3 that degree is d-1 = 2).
     Returns a JSON-ready report; report["ok"] is the verdict.  ValueError
     for d_min < 3 (r = 4 is over the generator bound d + 1 below that), an
     empty range or a negative count; AnalysisError when _R4_RANDOM_DRAWS
@@ -213,10 +214,13 @@ def verify_r4_theorem(
             "witness": None,
         }
         failures_allowed = d % 3 == 0 and (d // 3) % 2 == 1
+        witness = (d // 3,) * 3 if failures_allowed else None
         scans = {}
         for m in orbits:
             spec = IdealSpec.from_monomials(2, d, pure + [m])
-            if fails_in_degree_dminus1(spec):
+            # the witness answers to its own rule: its scan starts at d-1, so
+            # a degree-(d-1) failure breaks [4*lambda - 2] unless the two agree
+            if fails_in_degree_dminus1(spec) and m != witness:
                 entry["degree_dminus1_failures"].append(["monomial", list(m)])
             ok, scans[m] = has_wlp(spec)
             if not ok and failures_allowed:
@@ -245,7 +249,7 @@ def verify_r4_theorem(
                     entry["full_wlp_failures"].append(["random", k, failures])
         if failures_allowed:
             lam = d // 3
-            failures = scans[(lam,) * 3]
+            failures = scans[witness]
             entry["witness"] = {
                 "ideal": f"(x^{d}, y^{d}, z^{d}, x^{lam} y^{lam} z^{lam})",
                 "failure_degrees": failures,

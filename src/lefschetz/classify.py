@@ -234,7 +234,7 @@ def certify_candidate(
         generators=generators,
         apolar=apolar,
         trivial_a=trivial_type_a(spec),
-        trivial_b=trivial_type_b_test(spec, seed=seed, trials=trials),
+        trivial_b=trivial_type_b_test(spec, trials=trials),
         verdict=verdict,
         edge_rule_fired=edge_rule_fired,
         toric_degree=degree,

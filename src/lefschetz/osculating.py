@@ -8,10 +8,12 @@ independent Laplace equations of order s.  The system is an
 ``algebra.LinearSystem``: the apolar complement of an ideal, or (``osculate
 --system``) the ideal's own generators, since ``wlp.IdealSpec`` is one too.
 
-Jets are taken in the affine chart x_0 = 1 at integer points with all
-coordinates in [1, 999]; for a general point this realizes the osculating
-space exactly (tested against the homogeneous-partials description, which
-agrees by the Euler relation).  All ranks are exact.
+Jets are taken in the affine chart x_0 = 1: for a monomial system at the
+torus point (1, ..., 1), where the rank is the generic one, and otherwise
+at sampled integer points with all coordinates in [1, 999]; a general point
+realizes the osculating space exactly (tested against the
+homogeneous-partials description, which agrees by the Euler relation).
+All ranks are exact.
 
 ``perkinson_quadric`` is the toric criterion: a projection of the d-th
 Veronese marked by lattice points A satisfies a Laplace equation of order
@@ -28,7 +30,13 @@ from typing import Optional
 
 from .algebra import Form, LinearSystem, monomial_basis
 from .linalg import clear_denominators, exact_rank, primitive_kernel_vector
-from .sampling import DEFAULT_SEED, DEFAULT_TRIALS, random_chart_point, sample_until
+from .sampling import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    check_trials,
+    random_chart_point,
+    sample_until,
+)
 
 
 @dataclass(frozen=True)
@@ -84,24 +92,37 @@ def laplace_count(
 ) -> LaplaceCount:
     """Osculating dimension of order s at a general point, and its shortfall.
 
-    Exact rank of the order <= s jet matrix at sampled points, the highest
-    one kept (the osculating dimension is lower semicontinuous, so it is the
+    Exact rank of the order <= s jet matrix.  A monomial system is ranked
+    once, at the torus point (1, ..., 1), which certifies the rank either
+    way.  Any other system is ranked at sampled points, the highest rank
+    kept (the osculating dimension is lower semicontinuous, so it is the
     general value); a rank on its ceiling min(comb(n+s, s), members) is
-    certified.
+    certified, a drop is Monte Carlo.
     """
     if s < 0:
         raise ValueError("order must be non-negative")
-    ceiling = min(comb(system.n + s, s), len(system.members))
-    ranks = sample_until(
-        seed, ("osculating-point", s), trials,
-        lambda rng: exact_rank(_jet_matrix(system, s, random_chart_point(system.n, rng))),
-        lambda rank: rank == ceiling,
-    )
+    if system.is_monomial:
+        # For a member x^alpha, alpha' = (alpha_1, ..., alpha_n), the entry at
+        # jet beta and chart point t is (alpha')_beta * t^(alpha' - beta), a
+        # falling factorial times a monomial (Perkinson, Michigan Math. J. 48
+        # (2000)).  Scaling row beta by t^beta and column j by t^(-alpha') maps
+        # the matrix at any t with nonzero coordinates onto the one at
+        # (1, ..., 1), so that rank is the rank at every point of the torus:
+        # the generic rank, certified, with no sample drawn.
+        check_trials(trials)
+        rank = exact_rank(_jet_matrix(system, s, (1,) * system.n))
+    else:
+        ceiling = min(comb(system.n + s, s), len(system.members))
+        rank = max(sample_until(
+            seed, ("osculating-point", s), trials,
+            lambda rng: exact_rank(_jet_matrix(system, s, random_chart_point(system.n, rng))),
+            lambda drawn: drawn == ceiling,
+        ))
     expected = comb(system.n + s, s) - 1
     return LaplaceCount(
         order=s,
         expected_dim=expected,
-        actual_dim=max(ranks) - 1,
+        actual_dim=rank - 1,
         degenerate=system.projective_target < expected,
     )
 

@@ -4,10 +4,10 @@ Genericity is certified by maximizing (or minimizing, for kernel dimensions)
 over a small number of independent samples; rank is lower semicontinuous, so
 the max over samples of a rank is the generic rank unless every sample is
 degenerate.  Defaults: 3 samples, integer coefficients uniform in [-999, 999]
-(points for osculating computations use [1, 999] to stay off the coordinate
-hyperplanes).  Every operation derives its own generator from
-``(seed, operation, qualifier)`` so results do not depend on call order,
-and every sampled operation draws through ``sample_until``.
+(points for osculating computations of non-monomial systems use [1, 999] to
+stay off the coordinate hyperplanes).  Every operation derives its own
+generator from ``(seed, operation, qualifier)`` so results do not depend on
+call order, and every sampled operation draws through ``sample_until``.
 """
 
 from __future__ import annotations

@@ -244,6 +244,17 @@ def test_verify_r4_lists_the_non_wlp_orbits_at_d_nine():
     assert entry["full_wlp_failures"] == []
 
 
+def test_verify_r4_judges_the_d_three_witness_by_its_own_rule():
+    # x y z is Togliatti's cubic: it fails in degree 2 = d-1 = 4*lambda - 2,
+    # which the witness rule asks for and the degree-(d-1) rule leaves to it
+    report = verify_r4_theorem(3, 3, seed=0, trials=1, random_samples=2)
+    assert report["ok"], report["violations"]
+    (entry,) = report["per_degree"]
+    assert entry["degree_dminus1_failures"] == []
+    assert entry["non_wlp_orbits"] == [[[1, 1, 1], [2]]]
+    assert entry["witness"]["failure_degrees"] == entry["witness"]["expected"] == [2]
+
+
 def test_verify_r4_caps_the_random_ideal_redraw(monkeypatch):
     calls = []
 

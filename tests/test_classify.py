@@ -21,9 +21,21 @@ from lefschetz.classify import (
     load_cache,
     permutation_images,
 )
+import lefschetz
+from lefschetz.apolarity import apolar_complement
+from lefschetz.linalg import exact_rank
+from lefschetz.osculating import LinearSystem, _jet_matrix, laplace_count
 from lefschetz.parser import format_form
-from lefschetz.sampling import rng_for
-from lefschetz.wlp import IdealSpec, fails_in_degree_dminus1, is_togliatti
+from lefschetz.sampling import random_chart_point, random_linear_form, rng_for
+from lefschetz.wlp import (
+    IdealSpec,
+    _sum_of_variables,
+    _tangent_rows,
+    fails_in_degree_dminus1,
+    is_togliatti,
+    quotient_basis,
+    trivial_type_b_test,
+)
 
 from form_helpers import evaluate
 
@@ -481,3 +493,83 @@ def test_cache_round_trip(tmp_path):
     assert [r.to_json_dict() for r in second.records] == [
         r.to_json_dict() for r in first.records
     ]
+
+
+def _torus_cases(run3, corpus):
+    """(seed, ideal, apolar system, Laplace order): the seed-0 n = 3 census
+    records at order 2, and each monomial corpus ideal at order d-1 under
+    the seed its audit uses."""
+    cases = [
+        (0, IdealSpec.from_monomials(3, 3, rec.generators),
+         LinearSystem.from_monomials(3, 3, rec.apolar), 2)
+        for rec in run3.records
+    ]
+    for i, spec in enumerate(corpus):
+        if spec.is_monomial:
+            cases.append((i, spec, apolar_complement(spec), spec.d - 1))
+    return cases
+
+
+def test_laplace_rank_at_the_torus_point_is_the_rank_at_sampled_points(run3, corpus):
+    # the sampled route as the reference: the jet matrix at three seeded
+    # chart points of the stream laplace_count used to draw from
+    checked = drops = 0
+    for seed, _, system, s in _torus_cases(run3, corpus):
+        torus = exact_rank(_jet_matrix(system, s, (1,) * system.n))
+        rng = rng_for(seed, "osculating-point", s)
+        for _ in range(3):
+            point = random_chart_point(system.n, rng)
+            assert exact_rank(_jet_matrix(system, s, point)) == torus
+        count = laplace_count(system, s, seed=seed, trials=3)
+        assert count.actual_dim == torus - 1
+        checked += 1
+        drops += count.delta >= 1
+    assert checked == 224 + 286 and drops >= 224
+
+
+def test_type_b_rank_at_the_sum_of_variables_is_the_rank_at_sampled_forms(run3, corpus):
+    # the sampled route as the reference: three seeded linear forms M per i,
+    # from the stream trivial_type_b_test used to draw from
+    checked = full = 0
+    for seed, spec, _, _ in _torus_cases(run3, corpus):
+        if spec.d != 3:
+            continue
+        n, columns = spec.n, quotient_basis(spec, 3)
+        witness = None
+        for i in range(n + 1):
+            at_sum = exact_rank(_tangent_rows(n, i, _sum_of_variables(n), columns))
+            rng = rng_for(seed, "type-b", i)
+            sampled = [
+                exact_rank(_tangent_rows(n, i, random_linear_form(n, rng), columns))
+                for _ in range(3)
+            ]
+            assert sampled == [at_sum] * 3
+            if witness is None and at_sum < n + 1:
+                witness = i
+        result = trivial_type_b_test(spec, trials=3)
+        assert (result.full, result.witness) == (witness is not None, witness)
+        checked += 1
+        full += result.full
+    assert checked == 224 + 73 and full > 0
+
+
+def test_the_n3_census_opens_no_random_stream(monkeypatch):
+    streams = []
+    ranks = []
+
+    def counting_rng_for(*args):
+        streams.append(args)
+        return rng_for(*args)
+
+    def counting_exact_rank(rows):
+        ranks.append(1)
+        return exact_rank(rows)
+
+    monkeypatch.setattr(lefschetz.sampling, "rng_for", counting_rng_for)
+    for module in vars(lefschetz).values():
+        if getattr(module, "exact_rank", None) is exact_rank:
+            monkeypatch.setattr(module, "exact_rank", counting_exact_rank)
+    run = enumerate_cubic_togliatti(3, seed=0, trials=3)
+    assert len(run.records) == 224
+    assert streams == []
+    assert 0 < len(ranks) <= 2909

@@ -484,6 +484,13 @@ def test_verify_r4_cli(capsys):
     assert "verdict: ok" in out
 
 
+def test_verify_r4_at_d_three_exits_zero(capsys):
+    payload = run_json(capsys, "verify-r4", "--dmin", "3", "--dmax", "3")
+    assert payload["ok"] is True
+    (entry,) = payload["per_degree"]
+    assert entry["witness"]["failure_degrees"] == [2]
+
+
 def test_verify_r4_has_no_monomial_samples_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(

@@ -25,8 +25,10 @@ GENERAL = IdealSpec(
     + [random_form(2, 3, rng_for(0, "trials-general"))],
 )
 
-# With no sample each of these would still answer (delta 6, Togliatti True,
-# type B full, no report, "every line degenerate"), so each must refuse.
+# With no sample the sampled calls would still answer (Togliatti True, no
+# report, "every line degenerate"), so each must refuse; laplace_count and
+# trivial_type_b_test rank monomial input once at the torus point and draw
+# nothing, but refuse a trials below one all the same.
 CALLS = {
     "certified_lefschetz_report": lambda trials: certified_lefschetz_report(
         GENERAL, 2, trials=trials
