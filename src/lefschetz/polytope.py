@@ -15,9 +15,11 @@ Everything is exact integer arithmetic:
   could overflow (far beyond every lattice of exponent vectors in range).
 * Vertices and edges are read off the incidence table (the set of facets
   through each point of A), with no linear algebra: a face is the
-  intersection of the facets that contain it.  A point is a vertex iff no
-  other point lies on every facet through it; two vertices span an edge iff
-  no third vertex lies on every facet they share.
+  intersection of the facets that contain it.  The table is one int64
+  product, points @ normals.T == offsets, which the sweep's Hadamard guard
+  already bounds.  A point is a vertex iff no other point lies on every
+  facet through it; two vertices span an edge iff no third vertex lies on
+  every facet they share.
 * Smooth at a vertex: the primitive edge directions form a lattice basis
   (|det| = 1) AND the first lattice point along each edge belongs to A.
   The second condition is what "punctured" faces violate.
@@ -28,7 +30,9 @@ Everything is exact integer arithmetic:
   the polytope already holds and works on plain point lists, facets only:
   no vertices, no edges.  A facet's points get integer lattice coordinates
   as U^-1 (p - base), with U the unimodular split of its primitive normal
-  from ``lattice_coordinate_rows``; no rational solve is involved.
+  from ``lattice_coordinate_rows``; no rational solve is involved.  The
+  recursion ends at polygons: twice the shoelace area of the monotone-chain
+  hull, so a 3-polytope sweeps nothing past its own facets.
 """
 
 from __future__ import annotations
@@ -150,9 +154,10 @@ def polytope_from_points(points) -> LatticePolytope:
     if affine_dim < m:
         return LatticePolytope(m, tuple(cleaned), affine_dim, (), (), ())
     facets = _facet_sweep(cleaned)
-    incident = [
-        frozenset(i for i, f in enumerate(facets) if _on_facet(p, f)) for p in cleaned
-    ]
+    normals = np.array([normal for normal, _ in facets], dtype=np.int64)
+    offsets = np.array([offset for _, offset in facets], dtype=np.int64)
+    on = np.array(cleaned, dtype=np.int64) @ normals.T == offsets
+    incident = [frozenset(np.flatnonzero(row).tolist()) for row in on]
     # A vertex is the only point on all of its facets.  Any other point lies
     # on fewer facets than each vertex of the smallest face holding it.
     vertices = tuple(
@@ -239,15 +244,45 @@ def smoothness_report(polytope: LatticePolytope) -> SmoothnessReport:
     return SmoothnessReport(simple=simple, smooth=smooth, edge_rule_fired=fired)
 
 
+def _cross(o, a, b) -> int:
+    """z-component of (a - o) x (b - o): > 0 iff o, a, b turn counterclockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _chain(points) -> list:
+    """One half of the monotone-chain hull: strict left turns only."""
+    out = []
+    for p in points:
+        while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+            out.pop()
+        out.append(p)
+    return out
+
+
+def _twice_hull_area(points) -> int:
+    """Twice the Euclidean area of the hull of points in Z^2 (shoelace)."""
+    ordered = sorted(points)
+    hull = _chain(ordered)[:-1] + _chain(reversed(ordered))[:-1]
+    return sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(hull, hull[1:] + hull[:1]))
+
+
 def _nvol(points, m: int, facets=None) -> int:
     """Normalized volume of the hull of distinct points in Z^m.
 
+    A segment's is its length and a polygon's is twice its shoelace area,
+    since the points are lattice coordinates; a polygon of zero area is a
+    degenerate section.  From m = 3 up it is the pyramid sum over facets.
     ``facets`` are the hull's facets when the caller already has them;
     otherwise the points are checked to span Z^m and swept for facets.
     """
     if m == 1:
         xs = [p[0] for p in points]
         return max(xs) - min(xs)
+    if m == 2:
+        area = _twice_hull_area(points)
+        if area == 0:
+            raise DegeneratePolytopeError("facet recursion hit a degenerate section")
+        return area
     if facets is None:
         base = points[0]
         if exact_rank([[a - b for a, b in zip(p, base)] for p in points[1:]]) < m:

@@ -556,6 +556,7 @@ def test_type_b_rank_at_the_sum_of_variables_is_the_rank_at_sampled_forms(run3, 
 def test_the_n3_census_opens_no_random_stream(monkeypatch):
     streams = []
     ranks = []
+    sweeps = []
 
     def counting_rng_for(*args):
         streams.append(args)
@@ -565,11 +566,19 @@ def test_the_n3_census_opens_no_random_stream(monkeypatch):
         ranks.append(1)
         return exact_rank(rows)
 
+    def counting_facet_sweep(points):
+        sweeps.append(1)
+        return facet_sweep(points)
+
     monkeypatch.setattr(lefschetz.sampling, "rng_for", counting_rng_for)
     for module in vars(lefschetz).values():
         if getattr(module, "exact_rank", None) is exact_rank:
             monkeypatch.setattr(module, "exact_rank", counting_exact_rank)
+    facet_sweep = lefschetz.polytope._facet_sweep
+    monkeypatch.setattr(lefschetz.polytope, "_facet_sweep", counting_facet_sweep)
     run = enumerate_cubic_togliatti(3, seed=0, trials=3)
     assert len(run.records) == 224
     assert streams == []
-    assert 0 < len(ranks) <= 2909
+    assert 0 < len(ranks) <= 2009
+    # one sweep per record hull: the volume recursion ends at polygons
+    assert len(sweeps) == 224

@@ -6,11 +6,12 @@ from math import factorial
 import pytest
 
 from lefschetz import polytope
-from lefschetz.classify import classification_case_system
-from lefschetz.linalg import det_int, rational_rank
+from lefschetz.classify import classification_case_system, enumerate_cubic_togliatti
+from lefschetz.linalg import det_int, lattice_coordinate_rows, rational_rank
 from lefschetz.osculating import LinearSystem
 from lefschetz.polytope import (
     DegeneratePolytopeError,
+    _nvol,
     _on_facet,
     build_polytope,
     normalized_volume,
@@ -292,3 +293,60 @@ def test_polygon_volume_is_twice_the_shoelace_area():
     for trial in range(40):
         pts = random_full_points(rng, 2, rng.randrange(3, 12), spread=6)
         assert normalized_volume(polytope_from_points(pts)) == twice_hull_area(pts)
+
+
+# The reference route for the volume: the pyramid recursion with every
+# section swept for its own facets, down to segments, with no planar base
+# case.  ``normalized_volume`` ends at polygons instead.
+
+
+def pyramid_volume(points):
+    """Normalized volume of the hull of full-dimensional points in Z^m."""
+    m = len(points[0])
+    if m == 1:
+        xs = [p[0] for p in points]
+        return max(xs) - min(xs)
+    apex = points[0]
+    total = 0
+    for normal, offset in polytope._facet_sweep(points):
+        height = offset - sum(a * b for a, b in zip(normal, apex))
+        if height == 0:
+            continue
+        section = [p for p in points if _on_facet(p, (normal, offset))]
+        base = section[0]
+        rows = lattice_coordinate_rows(normal)[1:]
+        coords = [
+            tuple(sum(r * (a - b) for r, a, b in zip(row, p, base)) for row in rows)
+            for p in section
+        ]
+        total += height * pyramid_volume(coords)
+    return total
+
+
+def test_census_volumes_match_the_pyramid_recursion():
+    run = enumerate_cubic_togliatti(3, seed=0, trials=3)
+    assert len(run.records) == 224
+    for record in run.records:
+        P = polytope_from_points([e[:-1] for e in record.apolar])
+        assert record.toric_degree == normalized_volume(P) == pyramid_volume(P.points)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_case_volumes_match_the_pyramid_recursion(case):
+    P = case_polytope(case)
+    assert normalized_volume(P) == pyramid_volume(P.points) == CASE_STATS[case][4]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_random_volumes_match_the_pyramid_recursion(m):
+    rng = rng_for(m, "polytope-volume-pyramid")
+    for trial in range(20):
+        pts = random_full_points(rng, m, rng.randrange(m + 1, m + 8))
+        assert normalized_volume(polytope_from_points(pts)) == pyramid_volume(pts)
+
+
+def test_degenerate_sections_raise():
+    with pytest.raises(DegeneratePolytopeError):
+        _nvol([(0, 0), (1, 1), (3, 3)], 2)
+    with pytest.raises(DegeneratePolytopeError):
+        _nvol([(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)], 3)
