@@ -108,10 +108,6 @@ class Form:
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
 
-    def __reduce__(self):
-        # __setattr__ refuses pickle's slot restore, so unpickling rebuilds
-        return (Form, (self.n, self.degree, self.terms))
-
     @classmethod
     def monomial(cls, exponent, coeff=1) -> "Form":
         """coeff * x^exponent, built without the per-term pass of ``__init__``."""

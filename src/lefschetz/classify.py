@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from math import comb
@@ -244,11 +243,6 @@ def certify_candidate(
     )
 
 
-def _certify_star(args):
-    n, generators, orbit_size, seed, trials = args
-    return certify_candidate(n, generators, orbit_size, seed=seed, trials=trials)
-
-
 @dataclass(frozen=True)
 class ClassificationRun:
     """Result of an enumeration: records plus raw-count bookkeeping."""
@@ -292,7 +286,6 @@ def enumerate_cubic_togliatti(
     seed=DEFAULT_SEED,
     trials=DEFAULT_TRIALS,
     max_extra: Optional[int] = None,
-    workers: int = 1,
     cache: Optional[dict] = None,
     progress=None,
 ) -> ClassificationRun:
@@ -305,13 +298,11 @@ def enumerate_cubic_togliatti(
     sanity for n >= 4, where the full range is astronomically large).
     ``cache`` maps canonical generator keys to ClassificationRecords (or
     None for certified non-Togliatti candidates) and is consulted before
-    recomputing; it is updated in place.  ``workers`` > 1 certifies candidates in parallel
-    processes; output order is canonical either way.
+    recomputing; each fresh certification is entered in it in place and
+    then passed to ``progress(key, record)``, in canonical order.
     """
     if n < 2:
         raise ValueError("classification needs n >= 2")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, not {workers}")
     j_limit = comb(n + 2, n - 1) - (n + 1)
     if max_extra is not None:
         if max_extra < 1:
@@ -348,31 +339,15 @@ def enumerate_cubic_togliatti(
             hit_counts[key] = len(orbit)
             candidates.append(key)
     candidates.sort(key=lambda key: (len(key), key))
-    jobs = []
-    results = {}
+    cache = {} if cache is None else cache
     for key in candidates:
-        if cache is not None and key in cache:
-            results[key] = cache[key]
-        else:
-            jobs.append((n, key, hit_counts[key], seed, trials))
-    if workers > 1 and jobs:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-        certified = pool.map(_certify_star, jobs, chunksize=8)
-    else:
-        pool = nullcontext()
-        certified = map(_certify_star, jobs)
-    with pool:
-        for args, record in zip(jobs, certified):
-            results[args[1]] = record
+        if key not in cache:
+            cache[key] = certify_candidate(
+                n, key, hit_counts[key], seed=seed, trials=trials
+            )
             if progress is not None:
-                progress(args[1], record)
-    if cache is not None:
-        cache.update(results)
-    records = tuple(
-        results[key] for key in candidates if results.get(key) is not None
-    )
+                progress(key, cache[key])
+    records = tuple(cache[key] for key in candidates if cache[key] is not None)
     return ClassificationRun(
         n=n,
         j_max=j_limit,
@@ -387,7 +362,7 @@ def cache_line(key, record: Optional[ClassificationRecord]) -> str:
     """One cache-file line for a certified candidate (JSON, no newline).
 
     Hits serialize the full record; certified non-Togliatti candidates get
-    a negative stub so a resumed run can skip them too.
+    a negative stub so a later run on the same file can skip them too.
     """
     if record is not None:
         payload = record.to_json_dict()

@@ -5,7 +5,9 @@ Commands take an ideal document (JSON file with ``variables``, ``degree``,
 expressions, and report either human-readable text or canonical JSON
 (``--json``; sorted keys, compact separators, so identical inputs and seeds
 give byte-identical bytes).  A report command returns its JSON payload and
-its text lines, and ``main`` renders one of them and writes it.
+its text lines, and ``main`` renders one of them; ``classify`` and
+``example`` return their rendered text.  ``main`` writes every command's
+output, to stdout or ``--out``, once the command has finished.
 
 Exit status: 0 success, 1 analysis failure (non-artinian input where
 artinian is required, certification disagreement, verification violations),
@@ -15,9 +17,11 @@ artinian is required, certification disagreement, verification violations),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from collections import Counter
 
 from .apolarity import apolar_complement
 from .bundles import AnalysisError, splitting_type, verify_r4_theorem
@@ -326,72 +330,46 @@ def _cmd_classify(args):
     seed, trials = _sampling_settings(args)
     if args.max_extra is not None:
         _at_least("--max-extra", args.max_extra, 1)
-    _at_least("--threads", args.threads, 1)
-    if args.resume and not args.cache:
-        raise UsageError("--resume needs --cache")
-    cache = None
-    cache_handle = None
+    census = functools.partial(
+        enumerate_cubic_togliatti,
+        args.n,
+        seed=seed,
+        trials=trials,
+        max_extra=args.max_extra,
+    )
     if args.cache:
-        cache = {}
-        if args.resume and os.path.exists(args.cache):
-            cache = load_cache(args.cache)
-        cache_handle = open(args.cache, "a", encoding="utf-8")
-    out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-
-    emitted = 0
-    counts = {}
-
-    def show(record):
-        nonlocal emitted
-        emitted += 1
-        counts[record.verdict] = counts.get(record.verdict, 0) + 1
-        if args.json:
-            out_handle.write(canonical_json(record.to_json_dict()) + "\n")
-        else:
-            quadric = record.to_json_dict()["quadric"]
-            out_handle.write(
-                f"j={record.j} r={record.r} verdict={record.verdict} "
-                f"degree={record.toric_degree} orbit={record.orbit_size} "
-                f"quadric[{quadric}] generators "
-                + " ".join(
-                    "".join(map(str, e)) for e in record.generators
-                )
-                + "\n"
+        # reuse what the file already holds; append each fresh certification
+        cache = load_cache(args.cache) if os.path.exists(args.cache) else {}
+        with open(args.cache, "a", encoding="utf-8") as handle:
+            run = census(
+                cache=cache,
+                progress=lambda key, record: print(
+                    cache_line(key, record), file=handle, flush=True
+                ),
             )
-        out_handle.flush()
-
-    def progress(key, record):
-        if cache_handle is not None:
-            cache_handle.write(cache_line(key, record) + "\n")
-            cache_handle.flush()
-
-    try:
-        run = enumerate_cubic_togliatti(
-            args.n,
-            seed=seed,
-            trials=trials,
-            max_extra=args.max_extra,
-            workers=args.threads,
-            cache=cache,
-            progress=progress if cache_handle is not None else None,
+    else:
+        run = census()
+    if args.json:
+        return "".join(
+            canonical_json(record.to_json_dict()) + "\n" for record in run.records
         )
-        for record in run.records:
-            show(record)
-        if not args.json:
-            summary = (
-                f"{run.subsets_seen} subsets, {run.candidates_tested} canonical "
-                f"candidates, {emitted} Togliatti systems"
-            )
-            if counts:
-                summary += " (" + ", ".join(
-                    f"{v}: {counts[v]}" for v in sorted(counts)
-                ) + ")"
-            out_handle.write(summary + "\n")
-    finally:
-        if cache_handle is not None:
-            cache_handle.close()
-        if args.out:
-            out_handle.close()
+    lines = []
+    for record in run.records:
+        quadric = record.to_json_dict()["quadric"]
+        lines.append(
+            f"j={record.j} r={record.r} verdict={record.verdict} "
+            f"degree={record.toric_degree} orbit={record.orbit_size} "
+            f"quadric[{quadric}] generators "
+            + " ".join("".join(map(str, e)) for e in record.generators)
+        )
+    summary = (
+        f"{run.subsets_seen} subsets, {run.candidates_tested} canonical "
+        f"candidates, {len(run.records)} Togliatti systems"
+    )
+    counts = Counter(record.verdict for record in run.records)
+    if counts:
+        summary += " (" + ", ".join(f"{v}: {counts[v]}" for v in sorted(counts)) + ")"
+    return "\n".join(lines + [summary]) + "\n"
 
 
 def _cmd_verify_r4(args):
@@ -461,7 +439,7 @@ def _cmd_example(args):
         "degree": spec.d,
         "generators": [format_form(g, names) for g in spec.generators],
     }
-    _emit(canonical_json(document) + "\n", args.out)
+    return canonical_json(document) + "\n"
 
 
 def _add_document_arguments(parser: argparse.ArgumentParser):
@@ -482,16 +460,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="lefschetz",
         description="Weak Lefschetz Property, Laplace equations, Togliatti systems",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write the report to this file")
+    output.set_defaults(document=False)
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--seed", type=int, default=None, help="sampling seed")
     common.add_argument("--trials", type=int, default=None, help="sampling trials")
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--out", help="write the report to this file")
-    common.set_defaults(document=False)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text):
-        return commands.add_parser(name, help=help_text, parents=[common])
+    def add_command(name, help_text, parents=(common,)):
+        return commands.add_parser(name, help=help_text, parents=list(parents))
 
     p = add_command("wlp", "full WLP scan of an artinian ideal")
     _add_document_arguments(p)
@@ -542,12 +521,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap on the number of mixed generators (required for n >= 4)",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
-    p.add_argument("--cache", help="JSONL cache file for certified candidates")
     p.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse results already present in --cache",
+        "--cache",
+        help="JSONL cache file of certified candidates, reused when it exists",
     )
     p.set_defaults(handler=_cmd_classify)
 
@@ -557,7 +533,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-samples", type=int, default=5)
     p.set_defaults(handler=_cmd_verify_r4)
 
-    p = add_command("example", "emit a named example as a document")
+    p = add_command("example", "emit a named example as a document", (output,))
     p.add_argument(
         "--name",
         required=True,
@@ -582,16 +558,19 @@ def main(argv=None) -> int:
             result = args.handler(args, _load_document(args))
         else:
             result = args.handler(args)
-        if result is not None:  # classify and example write their own output
+        if isinstance(result, str):  # classify and example render their own text
+            text, payload = result, {}
+        else:
             payload, lines = result
             payload["command"] = args.command
             if args.json:
-                _emit(canonical_json(payload) + "\n", args.out)
+                text = canonical_json(payload) + "\n"
             else:
-                _emit("\n".join(lines) + "\n", args.out)
-            # a verify-r4 report is written in full before its violations fail
-            if payload.get("violations"):
-                raise AnalysisError("; ".join(payload["violations"]))
+                text = "\n".join(lines) + "\n"
+        _emit(text, args.out)
+        # a verify-r4 report is written in full before its violations fail
+        if payload.get("violations"):
+            raise AnalysisError("; ".join(payload["violations"]))
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -410,15 +410,16 @@ class TypeBResult:
     witness: Optional[int]
 
 
-def _tangent_rows(n: int, i: int, m: Form, columns: dict):
-    """Integer rows of x_k * x_i * m, k = 0..n, kept on ``columns`` only."""
+def _tangent_rows(n: int, i: int, columns: dict):
+    """Integer rows of x_k * x_i * (x_0 + ... + x_n), k = 0..n, kept on
+    ``columns`` only."""
     rows = [[0] * len(columns) for _ in range(n + 1)]
-    for e, c in zip(m.terms, clear_denominators(m.terms.values())):
-        e = shifted(e, i)
+    for j in range(n + 1):
+        e = shifted(pure_power(n, i), j)
         for k, row in enumerate(rows):
             column = columns.get(shifted(e, k))
             if column is not None:
-                row[column] = c
+                row[column] = 1
     return rows
 
 
@@ -433,7 +434,6 @@ def trivial_type_b_test(spec: IdealSpec, *, trials=DEFAULT_TRIALS) -> TypeBResul
     # nonzero fixes the monomial I_3 and maps x_i*(sum x_k)*R_1 onto
     # x_i*(sum c_k x_k)*R_1, so the intersection dimension at the sum is its
     # value on the dense open set of M with no zero coefficient, the generic one
-    m = _sum_of_variables(n)
     gens = spec.exponents()
     columns = quotient_basis(spec, 3)
     sufficient = False
@@ -444,9 +444,9 @@ def trivial_type_b_test(spec: IdealSpec, *, trials=DEFAULT_TRIALS) -> TypeBResul
             sufficient = True
         if witness is not None:
             continue
-        # x_i*m*R_1 has dimension n+1 (R is a domain) and the generators are
-        # unit rows, so dim(I_3 meet x_i*m*R_1) = (n+1) - rank of the tangent
+        # x_i*M*R_1 has dimension n+1 (R is a domain) and the generators are
+        # unit rows, so dim(I_3 meet x_i*M*R_1) = (n+1) - rank of the tangent
         # rows on the columns outside I_3: nonzero iff that rank falls short
-        if exact_rank(_tangent_rows(n, i, m, columns)) < n + 1:
+        if exact_rank(_tangent_rows(n, i, columns)) < n + 1:
             witness = i
     return TypeBResult(sufficient, witness is not None, witness)

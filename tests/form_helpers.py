@@ -3,7 +3,8 @@ forms and never evaluates them."""
 
 from fractions import Fraction
 
-from lefschetz.algebra import Form, pure_power
+from lefschetz.algebra import Form, pure_power, shifted
+from lefschetz.linalg import clear_denominators
 
 
 def variable(n: int, i: int) -> Form:
@@ -40,3 +41,16 @@ def evaluate(form: Form, point) -> Fraction:
                 value *= Fraction(base) ** power
         total += value
     return total
+
+
+def tangent_rows(n: int, i: int, m: Form, columns: dict):
+    """Integer rows of x_k * x_i * m, k = 0..n, kept on ``columns`` only: the
+    type-B tangent rows at any linear form m, not only at x_0 + ... + x_n."""
+    rows = [[0] * len(columns) for _ in range(n + 1)]
+    for e, c in zip(m.terms, clear_denominators(m.terms.values())):
+        e = shifted(e, i)
+        for k, row in enumerate(rows):
+            column = columns.get(shifted(e, k))
+            if column is not None:
+                row[column] = c
+    return rows

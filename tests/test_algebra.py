@@ -1,6 +1,5 @@
 """Forms, monomial bases, substitution and coefficient matrices."""
 
-import pickle
 from fractions import Fraction
 from math import comb
 
@@ -195,20 +194,6 @@ def test_multiples_matrix_rejects_mixed_forms():
     with pytest.raises(ValueError):
         multiples_matrix([x, variable(1, 0)], 0)
     assert multiples_matrix([], 2) == []
-
-
-def test_form_pickle_round_trip():
-    for form in (
-        Form.monomial((1, 0, 0)),
-        Form(2, 3, {(3, 0, 0): Fraction(1, 2), (1, 1, 1): -3}),
-        Form(3, 4),
-    ):
-        copy = pickle.loads(pickle.dumps(form))
-        assert copy == form
-        assert (copy.n, copy.degree) == (form.n, form.degree)
-        assert {e: type(c) for e, c in copy.terms.items()} == {
-            e: type(c) for e, c in form.terms.items()
-        }
 
 
 def exact_types(form):

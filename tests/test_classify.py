@@ -37,7 +37,7 @@ from lefschetz.wlp import (
     trivial_type_b_test,
 )
 
-from form_helpers import evaluate
+from form_helpers import evaluate, tangent_rows
 
 NAMES4 = ("x0", "x1", "x2", "x3")
 
@@ -235,12 +235,6 @@ def test_max_extra_below_one_is_rejected():
     for max_extra in (0, -2):
         with pytest.raises(ValueError, match="max_extra must be at least 1"):
             enumerate_cubic_togliatti(4, max_extra=max_extra)
-
-
-def test_workers_below_one_are_rejected():
-    for workers in (0, -4):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            enumerate_cubic_togliatti(2, workers=workers)
 
 
 def test_n3_census(run3):
@@ -537,10 +531,12 @@ def test_type_b_rank_at_the_sum_of_variables_is_the_rank_at_sampled_forms(run3, 
         n, columns = spec.n, quotient_basis(spec, 3)
         witness = None
         for i in range(n + 1):
-            at_sum = exact_rank(_tangent_rows(n, i, _sum_of_variables(n), columns))
+            rows = _tangent_rows(n, i, columns)
+            assert rows == tangent_rows(n, i, _sum_of_variables(n), columns)
+            at_sum = exact_rank(rows)
             rng = rng_for(seed, "type-b", i)
             sampled = [
-                exact_rank(_tangent_rows(n, i, random_linear_form(n, rng), columns))
+                exact_rank(tangent_rows(n, i, random_linear_form(n, rng), columns))
                 for _ in range(3)
             ]
             assert sampled == [at_sum] * 3

@@ -323,9 +323,6 @@ def test_classify_rejects_max_extra_below_one(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("classify", "--n", "2", "--threads", "0"), "--threads must be at least 1"),
-        (("classify", "--n", "2", "--threads", "-4"), "--threads must be at least 1"),
-        (("classify", "--n", "2", "--resume"), "--resume needs --cache"),
         (("verify-r4", "--dmin", "5", "--dmax", "3"), "--dmax must be at least 5"),
         (
             ("verify-r4", "--dmin", "4", "--dmax", "4", "--random-samples", "-1"),
@@ -336,9 +333,6 @@ def test_classify_rejects_max_extra_below_one(capsys, tmp_path):
         (("osculate", *TOG, "--order", "-1"), "--order must be at least 0"),
     ],
     ids=[
-        "threads-zero",
-        "threads-negative",
-        "resume-without-cache",
         "dmax-below-dmin",
         "negative-random-samples",
         "dmin-one",
@@ -354,6 +348,8 @@ def test_flag_below_its_floor_exits_two(capsys, argv, message):
 
 
 def test_classify_cache_resume(capsys, tmp_path):
+    # a second run on the same --cache reuses the file: the same output, and
+    # no line appended for a candidate the file already holds
     cache = tmp_path / "cache.jsonl"
     code, first, err = run_cli(
         capsys, "classify", "--n", "2", "--json", "--cache", str(cache)
@@ -361,10 +357,24 @@ def test_classify_cache_resume(capsys, tmp_path):
     assert code == 0
     assert len(cache.read_text().splitlines()) == 2
     code, second, err = run_cli(
-        capsys, "classify", "--n", "2", "--json", "--cache", str(cache), "--resume"
+        capsys, "classify", "--n", "2", "--json", "--cache", str(cache)
     )
     assert code == 0
     assert first == second
+    assert len(cache.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--threads", "2"), ("--resume",)],
+    ids=["threads", "resume"],
+)
+def test_classify_has_no_threads_or_resume_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(capsys, "classify", "--n", "2", *argv)
+    assert exit_info.value.code == 2
+    message = "unrecognized arguments: " + " ".join(argv)
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -384,7 +394,7 @@ def test_classify_resume_rejects_an_edited_record(capsys, tmp_path, key, value):
     with pytest.raises(ValueError, match=f"record {key} is"):
         load_cache(cache)
     code, out, err = run_cli(
-        capsys, "classify", "--n", "2", "--json", "--cache", str(cache), "--resume"
+        capsys, "classify", "--n", "2", "--json", "--cache", str(cache)
     )
     assert (code, out) == (1, "")
     assert f"record {key} is {value!r}" in err
@@ -432,25 +442,11 @@ def test_classify_resume_rejects_a_malformed_line(capsys, tmp_path, hit, edit):
     with pytest.raises(ValueError, match=f"^cache line {number}: "):
         load_cache(cache)
     code, out, err = run_cli(
-        capsys, "classify", "--n", "2", "--json", "--cache", str(cache), "--resume"
+        capsys, "classify", "--n", "2", "--json", "--cache", str(cache)
     )
     assert (code, out) == (1, "")
     assert err.startswith(f"analysis failed: cache line {number}: ")
     assert err.count("\n") == 1
-
-
-def test_classify_threads_match_serial(capsys, tmp_path):
-    outputs = []
-    for threads in ("1", "2"):
-        cache = tmp_path / f"cache-{threads}.jsonl"
-        code, out, err = run_cli(
-            capsys, "classify", "--n", "2", "--json", "--threads", threads,
-            "--cache", str(cache),
-        )
-        assert code == 0, err
-        outputs.append((out, cache.read_text().splitlines()))
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0][1]) == 2
 
 
 def test_classify_n3_contains_the_classical_smooth_systems(capsys):
@@ -503,7 +499,7 @@ def test_verify_r4_has_no_monomial_samples_flag(capsys):
 def test_example_round_trip(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "example", "--name", "partition", "--n", "3",
-        "--partition", "0,1|2|3", "--json",
+        "--partition", "0,1|2|3",
     )
     assert code == 0
     document = json.loads(out)
@@ -516,13 +512,24 @@ def test_example_round_trip(capsys, tmp_path):
 
 
 def test_example_case_names(capsys):
-    payload = json.loads(run_cli(capsys, "example", "--name", "case-3", "--json")[1])
+    payload = json.loads(run_cli(capsys, "example", "--name", "case-3")[1])
     assert len(payload["generators"]) == 8
     code, out, err = run_cli(capsys, "example", "--name", "case-9")
     assert code == 2
     code, out, err = run_cli(capsys, "example", "--name", "no-such", "--n", "3")
     assert code == 2
     assert "unknown example name" in err
+
+
+@pytest.mark.parametrize(
+    "flag", [("--seed", "1"), ("--trials", "0"), ("--json",)], ids=["seed", "trials", "json"]
+)
+def test_example_rejects_the_flags_it_would_ignore(capsys, flag):
+    # example draws no sample and always writes a JSON document
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(capsys, "example", "--name", "case-1", *flag)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
 
 
 # Two plane cubic documents with fractional coefficients: the first spans the

@@ -9,7 +9,6 @@ from lefschetz import wlp
 from lefschetz.wlp import (
     IdealSpec,
     TypeBResult,
-    _tangent_rows,
     certified_lefschetz_report,
     fails_in_degree_dminus1,
     generator_bound,
@@ -38,6 +37,8 @@ from lefschetz.sampling import (
     random_linear_form,
     rng_for,
 )
+
+from form_helpers import tangent_rows
 
 
 def test_h_vector_togliatti(togliatti_cubic):
@@ -351,7 +352,7 @@ def test_type_b_apolar_rank_matches_the_stacked_rank(n):
             m = random_linear_form(n, rng)
             x_i = Form.monomial(pure_power(n, i))
             stacked = exact_rank(gen_rows + multiples_matrix([x_i * m], 1))
-            rank = exact_rank(_tangent_rows(n, i, m, columns))
+            rank = exact_rank(tangent_rows(n, i, m, columns))
             assert rank == stacked - spec.r
             short += rank < n + 1
             full += rank == n + 1
