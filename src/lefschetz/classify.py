@@ -55,7 +55,6 @@ from .polytope import (
     normalized_volume,
     smoothness_report,
 )
-from .sampling import DEFAULT_SEED, DEFAULT_TRIALS
 from .wlp import (
     IdealSpec,
     TypeBResult,
@@ -198,21 +197,17 @@ def _pure_cubes(n: int):
 
 
 def certify_candidate(
-    n: int,
-    generators,
-    orbit_size: int,
-    *,
-    seed=DEFAULT_SEED,
-    trials=DEFAULT_TRIALS,
+    n: int, generators, orbit_size: int
 ) -> Optional[ClassificationRecord]:
-    """Full certification of one canonical candidate; None if not Togliatti."""
+    """Full certification of one canonical candidate; None if not Togliatti.
+    Every check of monomial input is exact and draws no sample."""
     generators = tuple(sorted(tuple(e) for e in generators))
     spec = IdealSpec.from_monomials(n, 3, generators)
-    if not is_togliatti(spec, seed=seed, trials=trials):
+    if not is_togliatti(spec):
         return None
     system = apolar_complement(spec)
     apolar = system.exponents()
-    laplace = laplace_count(system, 2, seed=seed, trials=trials)
+    laplace = laplace_count(system, 2)
     if laplace.delta < 1:
         raise AnalysisError(
             f"Togliatti candidate {generators} shows no order-2 Laplace equation"
@@ -233,7 +228,7 @@ def certify_candidate(
         generators=generators,
         apolar=apolar,
         trivial_a=trivial_type_a(spec),
-        trivial_b=trivial_type_b_test(spec, trials=trials),
+        trivial_b=trivial_type_b_test(spec),
         verdict=verdict,
         edge_rule_fired=edge_rule_fired,
         toric_degree=degree,
@@ -283,8 +278,7 @@ class ClassificationRun:
 def enumerate_cubic_togliatti(
     n: int,
     *,
-    seed=DEFAULT_SEED,
-    trials=DEFAULT_TRIALS,
+    seed=None,
     max_extra: Optional[int] = None,
     cache: Optional[dict] = None,
     progress=None,
@@ -300,6 +294,8 @@ def enumerate_cubic_togliatti(
     None for certified non-Togliatti candidates) and is consulted before
     recomputing; each fresh certification is entered in it in place and
     then passed to ``progress(key, record)``, in canonical order.
+    ``seed`` changes nothing: every check of monomial input is exact, so
+    the census draws no sample.
     """
     if n < 2:
         raise ValueError("classification needs n >= 2")
@@ -342,9 +338,7 @@ def enumerate_cubic_togliatti(
     cache = {} if cache is None else cache
     for key in candidates:
         if key not in cache:
-            cache[key] = certify_candidate(
-                n, key, hit_counts[key], seed=seed, trials=trials
-            )
+            cache[key] = certify_candidate(n, key, hit_counts[key])
             if progress is not None:
                 progress(key, cache[key])
     records = tuple(cache[key] for key in candidates if cache[key] is not None)
@@ -465,7 +459,7 @@ def classification_case_ideal(case: int) -> IdealSpec:
     return IdealSpec.from_monomials(3, 3, gens)
 
 
-def four_prime_projections(*, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
+def four_prime_projections():
     """The stated (4') projections, each certified rather than asserted.
 
     Removing system monomials projects the variety; the removed monomials
@@ -502,9 +496,7 @@ def four_prime_projections(*, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
             "record": None,
         }
         if entry["in_range"]:
-            entry["record"] = certify_candidate(
-                3, entry["canonical"], len(images), seed=seed, trials=trials
-            )
+            entry["record"] = certify_candidate(3, entry["canonical"], len(images))
         results.append(entry)
     return results
 

@@ -4,10 +4,15 @@ Commands take an ideal document (JSON file with ``variables``, ``degree``,
 ``generators`` and optional ``seed`` / ``trials``) or inline ``--gen``
 expressions, and report either human-readable text or canonical JSON
 (``--json``; sorted keys, compact separators, so identical inputs and seeds
-give byte-identical bytes).  A report command returns its JSON payload and
-its text lines, and ``main`` renders one of them; ``classify`` and
-``example`` return their rendered text.  ``main`` writes every command's
-output, to stdout or ``--out``, once the command has finished.
+give byte-identical bytes).  Only the commands that sample on general input
+(``wlp``, ``togliatti``, ``osculate``, ``splitting``, ``verify-r4``) take
+``--seed`` and ``--trials``; each value comes from its flag, then the
+document, then the default.  A document's ``seed`` and ``trials`` are
+checked alike by every document command.  A report command returns its
+JSON payload and its text lines, and ``main`` renders one of them;
+``classify`` and ``example`` return their rendered text.  ``main`` writes
+every command's output, to stdout or ``--out``, once the command has
+finished.
 
 Exit status: 0 success, 1 analysis failure (non-artinian input where
 artinian is required, certification disagreement, verification violations),
@@ -19,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from collections import Counter
 
@@ -34,7 +38,7 @@ from .classify import (
     load_cache,
 )
 from .osculating import laplace_count
-from .parser import ParseError, format_form, parse_polynomial
+from .parser import ParseError, format_form, is_variable_name, parse_polynomial
 from .polytope import (
     VERDICT_DEGENERATE,
     DegeneratePolytopeError,
@@ -57,9 +61,16 @@ class UsageError(Exception):
     """Bad document or flags; maps to exit status 2."""
 
 
+def _open_for_writing(path, mode="w"):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        with _open_for_writing(out_path) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -97,19 +108,15 @@ def _at_least(name: str, value: int, floor: int) -> int:
 
 
 def _sampling_settings(args, data=None):
-    """(seed, trials): flag, then document, then LEFSCHETZ_SEED, then default."""
+    """(seed, trials): flag, then document, then default.  A command that
+    draws no sample has no flags, but its document is checked alike."""
     data = data or {}
-    seed = _integer_setting("seed", args.seed, data.get("seed"))
-    if seed is None:
-        text = os.environ.get("LEFSCHETZ_SEED")
-        try:
-            seed = DEFAULT_SEED if text is None else int(text)
-        except ValueError as exc:
-            message = f"LEFSCHETZ_SEED must be an integer, not {text!r}"
-            raise UsageError(message) from exc
-    trials = _integer_setting("trials", args.trials, data.get("trials"))
-    if trials is None:
-        trials = DEFAULT_TRIALS
+    seed = _integer_setting(
+        "seed", getattr(args, "seed", None), data.get("seed"), DEFAULT_SEED
+    )
+    trials = _integer_setting(
+        "trials", getattr(args, "trials", None), data.get("trials"), DEFAULT_TRIALS
+    )
     return seed, _at_least("trials", trials, 1)
 
 
@@ -143,6 +150,9 @@ def _load_document(args) -> Document:
     degree = _integer_setting("degree", data.get("degree"))
     if degree is None:
         raise UsageError("document needs a degree")
+    for name in names:
+        if not is_variable_name(name):
+            raise UsageError(f"variable name {name!r} is not a single name token")
     if len(set(names)) != len(names):
         raise UsageError("duplicate variable names")
     try:
@@ -160,10 +170,7 @@ def _cmd_wlp(args, doc: Document):
     reports = []
     failures = []
     for j in range(len(hv)):
-        step = certified_lefschetz_report(
-            doc.spec, j, seed=doc.seed, trials=doc.trials,
-            force_generic=args.generic_l,
-        )
+        step = certified_lefschetz_report(doc.spec, j, seed=doc.seed, trials=doc.trials)
         verdict = "maximal" if step.maximal_rank else "NOT maximal"
         if not step.maximal_rank:
             failures.append(j)
@@ -327,22 +334,17 @@ def _cmd_splitting(args, doc: Document):
 
 
 def _cmd_classify(args):
-    seed, trials = _sampling_settings(args)
+    _at_least("--n", args.n, 2)
     if args.max_extra is not None:
         _at_least("--max-extra", args.max_extra, 1)
-    census = functools.partial(
-        enumerate_cubic_togliatti,
-        args.n,
-        seed=seed,
-        trials=trials,
-        max_extra=args.max_extra,
-    )
+    elif args.n >= 4:
+        raise UsageError("--max-extra is required for n >= 4")
+    census = functools.partial(enumerate_cubic_togliatti, args.n, max_extra=args.max_extra)
     if args.cache:
         # reuse what the file already holds; append each fresh certification
-        cache = load_cache(args.cache) if os.path.exists(args.cache) else {}
-        with open(args.cache, "a", encoding="utf-8") as handle:
+        with _open_for_writing(args.cache, "a") as handle:
             run = census(
-                cache=cache,
+                cache=load_cache(args.cache),
                 progress=lambda key, record: print(
                     cache_line(key, record), file=handle, flush=True
                 ),
@@ -463,22 +465,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="write the report to this file")
     output.set_defaults(document=False)
-    common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--seed", type=int, default=None, help="sampling seed")
-    common.add_argument("--trials", type=int, default=None, help="sampling trials")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    report = argparse.ArgumentParser(add_help=False, parents=[output])
+    report.add_argument("--json", action="store_true", help="machine-readable output")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[report])
+    sampled.add_argument("--seed", type=int, default=None, help="sampling seed")
+    sampled.add_argument("--trials", type=int, default=None, help="sampling trials")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text, parents=(common,)):
-        return commands.add_parser(name, help=help_text, parents=list(parents))
+    def add_command(name, help_text, parent=sampled):
+        return commands.add_parser(name, help=help_text, parents=[parent])
 
     p = add_command("wlp", "full WLP scan of an artinian ideal")
     _add_document_arguments(p)
-    p.add_argument(
-        "--generic-l",
-        action="store_true",
-        help="use random linear forms even for monomial ideals",
-    )
     p.set_defaults(handler=_cmd_wlp)
 
     p = add_command("togliatti", "degree-(d-1) failure, checked three equivalent ways")
@@ -496,11 +494,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_osculate)
 
-    p = add_command("apolar", "apolar (Macaulay inverse) system basis")
+    p = add_command("apolar", "apolar (Macaulay inverse) system basis", report)
     _add_document_arguments(p)
     p.set_defaults(handler=_cmd_apolar)
 
-    p = add_command("polytope", "lattice polytope certificates")
+    p = add_command("polytope", "lattice polytope certificates", report)
     _add_document_arguments(p)
     p.add_argument(
         "--system",
@@ -513,7 +511,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_document_arguments(p)
     p.set_defaults(handler=_cmd_splitting)
 
-    p = add_command("classify", "enumerate monomial Togliatti systems of cubics")
+    p = add_command("classify", "enumerate monomial Togliatti systems of cubics", report)
     p.add_argument("--n", type=int, required=True, help="projective dimension")
     p.add_argument(
         "--max-extra",
@@ -533,7 +531,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-samples", type=int, default=5)
     p.set_defaults(handler=_cmd_verify_r4)
 
-    p = add_command("example", "emit a named example as a document", (output,))
+    p = add_command("example", "emit a named example as a document", output)
     p.add_argument(
         "--name",
         required=True,

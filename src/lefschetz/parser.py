@@ -65,6 +65,15 @@ def _tokenize(text: str):
     return tokens
 
 
+def is_variable_name(text: str) -> bool:
+    """Whether ``text`` reads back as one name: a single name token."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return False
+    return [token[:2] for token in tokens] == [(_TOKEN_NAME, text), (_TOKEN_END, "")]
+
+
 class _Parser:
     def __init__(self, text: str, variables):
         self.tokens = _tokenize(text)

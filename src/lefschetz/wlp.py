@@ -423,12 +423,11 @@ def _tangent_rows(n: int, i: int, columns: dict):
     return rows
 
 
-def trivial_type_b_test(spec: IdealSpec, *, trials=DEFAULT_TRIALS) -> TypeBResult:
-    """The ``TypeBResult`` of a monomial cubic ideal.  It draws no sample and
-    takes no seed; ``trials`` below one is refused like every sampled call's."""
+def trivial_type_b_test(spec: IdealSpec) -> TypeBResult:
+    """The ``TypeBResult`` of a monomial cubic ideal.  It is exact and draws
+    no sample, so it takes no seed or trial count."""
     if not spec.is_monomial or spec.d != 3:
         raise ValueError("trivial type B probe needs a monomial cubic ideal")
-    check_trials(trials)
     n = spec.n
     # M = x_0 + ... + x_n is general enough: x_k -> c_k x_k with every c_k
     # nonzero fixes the monomial I_3 and maps x_i*(sum x_k)*R_1 onto

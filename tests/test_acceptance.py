@@ -88,7 +88,7 @@ def test_criterion_2_control_fixture():
 
 def test_criterion_3_classification_n2():
     start = time.monotonic()
-    run = enumerate_cubic_togliatti(2, seed=0, trials=3)
+    run = enumerate_cubic_togliatti(2)
     assert len(run.records) == 1
     (record,) = run.records
     assert record.generators == ((0, 0, 3), (0, 3, 0), (1, 1, 1), (3, 0, 0))
@@ -99,7 +99,7 @@ def test_criterion_3_classification_n2():
 
 def test_criterion_4_classification_n3():
     start = time.monotonic()
-    run = enumerate_cubic_togliatti(3, seed=0, trials=3)
+    run = enumerate_cubic_togliatti(3)
     violations = []
 
     if run.subsets_seen != 14892:
@@ -164,7 +164,7 @@ def test_criterion_4_classification_n3():
         if not proportional(record4.quadric, product):
             violations.append("case (4) quadric certificate is not the variable product")
 
-    for entry in four_prime_projections(seed=0, trials=3):
+    for entry in four_prime_projections():
         if not entry["in_range"]:
             continue
         record = by_canonical.get(entry["canonical"])

@@ -47,8 +47,6 @@ def _census(n, max_extra=None):
     tested = []
     run = enumerate_cubic_togliatti(
         n,
-        seed=0,
-        trials=3,
         max_extra=max_extra,
         progress=lambda key, record: tested.append(key),
     )
@@ -220,7 +218,7 @@ def test_n4_matches_brute_force():
     [(3, 4525, 71, 0), (4, 31930, 378, 1)],
 )
 def test_n4_partial_census(max_extra, subsets, candidates, records):
-    run = enumerate_cubic_togliatti(4, seed=0, trials=3, max_extra=max_extra)
+    run = enumerate_cubic_togliatti(4, max_extra=max_extra)
     assert run.j_max == max_extra
     assert (run.subsets_seen, run.candidates_tested, len(run.records)) == (
         subsets,
@@ -364,7 +362,7 @@ def test_removable_generator_matches_direct_removals(run3):
 
 
 def test_removable_generator_is_exact_under_a_cap(run3):
-    capped = enumerate_cubic_togliatti(3, seed=0, trials=3, max_extra=4)
+    capped = enumerate_cubic_togliatti(3, max_extra=4)
     full = {r.generators: r for r in run3.records}
     assert capped.records
     for rec in capped.records:
@@ -399,7 +397,7 @@ def test_case_records():
     for case, (verdict, degree) in expected.items():
         exps = classification_case_ideal(case).exponents()
         can = canonical_form(exps)
-        rec = certify_candidate(3, can, len(permutation_images(can)), seed=0, trials=3)
+        rec = certify_candidate(3, can, len(permutation_images(can)))
         assert rec is not None
         assert (rec.verdict, rec.toric_degree) == (verdict, degree)
         assert len(classification_case_system(case)) == 12
@@ -410,7 +408,7 @@ def test_case_quadrics():
     for case in (1, 2, 3, 4):
         exps = classification_case_ideal(case).exponents()
         can = canonical_form(exps)
-        rec = certify_candidate(3, can, len(permutation_images(can)), seed=0, trials=3)
+        rec = certify_candidate(3, can, len(permutation_images(can)))
         quadrics[case] = format_form(rec.quadric, NAMES4)
     assert quadrics[1] == (
         "2*x0^2 - 5*x0*x1 - 5*x0*x2 - 5*x0*x3 + 2*x1^2 - 5*x1*x2 - 5*x1*x3"
@@ -430,7 +428,7 @@ def test_case_quadrics():
 def test_case_three_quadric_factors():
     exps = classification_case_ideal(3).exponents()
     can = canonical_form(exps)
-    rec = certify_candidate(3, can, len(permutation_images(can)), seed=0, trials=3)
+    rec = certify_candidate(3, can, len(permutation_images(can)))
     q = rec.quadric
     # rank 2: the quadric is a product of two hyperplanes
     left = (-2, -2, 1, 1)
@@ -444,11 +442,11 @@ def test_case_three_quadric_factors():
 def test_certify_rejects_non_togliatti():
     # x^3, y^3, z^3, y z^2 keeps full rank after the hyperplane substitution
     can = canonical_form(((3, 0, 0), (0, 3, 0), (0, 0, 3), (0, 1, 2)))
-    assert certify_candidate(2, can, len(permutation_images(can)), seed=0, trials=3) is None
+    assert certify_candidate(2, can, len(permutation_images(can))) is None
 
 
 def test_four_prime_projections():
-    res = four_prime_projections(seed=0, trials=3)
+    res = four_prime_projections()
     assert len(res) == 21
     in_range = [r for r in res if r["in_range"]]
     assert len(in_range) == 16
@@ -475,7 +473,7 @@ def test_record_json_round_trip(run2):
 
 def test_cache_round_trip(tmp_path):
     cache = {}
-    first = enumerate_cubic_togliatti(2, seed=0, trials=3, cache=cache)
+    first = enumerate_cubic_togliatti(2, cache=cache)
     assert len(cache) == first.candidates_tested
     path = tmp_path / "cache.jsonl"
     with open(path, "w") as fh:
@@ -483,7 +481,7 @@ def test_cache_round_trip(tmp_path):
             fh.write(cache_line(key, rec) + "\n")
     loaded = load_cache(path)
     assert set(loaded) == set(cache)
-    second = enumerate_cubic_togliatti(2, seed=0, trials=3, cache=loaded)
+    second = enumerate_cubic_togliatti(2, cache=loaded)
     assert [r.to_json_dict() for r in second.records] == [
         r.to_json_dict() for r in first.records
     ]
@@ -542,7 +540,7 @@ def test_type_b_rank_at_the_sum_of_variables_is_the_rank_at_sampled_forms(run3, 
             assert sampled == [at_sum] * 3
             if witness is None and at_sum < n + 1:
                 witness = i
-        result = trivial_type_b_test(spec, trials=3)
+        result = trivial_type_b_test(spec)
         assert (result.full, result.witness) == (witness is not None, witness)
         checked += 1
         full += result.full
@@ -572,9 +570,22 @@ def test_the_n3_census_opens_no_random_stream(monkeypatch):
             monkeypatch.setattr(module, "exact_rank", counting_exact_rank)
     facet_sweep = lefschetz.polytope._facet_sweep
     monkeypatch.setattr(lefschetz.polytope, "_facet_sweep", counting_facet_sweep)
-    run = enumerate_cubic_togliatti(3, seed=0, trials=3)
+    run = enumerate_cubic_togliatti(3)
     assert len(run.records) == 224
     assert streams == []
     assert 0 < len(ranks) <= 2009
     # one sweep per record hull: the volume recursion ends at polygons
     assert len(sweeps) == 224
+
+
+def test_the_census_ignores_its_seed():
+    # every check of monomial input is exact, so no seed can change a record
+    first = enumerate_cubic_togliatti(2, seed=0)
+    other = enumerate_cubic_togliatti(2, seed=987654321)
+    assert len(first.records) == 1
+    assert first.records == other.records
+    assert first.hit_counts == other.hit_counts
+    assert (first.subsets_seen, first.candidates_tested) == (
+        other.subsets_seen,
+        other.candidates_tested,
+    )

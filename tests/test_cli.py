@@ -83,23 +83,6 @@ def test_document_seed_and_flag_precedence(capsys, tog_document):
     assert payload["seed"] == 9
 
 
-def test_environment_seed(capsys, monkeypatch):
-    monkeypatch.setenv("LEFSCHETZ_SEED", "7")
-    payload = run_json(capsys, "wlp", *TOG)
-    assert payload["seed"] == 7
-    payload = run_json(capsys, "wlp", *TOG, "--seed", "3")
-    assert payload["seed"] == 3
-
-
-def test_bad_environment_seed_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("LEFSCHETZ_SEED", "abc")
-    for argv in (("wlp", *TOG), ("classify", "--n", "2")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "LEFSCHETZ_SEED" in err
-
-
 def test_non_integer_document_settings_exit_two(capsys, tmp_path):
     for key, value in (
         ("seed", 1.5),
@@ -119,10 +102,12 @@ def test_non_integer_document_settings_exit_two(capsys, tmp_path):
                 }
             )
         )
-        code, out, err = run_cli(capsys, "wlp", str(path))
-        assert code == 2
-        assert out == ""
-        assert f"{key} must be an integer" in err
+        # every document command checks the keys, sampled or not
+        for command in ("wlp", "apolar"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2
+            assert out == ""
+            assert f"{key} must be an integer" in err
 
 
 @pytest.mark.parametrize(
@@ -151,9 +136,9 @@ def test_zero_trials_osculate_exits_two(capsys):
     assert "trials must be at least 1" in err
 
 
-def test_zero_trials_generic_l_exits_two(capsys):
+def test_zero_trials_exits_two(capsys):
     for argv in (
-        ("wlp", *TOG, "--generic-l", "--trials", "0"),
+        ("wlp", *TOG, "--trials", "0"),
         ("verify-r4", "--dmin", "4", "--dmax", "4", "--trials", "0"),
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -171,10 +156,41 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert payload["failures"] == [2]
 
 
-def test_generic_linear_form(capsys):
-    payload = run_json(capsys, "wlp", *TOG, "--generic-l")
-    assert payload["failures"] == [2]
-    assert payload["reports"][2]["linear_form"] != "x + y + z"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wlp", *TOG, "--out", "{missing}"),
+        ("example", "--name", "case-1", "--out", "{missing}"),
+        ("classify", "--n", "2", "--out", "{missing}"),
+        ("classify", "--n", "2", "--cache", "{missing}"),
+        ("classify", "--n", "2", "--cache", "{directory}"),
+    ],
+    ids=["wlp-out", "example-out", "classify-out", "cache-missing-dir", "cache-directory"],
+)
+def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
+    paths = {"missing": tmp_path / "missing" / "f", "directory": tmp_path}
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {argv[-1]}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("name", ["", "1", "x y"], ids=["empty", "digit", "two-names"])
+def test_variable_name_the_parser_cannot_read_exits_two(capsys, tmp_path, name):
+    # apolar would print members such as "x^2*" or "1^2" that do not parse back
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"variables": ["x", "y", name], "degree": 3, "generators": ["x^3"]})
+    )
+    for argv in (
+        ("apolar", str(path)),
+        ("wlp", "--gen", "x^3", "--variables", f"x,y,{name}", "--degree", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: variable name {name!r} is not a single name token\n"
 
 
 def test_wlp_non_artinian_exits_one(capsys):
@@ -331,6 +347,8 @@ def test_classify_rejects_max_extra_below_one(capsys, tmp_path):
         (("verify-r4", "--dmin", "1", "--dmax", "4"), "--dmin must be at least 3"),
         (("verify-r4", "--dmin", "2", "--dmax", "4"), "--dmin must be at least 3"),
         (("osculate", *TOG, "--order", "-1"), "--order must be at least 0"),
+        (("classify", "--n", "1"), "--n must be at least 2"),
+        (("classify", "--n", "4"), "--max-extra is required for n >= 4"),
     ],
     ids=[
         "dmax-below-dmin",
@@ -338,6 +356,8 @@ def test_classify_rejects_max_extra_below_one(capsys, tmp_path):
         "dmin-one",
         "dmin-two",
         "negative-order",
+        "classify-n-one",
+        "classify-n-four-without-max-extra",
     ],
 )
 def test_flag_below_its_floor_exits_two(capsys, argv, message):
@@ -521,13 +541,30 @@ def test_example_case_names(capsys):
     assert "unknown example name" in err
 
 
-@pytest.mark.parametrize(
-    "flag", [("--seed", "1"), ("--trials", "0"), ("--json",)], ids=["seed", "trials", "json"]
-)
-def test_example_rejects_the_flags_it_would_ignore(capsys, flag):
-    # example draws no sample and always writes a JSON document
+# example always writes a JSON document; it, classify, apolar and polytope
+# draw no sample
+UNSAMPLED = {
+    "classify": ("classify", "--n", "2"),
+    "apolar": ("apolar", "{document}"),
+    "polytope": ("polytope", "{document}"),
+}
+IGNORED_FLAGS = {
+    "seed": (("example", "--name", "case-1"), ("--seed", "1")),
+    "trials": (("example", "--name", "case-1"), ("--trials", "0")),
+    "json": (("example", "--name", "case-1"), ("--json",)),
+    **{
+        f"{command}-{flag[0][2:]}": (argv, flag)
+        for command, argv in UNSAMPLED.items()
+        for flag in (("--seed", "1"), ("--trials", "0"))
+    },
+}
+
+
+@pytest.mark.parametrize("argv, flag", IGNORED_FLAGS.values(), ids=IGNORED_FLAGS)
+def test_example_rejects_the_flags_it_would_ignore(capsys, tog_document, argv, flag):
+    argv = [arg.format(document=tog_document) for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
-        run_cli(capsys, "example", "--name", "case-1", *flag)
+        run_cli(capsys, *argv, *flag)
     assert exit_info.value.code == 2
     assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
 

@@ -324,7 +324,7 @@ def pyramid_volume(points):
 
 
 def test_census_volumes_match_the_pyramid_recursion():
-    run = enumerate_cubic_togliatti(3, seed=0, trials=3)
+    run = enumerate_cubic_togliatti(3)
     assert len(run.records) == 224
     for record in run.records:
         P = polytope_from_points([e[:-1] for e in record.apolar])

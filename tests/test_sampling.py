@@ -13,7 +13,6 @@ from lefschetz.wlp import (
     has_wlp,
     is_togliatti,
     restricted_generators,
-    trivial_type_b_test,
 )
 
 TOGLIATTI = IdealSpec.from_monomials(2, 3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])
@@ -26,9 +25,10 @@ GENERAL = IdealSpec(
 )
 
 # With no sample the sampled calls would still answer (Togliatti True, no
-# report, "every line degenerate"), so each must refuse; laplace_count and
-# trivial_type_b_test rank monomial input once at the torus point and draw
-# nothing, but refuse a trials below one all the same.
+# report, "every line degenerate"), so each must refuse; laplace_count ranks
+# monomial input once at the torus point and draws nothing, but refuses a
+# trials below one all the same.  trivial_type_b_test never samples and takes
+# no trial count.
 CALLS = {
     "certified_lefschetz_report": lambda trials: certified_lefschetz_report(
         GENERAL, 2, trials=trials
@@ -41,7 +41,6 @@ CALLS = {
         restricted_generators(GENERAL, trials=trials)
     ),
     "is_togliatti": lambda trials: is_togliatti(GENERAL, trials=trials),
-    "trivial_type_b_test": lambda trials: trivial_type_b_test(TOGLIATTI, trials=trials),
     "laplace_count": lambda trials: laplace_count(SYSTEM, 2, trials=trials),
     "splitting_type": lambda trials: splitting_type(GENERAL, trials=trials),
 }

@@ -356,6 +356,6 @@ def test_type_b_apolar_rank_matches_the_stacked_rank(n):
             assert rank == stacked - spec.r
             short += rank < n + 1
             full += rank == n + 1
-        result = trivial_type_b_test(spec, trials=3)
+        result = trivial_type_b_test(spec)
         assert result == _stacked_type_b(spec, seed, 3)
     assert short > 0 and full > 0
