@@ -10,9 +10,9 @@ is tested with ``is_togliatti``, and each hit is fully certified: apolar
 system, Laplace count re-verified, lattice quadric, polytope verdict (smooth
 / quasi-smooth / singular), toric degree, triviality flags, orbit size.
 A ``ClassificationRecord`` keeps only what it certified.  Its r, j, mixed
-generators and Togliatti flag are read off the generators; the JSON writes
-them too, and reading a cache back rejects a line that does not write back
-to itself: one where they disagree, or one holding a value of another type.
+generators and Togliatti flag are read off the generators, and its JSON
+writes them too.  Nothing reads a record back: every run certifies every
+candidate.
 
 The records are every Togliatti system, minimal or not: a record may keep
 the property after a mixed generator is dropped (the n = 3 smooth record of
@@ -48,7 +48,7 @@ from .algebra import Form, monomial_basis, pure_power
 from .apolarity import apolar_complement
 from .bundles import AnalysisError
 from .osculating import laplace_count, perkinson_quadric
-from .parser import format_form, parse_polynomial
+from .parser import format_form
 from .polytope import (
     VERDICT_DEGENERATE,
     build_polytope,
@@ -109,25 +109,6 @@ def _to_json(value, names):
     return value
 
 
-def _tuples(value):
-    """Nested JSON lists of integers as nested tuples of ints."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else int(value)
-
-
-def _read(value, kind: str):
-    """A JSON value read as the field type ``kind`` (null for an ``Optional``
-    one), so that a value of another type does not write back the same."""
-    if kind.startswith("Optional["):
-        return None if value is None else _read(value, kind[len("Optional[") : -1])
-    if kind == "TypeBResult":
-        return TypeBResult(
-            **{f.name: _read(value[f.name], f.type) for f in fields(TypeBResult)}
-        )
-    if kind == "tuple":
-        return tuple(map(_tuples, value))
-    return {"int": int, "bool": bool, "str": str, "Form": str}[kind](value)
-
-
 _DERIVED = ("r", "j", "extra", "togliatti")
 
 
@@ -171,25 +152,6 @@ class ClassificationRecord:
         for name in _DERIVED + tuple(f.name for f in fields(self)):
             data[name] = _to_json(getattr(self, name), names)
         return data
-
-    @classmethod
-    def from_json_dict(cls, data) -> "ClassificationRecord":
-        """The record ``to_json_dict`` wrote, each field read as its type;
-        ValueError when a key is missing or a value cannot be read."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a record is a JSON object, not {data!r}")
-        keys = ("schema",) + _DERIVED + tuple(f.name for f in fields(cls))
-        missing = [name for name in keys if name not in data]
-        if missing:
-            raise ValueError("record lacks " + ", ".join(missing))
-        try:
-            values = {f.name: _read(data[f.name], f.type) for f in fields(cls)}
-            if values["quadric"] is not None:
-                names = _variable_names(values["n"])
-                values["quadric"] = parse_polynomial(values["quadric"], names, 2)
-            return cls(**values)
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed record: {exc}") from exc
 
 
 def _pure_cubes(n: int):
@@ -280,7 +242,6 @@ def enumerate_cubic_togliatti(
     *,
     seed=None,
     max_extra: Optional[int] = None,
-    cache: Optional[dict] = None,
     progress=None,
 ) -> ClassificationRun:
     """All canonical monomial Togliatti systems of cubics on P^n.
@@ -290,10 +251,8 @@ def enumerate_cubic_togliatti(
 
     ``max_extra`` >= 1 caps the number j of mixed generators (required
     sanity for n >= 4, where the full range is astronomically large).
-    ``cache`` maps canonical generator keys to ClassificationRecords (or
-    None for certified non-Togliatti candidates) and is consulted before
-    recomputing; each fresh certification is entered in it in place and
-    then passed to ``progress(key, record)``, in canonical order.
+    Every candidate is certified, in canonical order, and then passed to
+    ``progress(key, record)``, with record None for a non-Togliatti one.
     ``seed`` changes nothing: every check of monomial input is exact, so
     the census draws no sample.
     """
@@ -335,88 +294,26 @@ def enumerate_cubic_togliatti(
             hit_counts[key] = len(orbit)
             candidates.append(key)
     candidates.sort(key=lambda key: (len(key), key))
-    cache = {} if cache is None else cache
+    records = []
     for key in candidates:
-        if key not in cache:
-            cache[key] = certify_candidate(n, key, hit_counts[key])
-            if progress is not None:
-                progress(key, cache[key])
-    records = tuple(cache[key] for key in candidates if cache[key] is not None)
+        record = certify_candidate(n, key, hit_counts[key])
+        if progress is not None:
+            progress(key, record)
+        if record is not None:
+            records.append(record)
     return ClassificationRun(
         n=n,
         j_max=j_limit,
         subsets_seen=subsets_seen,
         candidates_tested=len(candidates),
         hit_counts=hit_counts,
-        records=records,
+        records=tuple(records),
     )
-
-
-def cache_line(key, record: Optional[ClassificationRecord]) -> str:
-    """One cache-file line for a certified candidate (JSON, no newline).
-
-    Hits serialize the full record; certified non-Togliatti candidates get
-    a negative stub so a later run on the same file can skip them too.
-    """
-    if record is not None:
-        payload = record.to_json_dict()
-    else:
-        payload = {
-            "schema": RECORD_SCHEMA,
-            "togliatti": False,
-            "generators": [list(e) for e in key],
-        }
-    return canonical_json(payload)
 
 
 def canonical_json(payload) -> str:
     """Sorted keys, compact separators: equal payloads give equal bytes."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _generator_key(generators) -> tuple:
-    """The sorted exponent tuples of a cache line's generators."""
-    if type(generators) is not list or not all(
-        type(e) is list and all(type(c) is int for c in e) for e in generators
-    ):
-        raise ValueError(f"generators must be lists of integers, not {generators!r}")
-    return tuple(sorted(map(tuple, generators)))
-
-
-def load_cache(path) -> dict:
-    """Read a cache file back into the dict ``enumerate_cubic_togliatti`` takes.
-
-    A line with ``togliatti`` false is read as a negative stub, any other as
-    a full record, and ``cache_line`` must write it back to the same JSON:
-    the same keys, each value of the type a fresh run writes.  Else
-    ValueError naming the line.
-    """
-    cache: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise ValueError(f"a cache line is a JSON object, not {data!r}")
-                if data.get("schema") != RECORD_SCHEMA:
-                    raise ValueError(f"unsupported record schema {data.get('schema')!r}")
-                key = _generator_key(data.get("generators"))
-                record = None
-                if data.get("togliatti") is not False:
-                    record = ClassificationRecord.from_json_dict(data)
-                written = json.loads(cache_line(key, record))
-                for name in sorted(data.keys() | written.keys()):
-                    if name not in written:
-                        raise ValueError(f"unexpected key {name!r}")
-                    if canonical_json(data[name]) != canonical_json(written[name]):
-                        message = f"record {name} is {data[name]!r}, not {written[name]!r}"
-                        raise ValueError(message)
-                cache[key] = record
-            except ValueError as exc:
-                raise ValueError(f"cache line {number}: {exc}") from exc
-    return cache
 
 
 # The four n = 3 classification cases, by their apolar systems (the

@@ -10,9 +10,10 @@ give byte-identical bytes).  Only the commands that sample on general input
 document, then the default.  A document's ``seed`` and ``trials`` are
 checked alike by every document command.  A report command returns its
 JSON payload and its text lines, and ``main`` renders one of them;
-``classify`` and ``example`` return their rendered text.  ``main`` writes
-every command's output, to stdout or ``--out``, once the command has
-finished.
+``classify`` and ``example`` return their rendered text.  ``main`` opens
+``--out`` before the command runs, in append mode, and writes every
+command's output, to stdout or over ``--out``, once the command has
+finished: a command that fails leaves ``--out`` as it found it.
 
 Exit status: 0 success, 1 analysis failure (non-artinian input where
 artinian is required, certification disagreement, verification violations),
@@ -22,8 +23,8 @@ artinian is required, certification disagreement, verification violations),
 from __future__ import annotations
 
 import argparse
-import functools
 import json
+import os
 import sys
 from collections import Counter
 
@@ -31,11 +32,9 @@ from .apolarity import apolar_complement
 from .bundles import AnalysisError, splitting_type, verify_r4_theorem
 from .classify import (
     build_named_example,
-    cache_line,
     canonical_json,
     classification_case_ideal,
     enumerate_cubic_togliatti,
-    load_cache,
 )
 from .osculating import laplace_count
 from .parser import ParseError, format_form, is_variable_name, parse_polynomial
@@ -61,19 +60,22 @@ class UsageError(Exception):
     """Bad document or flags; maps to exit status 2."""
 
 
-def _open_for_writing(path, mode="w"):
+def _open_for_writing(path):
+    """``path`` opened in append mode, which changes none of its bytes;
+    UsageError when it cannot be written."""
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with _open_for_writing(out_path) as handle:
-            handle.write(text)
-    else:
+def _emit(text: str, out):
+    if out is None:
         sys.stdout.write(text)
+        return
+    if out.seekable():  # a pipe holds no earlier bytes to replace
+        out.truncate(0)
+    out.write(text)
 
 
 class Document:
@@ -339,18 +341,7 @@ def _cmd_classify(args):
         _at_least("--max-extra", args.max_extra, 1)
     elif args.n >= 4:
         raise UsageError("--max-extra is required for n >= 4")
-    census = functools.partial(enumerate_cubic_togliatti, args.n, max_extra=args.max_extra)
-    if args.cache:
-        # reuse what the file already holds; append each fresh certification
-        with _open_for_writing(args.cache, "a") as handle:
-            run = census(
-                cache=load_cache(args.cache),
-                progress=lambda key, record: print(
-                    cache_line(key, record), file=handle, flush=True
-                ),
-            )
-    else:
-        run = census()
+    run = enumerate_cubic_togliatti(args.n, max_extra=args.max_extra)
     if args.json:
         return "".join(
             canonical_json(record.to_json_dict()) + "\n" for record in run.records
@@ -422,12 +413,12 @@ def _parse_partition(text: str):
 def _cmd_example(args):
     try:
         if args.name.startswith("case-"):
-            case = int(args.name.split("-", 1)[1])
-            if case not in (1, 2, 3, 4):
+            case = args.name[len("case-") :]
+            if case not in ("1", "2", "3", "4"):
                 raise UsageError("cases are case-1 .. case-4")
             if args.n not in (None, 3):
                 raise UsageError("the classification cases live on P^3")
-            spec = classification_case_ideal(case)
+            spec = classification_case_ideal(int(case))
         else:
             if args.n is None:
                 raise UsageError(f"--n is required for {args.name!r}")
@@ -519,10 +510,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap on the number of mixed generators (required for n >= 4)",
     )
-    p.add_argument(
-        "--cache",
-        help="JSONL cache file of certified candidates, reused when it exists",
-    )
     p.set_defaults(handler=_cmd_classify)
 
     p = add_command("verify-r4", "scan the 4-generator picture on P^2 over a degree range")
@@ -551,7 +538,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    out, made = None, False
     try:
+        if args.out:  # opened before any work, so that a bad path costs none
+            made = not os.path.lexists(args.out)
+            out = _open_for_writing(args.out)
         if args.document:
             result = args.handler(args, _load_document(args))
         else:
@@ -565,7 +556,8 @@ def main(argv=None) -> int:
                 text = canonical_json(payload) + "\n"
             else:
                 text = "\n".join(lines) + "\n"
-        _emit(text, args.out)
+        _emit(text, out)
+        made = False  # the file holds the report: keep it
         # a verify-r4 report is written in full before its violations fail
         if payload.get("violations"):
             raise AnalysisError("; ".join(payload["violations"]))
@@ -576,6 +568,11 @@ def main(argv=None) -> int:
     except (AnalysisError, DegeneratePolytopeError, ValueError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if out is not None:
+            out.close()
+            if made:  # the command failed before its report
+                os.remove(args.out)
 
 
 if __name__ == "__main__":

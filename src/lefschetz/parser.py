@@ -44,9 +44,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() reads; "²" is not one
             start = i
-            while i < length and text[i].isdigit():
+            while i < length and text[i].isdecimal():
                 i += 1
             tokens.append((_TOKEN_INT, text[start:i], start + 1))
             continue

@@ -14,12 +14,13 @@ from lefschetz import (
     h_vector,
     is_artinian,
     laplace_count,
+    linalg,
     monomial_basis,
     multiplication_rank,
     splitting_type,
 )
 from lefschetz.algebra import forms_to_matrix, pure_power
-from lefschetz.linalg import bareiss_rank, clear_denominators, exact_rank, rational_rank
+from lefschetz.linalg import bareiss_rank, clear_denominators, rational_rank
 from lefschetz.sampling import random_form, random_linear_form, rng_for
 from lefschetz.wlp import _restricted_rows, restricted_generators
 
@@ -65,6 +66,29 @@ def _random_general_spec(rng):
             return spec
 
 
+def three_way_integers(spec, seed):
+    """The paper's equivalence as three integers: the kernel of x L in degree
+    d-1, the dependencies of the generators on a general hyperplane and the
+    number of Laplace equations of the apolar system.  The hyperplane ranks
+    go through ``linalg.exact_rank`` as bound when called, so that a test
+    wrapping it sees them too."""
+    report = certified_lefschetz_report(spec, spec.d - 1, seed=seed, trials=3)
+    kernel = report.dim_source - report.rank
+    ranks = _restricted_rows(
+        spec, seed, 3, linalg.exact_rank, lambda rank: rank == spec.r
+    )
+    dependencies = spec.r - max(ranks)
+    system = LinearSystem.from_apolar(apolar_complement(spec))
+    delta = laplace_count(system, spec.d - 1, seed=seed, trials=3).delta
+    return kernel, dependencies, delta
+
+
+@pytest.fixture(scope="session")
+def three_way():
+    """``three_way_integers``, for a test that reads them again."""
+    return three_way_integers
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """CORPUS_SIZE random artinian ideals, n <= 3, d <= 6, r within the bound.
@@ -101,16 +125,8 @@ def corpus_audit(corpus):
     }
     checked = Counter()
     for i, spec in enumerate(corpus):
-        # every corpus ideal is artinian with r within the generator bound;
-        # the paper's equivalence as one integer: the kernel of x L in degree
-        # d-1, the dependencies of the generators on a general hyperplane and
-        # the number of Laplace equations of the apolar system
-        report = certified_lefschetz_report(spec, spec.d - 1, seed=i, trials=3)
-        kernel = report.dim_source - report.rank
-        ranks = _restricted_rows(spec, i, 3, exact_rank, lambda rank: rank == spec.r)
-        dependencies = spec.r - max(ranks)
-        system = LinearSystem.from_apolar(apolar_complement(spec))
-        delta = laplace_count(system, spec.d - 1, seed=i, trials=3).delta
+        # every corpus ideal is artinian with r within the generator bound
+        kernel, dependencies, delta = three_way_integers(spec, i)
         if not kernel == dependencies == delta:
             violations["three_way"].append((i, kernel, dependencies, delta))
         checked["three_way"] += 1

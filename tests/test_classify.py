@@ -8,17 +8,14 @@ import pytest
 
 from lefschetz.algebra import Form, monomial_basis, rank_of_span, substitute_variable
 from lefschetz.classify import (
-    ClassificationRecord,
     _pure_cubes,
     build_named_example,
-    cache_line,
     canonical_form,
     certify_candidate,
     classification_case_ideal,
     classification_case_system,
     enumerate_cubic_togliatti,
     four_prime_projections,
-    load_cache,
     permutation_images,
 )
 import lefschetz
@@ -459,32 +456,6 @@ def test_four_prime_projections():
             assert entry["r"] > 10
     labels = {r["label"] for r in res}
     assert "case-2-minus-abc" in labels
-
-
-def test_record_json_round_trip(run2):
-    (rec,) = run2.records
-    data = rec.to_json_dict()
-    json.dumps(data)
-    back = ClassificationRecord.from_json_dict(data)
-    assert back.to_json_dict() == data
-    assert back.generators == rec.generators
-    assert back.verdict == rec.verdict
-
-
-def test_cache_round_trip(tmp_path):
-    cache = {}
-    first = enumerate_cubic_togliatti(2, cache=cache)
-    assert len(cache) == first.candidates_tested
-    path = tmp_path / "cache.jsonl"
-    with open(path, "w") as fh:
-        for key, rec in cache.items():
-            fh.write(cache_line(key, rec) + "\n")
-    loaded = load_cache(path)
-    assert set(loaded) == set(cache)
-    second = enumerate_cubic_togliatti(2, cache=loaded)
-    assert [r.to_json_dict() for r in second.records] == [
-        r.to_json_dict() for r in first.records
-    ]
 
 
 def _torus_cases(run3, corpus):

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from lefschetz import cli
-from lefschetz.classify import load_cache
 
 TOG = [
     "--gen", "x^3", "--gen", "y^3", "--gen", "z^3", "--gen", "x*y*z",
@@ -156,16 +155,28 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert payload["failures"] == [2]
 
 
+def test_out_replaces_a_longer_file(capsys, tmp_path):
+    # --out is opened in append mode before the work; the report must still
+    # replace every byte the file held
+    code, report, err = run_cli(capsys, "example", "--name", "case-1")
+    target = tmp_path / "report"
+    target.write_text("x" * 2 * len(report))
+    code, out, err = run_cli(
+        capsys, "example", "--name", "case-1", "--out", str(target)
+    )
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == report
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("wlp", *TOG, "--out", "{missing}"),
         ("example", "--name", "case-1", "--out", "{missing}"),
         ("classify", "--n", "2", "--out", "{missing}"),
-        ("classify", "--n", "2", "--cache", "{missing}"),
-        ("classify", "--n", "2", "--cache", "{directory}"),
+        ("wlp", *TOG, "--out", "{directory}"),
     ],
-    ids=["wlp-out", "example-out", "classify-out", "cache-missing-dir", "cache-directory"],
+    ids=["wlp-out", "example-out", "classify-out", "out-directory"],
 )
 def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
     paths = {"missing": tmp_path / "missing" / "f", "directory": tmp_path}
@@ -175,6 +186,35 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot write {argv[-1]}: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+def test_out_is_checked_before_the_command_runs(capsys, tmp_path, monkeypatch):
+    def census(*args, **kwargs):
+        pytest.fail("the census ran before --out was checked")
+
+    monkeypatch.setattr(cli, "enumerate_cubic_togliatti", census)
+    target = tmp_path / "missing" / "f"
+    code, out, err = run_cli(
+        capsys, "classify", "--n", "4", "--max-extra", "5", "--out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("before", [b"keep", None], ids=["existing", "absent"])
+def test_a_failed_command_leaves_out_as_found(capsys, tmp_path, before):
+    # opening --out before the work changes no byte of a file, and a file
+    # made by that open is removed when the command fails
+    target = tmp_path / "report"
+    if before is not None:
+        target.write_bytes(before)
+    code, out, err = run_cli(
+        capsys, "wlp", "--gen", "x^3", "--gen", "y^3",
+        "--variables", "x,y,z", "--degree", "3", "--out", str(target),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("analysis failed: ")
+    assert (target.read_bytes() if target.exists() else None) == before
 
 
 @pytest.mark.parametrize("name", ["", "1", "x y"], ids=["empty", "digit", "two-names"])
@@ -324,16 +364,13 @@ def test_classify_n2_json(capsys):
     assert record["toric_degree"] == 6
 
 
-def test_classify_rejects_max_extra_below_one(capsys, tmp_path):
-    cache = tmp_path / "cache.jsonl"
+def test_classify_rejects_max_extra_below_one(capsys):
     code, out, err = run_cli(
-        capsys, "classify", "--n", "4", "--max-extra", "0", "--json",
-        "--cache", str(cache),
+        capsys, "classify", "--n", "4", "--max-extra", "0", "--json"
     )
     assert code == 2
     assert out == ""
     assert "--max-extra must be at least 1" in err
-    assert not cache.exists()
 
 
 @pytest.mark.parametrize(
@@ -367,27 +404,10 @@ def test_flag_below_its_floor_exits_two(capsys, argv, message):
     assert err.startswith(f"error: {message}")
 
 
-def test_classify_cache_resume(capsys, tmp_path):
-    # a second run on the same --cache reuses the file: the same output, and
-    # no line appended for a candidate the file already holds
-    cache = tmp_path / "cache.jsonl"
-    code, first, err = run_cli(
-        capsys, "classify", "--n", "2", "--json", "--cache", str(cache)
-    )
-    assert code == 0
-    assert len(cache.read_text().splitlines()) == 2
-    code, second, err = run_cli(
-        capsys, "classify", "--n", "2", "--json", "--cache", str(cache)
-    )
-    assert code == 0
-    assert first == second
-    assert len(cache.read_text().splitlines()) == 2
-
-
 @pytest.mark.parametrize(
     "argv",
-    [("--threads", "2"), ("--resume",)],
-    ids=["threads", "resume"],
+    [("--threads", "2"), ("--resume",), ("--cache", "F")],
+    ids=["threads", "resume", "cache"],
 )
 def test_classify_has_no_threads_or_resume_flag(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
@@ -395,78 +415,6 @@ def test_classify_has_no_threads_or_resume_flag(capsys, argv):
     assert exit_info.value.code == 2
     message = "unrecognized arguments: " + " ".join(argv)
     assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "key, value", [("r", 5), ("j", 2), ("extra", [])], ids=["r", "j", "extra"]
-)
-def test_classify_resume_rejects_an_edited_record(capsys, tmp_path, key, value):
-    # r, j and extra are read off the generators: a cache line that states
-    # other values is rejected, never printed
-    cache = tmp_path / "cache.jsonl"
-    code, _, err = run_cli(capsys, "classify", "--n", "2", "--cache", str(cache))
-    assert code == 0, err
-    lines = [json.loads(line) for line in cache.read_text().splitlines()]
-    for data in lines:
-        if data["togliatti"]:
-            data[key] = value
-    cache.write_text("".join(json.dumps(data) + "\n" for data in lines))
-    with pytest.raises(ValueError, match=f"record {key} is"):
-        load_cache(cache)
-    code, out, err = run_cli(
-        capsys, "classify", "--n", "2", "--json", "--cache", str(cache)
-    )
-    assert (code, out) == (1, "")
-    assert f"record {key} is {value!r}" in err
-
-
-# (edit the certified hit rather than the negative stub, the edit)
-MALFORMED_CACHE_LINES = {
-    "hit-marked-not-togliatti": (True, lambda data: dict(data, togliatti=False)),
-    "stub-with-a-record-key": (False, lambda data: dict(data, verdict="smooth")),
-    "hit-without-verdict": (
-        True,
-        lambda data: {k: v for k, v in data.items() if k != "verdict"},
-    ),
-    "stub-marked-togliatti": (False, lambda data: dict(data, togliatti=True)),
-    "not-an-object": (True, lambda data: [1, 2]),
-    "generators-not-a-list": (True, lambda data: dict(data, generators=5)),
-    # a value equal to the one a fresh run writes, but of another type
-    "hit-schema-true": (True, lambda data: dict(data, schema=True)),
-    "stub-schema-float": (False, lambda data: dict(data, schema=1.0)),
-    "togliatti-one": (True, lambda data: dict(data, togliatti=1)),
-    "r-float": (True, lambda data: dict(data, r=float(data["r"]))),
-    "orbit-size-float": (
-        True,
-        lambda data: dict(data, orbit_size=float(data["orbit_size"])),
-    ),
-    "laplace-delta-true": (True, lambda data: dict(data, laplace_delta=True)),
-    "edge-rule-fired-zero": (True, lambda data: dict(data, edge_rule_fired=0)),
-}
-
-
-@pytest.mark.parametrize(
-    "hit, edit", MALFORMED_CACHE_LINES.values(), ids=MALFORMED_CACHE_LINES
-)
-def test_classify_resume_rejects_a_malformed_line(capsys, tmp_path, hit, edit):
-    # a line is a negative stub or a full record that writes back to itself;
-    # anything else is one error naming the line, never a traceback, a
-    # certified record silently dropped or a value a fresh run never prints
-    cache = tmp_path / "cache.jsonl"
-    code, _, err = run_cli(capsys, "classify", "--n", "2", "--cache", str(cache))
-    assert code == 0, err
-    lines = [json.loads(line) for line in cache.read_text().splitlines()]
-    number = next(k for k, data in enumerate(lines, 1) if data["togliatti"] == hit)
-    lines[number - 1] = edit(lines[number - 1])
-    cache.write_text("".join(json.dumps(data) + "\n" for data in lines))
-    with pytest.raises(ValueError, match=f"^cache line {number}: "):
-        load_cache(cache)
-    code, out, err = run_cli(
-        capsys, "classify", "--n", "2", "--json", "--cache", str(cache)
-    )
-    assert (code, out) == (1, "")
-    assert err.startswith(f"analysis failed: cache line {number}: ")
-    assert err.count("\n") == 1
 
 
 def test_classify_n3_contains_the_classical_smooth_systems(capsys):
@@ -529,6 +477,12 @@ def test_example_round_trip(capsys, tmp_path):
     payload = run_json(capsys, "wlp", str(path))
     assert payload["r"] == 8
     assert payload["failures"] == [2]
+
+
+@pytest.mark.parametrize("name", ["case-x", "case-"])
+def test_example_case_name_that_is_no_number_exits_two(capsys, name):
+    code, out, err = run_cli(capsys, "example", "--name", name)
+    assert (code, out, err) == (2, "", "error: cases are case-1 .. case-4\n")
 
 
 def test_example_case_names(capsys):

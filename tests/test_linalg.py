@@ -1,12 +1,15 @@
 """Exact linear algebra: the two rank routes must agree everywhere."""
 
+import importlib
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from lefschetz import linalg
+from lefschetz import IdealSpec, h_vector, linalg, splitting_type, verify_r4_theorem
+from lefschetz.classify import enumerate_cubic_togliatti
 from lefschetz.linalg import (
     bareiss_rank,
     clear_denominators,
@@ -399,3 +402,49 @@ def test_lattice_coordinate_rows():
         assert sum(a * b for a, b in zip(inverse[0], point)) == 0
     with pytest.raises(ValueError):
         lattice_coordinate_rows([0, 0, 0])
+
+
+# every lefschetz module that binds exact_rank, linalg itself included
+RANK_MODULES = (
+    "algebra", "apolarity", "bundles", "linalg", "osculating", "polytope", "wlp",
+)
+
+
+def _small_prime_readings(corpus, three_way):
+    """The n = 2 census records, an r = 4 report, and for the first 60 corpus
+    ideals their three-way integers, h-vector and splitting type.  Each ideal
+    is rebuilt, so that no dimension memoized under another prime is read."""
+    census = enumerate_cubic_togliatti(2)
+    report = verify_r4_theorem(4, 9, seed=0, trials=1, random_samples=1)
+    ideals = []
+    for i, spec in enumerate(corpus[:60]):
+        spec = IdealSpec(spec.n, spec.d, spec.generators)
+        split = splitting_type(spec, seed=i, trials=3)
+        ideals.append((three_way(spec, i), h_vector(spec), split.values))
+    return [record.to_json_dict() for record in census.records], report, ideals
+
+
+@pytest.mark.parametrize("prime", [3, 2])
+def test_deficient_ranks_are_sound_at_a_small_prime(
+    monkeypatch, corpus, three_way, prime
+):
+    # at p = 2**31 - 1 the screen almost always reaches the true rank, so an
+    # unsound certificate for a rank below min(rows, cols) is never consulted;
+    # at p = 3 or 2 it falls short often, and every such rank must be Bareiss's
+    expected = _small_prime_readings(corpus, three_way)
+    checked = []
+
+    def checked_rank(rows):
+        rank = exact_rank(rows)  # this module's binding, which stays unwrapped
+        if len(rows) and rank < min(len(rows), len(rows[0])):
+            checked.append((rank, bareiss_rank(rows)))
+        return rank
+
+    monkeypatch.setattr(linalg, "_PRIME", prime)
+    monkeypatch.setattr(linalg, "_PRIME_INT64", np.int64(prime))
+    for name in RANK_MODULES:
+        module = importlib.import_module(f"lefschetz.{name}")
+        monkeypatch.setattr(module, "exact_rank", checked_rank)
+    assert _small_prime_readings(corpus, three_way) == expected
+    assert checked
+    assert [(rank, true) for rank, true in checked if rank != true] == []

@@ -71,6 +71,16 @@ def test_unknown_variable_and_syntax_errors():
         parse_polynomial("x0 + + x1", XYZ)
 
 
+def test_only_decimal_digits_are_numbers():
+    # "²" is a digit to str.isdigit but not one int() reads: it is an
+    # unexpected character with its position, not a bare int() error
+    with pytest.raises(ParseError, match="unexpected character '²'") as err:
+        parse_polynomial("x^²", ["x", "y"])
+    assert err.value.position == 3
+    # "٣" is a decimal digit, so int() reads it as 3
+    assert parse_polynomial("٣*x", ["x", "y"]) == parse_polynomial("3*x", ["x", "y"])
+
+
 def test_expected_degree_mismatch():
     with pytest.raises(ParseError, match="degree 2 polynomial where degree 3"):
         parse_polynomial("x0^2", XYZ, expected_degree=3)
