@@ -20,10 +20,11 @@ exact.  There are exactly two elimination routines, independent of each other:
 
 ``exact_rank`` wraps Bareiss with a certified shortcut: the rank of the matrix
 reduced mod a fixed prime is a lower bound for the rational rank, so whenever
-the mod-p rank reaches the count of nonzero rows or of nonzero columns (an
-upper bound) the exact rank is known without any big-integer work.  A
-deficient mod-p outcome is never trusted; it falls back to Bareiss.  The
-shortcut changes nothing about the returned value.
+the mod-p rank reaches an upper bound (the count of nonzero rows or of nonzero
+columns, or a ``ceiling`` the caller derives from the algebra) the exact rank
+is known without any big-integer work.  A deficient mod-p outcome is never
+trusted; it falls back to Bareiss.  The shortcut changes nothing about the
+returned value.
 
 The mod-p screen ``_modp_rank`` is fraction-free too.  It transposes a wide
 matrix, so that its Python loop runs over the shorter side (the rank mod p is
@@ -209,13 +210,15 @@ def _to_modp_array(rows) -> np.ndarray:
     return np.array([[index(x) % _PRIME for x in row] for row in rows], dtype=np.int64)
 
 
-def exact_rank(rows) -> int:
+def exact_rank(rows, *, ceiling=None) -> int:
     """Exact rank of an integer matrix.
 
     Mod-p rank is a lower bound for the rank over Q; if it reaches the
     number of nonzero rows or of nonzero columns (counted over Z, an upper
-    bound) that value is certified exact.  Otherwise Bareiss decides.  The
-    screen eliminates fraction-free along the shorter side of the matrix.
+    bound) or the caller's proven upper bound ``ceiling``, that value is
+    certified exact; a mod-p rank above ``ceiling`` disproves it and raises
+    ``ArithmeticError``.  Otherwise Bareiss decides.  The screen eliminates
+    fraction-free along the shorter side of the matrix.
     Entries must be integers (``int`` or numpy integers): a ``Fraction`` or
     ``float`` entry raises ``TypeError``; clear denominators first.
     """
@@ -224,7 +227,9 @@ def exact_rank(rows) -> int:
     if nrows == 0 or ncols == 0:
         return 0
     modp = _modp_rank(_to_modp_array(rows))
-    if modp == min(nrows, ncols):
+    if ceiling is not None and modp > ceiling:
+        raise ArithmeticError(f"mod-p rank {modp} exceeds the ceiling {ceiling}")
+    if modp == min(nrows, ncols) or modp == ceiling:
         return modp
     # a second pass over the entries, paid only when the screen fell short
     if modp == min(sum(map(any, rows)), sum(map(any, zip(*rows)))):

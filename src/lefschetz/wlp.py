@@ -133,6 +133,8 @@ def ideal_piece_dimension(spec: IdealSpec, t: int) -> int:
         return 0
     if spec.is_monomial:
         return comb(spec.n + t, t) - len(quotient_basis(spec, t))
+    if t == spec.d:
+        return spec.r  # ``LinearSystem`` checked the generators independent
     cached = spec._dim_cache.get(t)
     if cached is None:
         cached = exact_rank(multiples_matrix(spec.generators, t - spec.d))
@@ -152,24 +154,39 @@ def artinian_bound(spec: IdealSpec) -> int:
     return (spec.n + 1) * (spec.d - 1) + 1
 
 
+def froberg_degree(n: int, d: int, r: int) -> int:
+    """The first t whose coefficient in (1 - z^d)^r / (1 - z)^(n+1) is <= 0,
+    for r >= n+1: where r general forms of degree d have h(t) = 0 (Froberg,
+    Math. Scand. 56 (1985); proved for n = 2 by Anick, J. Algebra 100 (1986)).
+    It is ``artinian_bound`` at r = n+1, and each further factor 1 - z^d
+    takes from the coefficient at the old degree the positive one d places
+    back, so the degree never exceeds that bound."""
+
+    def coefficient(t):  # comb(r, k) = 0 for k > r
+        return sum((-1) ** k * comb(r, k) * comb(n + t - k * d, n) for k in range(t // d + 1))
+
+    return next(t for t in count(d) if coefficient(t) <= 0)
+
+
 def is_artinian(spec: IdealSpec) -> bool:
     """True iff h(t) = 0 for some (equivalently all large) t.
 
-    Monomial shortcut: a monomial ideal generated in degree d contains a
-    power of every variable iff every pure power x_i^d is a generator; by
-    pigeonhole every monomial of degree (n+1)(d-1)+1 is then divisible by
-    one of them.  General ideals scan t upward with an early exit (once the
-    Hilbert function vanishes it stays zero).
+    Fewer than n+1 generators never give an artinian ideal (Krull's height
+    theorem).  Monomial shortcut: a monomial ideal generated in degree d
+    contains a power of every variable iff every pure power x_i^d is a
+    generator; by pigeonhole every monomial of degree (n+1)(d-1)+1 is then
+    divisible by one of them.  A general ideal is ranked first at
+    ``froberg_degree``, where h = 0 proves it artinian whatever the theory
+    says; h > 0 there means h > 0 below it too (once the Hilbert function
+    vanishes it stays zero), so the scan goes on upward from there.
     """
-    if spec.r == 0:
+    if spec.r <= spec.n:
         return False
     if spec.is_monomial:
         gens = frozenset(spec.exponents())
         return all(pure_power(spec.n, i, spec.d) in gens for i in range(spec.n + 1))
-    for t in range(spec.d, artinian_bound(spec) + 1):
-        if hilbert_function(spec, t) == 0:
-            return True
-    return False
+    guess = froberg_degree(spec.n, spec.d, spec.r)
+    return any(hilbert_function(spec, t) == 0 for t in range(guess, artinian_bound(spec) + 1))
 
 
 def h_vector(spec: IdealSpec):
@@ -236,7 +253,11 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
         rows = multiples_matrix([linear_form], j)
         if j + 1 >= spec.d:
             rows = multiples_matrix(spec.generators, j + 1 - spec.d) + rows
-        rank = exact_rank(rows) - ideal_piece_dimension(spec, j + 1)
+        # the rows span I_{j+1} + L*R_j.  L*I_j lies in I_{j+1}, so modulo
+        # I_{j+1} that span is the image of x L on (R/I)_j, of dimension at
+        # most min(hs, ht): the rank is at most dim I_{j+1} + min(hs, ht)
+        ideal = ideal_piece_dimension(spec, j + 1)
+        rank = exact_rank(rows, ceiling=ideal + min(hs, ht)) - ideal
     return WlpReport(j, hs, ht, rank, linear_form)
 
 

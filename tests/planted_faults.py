@@ -1,0 +1,101 @@
+"""Planted faults: each mutant of the package must fail the test named for it.
+
+Run from the repository root as ``python tests/planted_faults.py``.  For each
+mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a fresh
+temporary directory, one exact text replacement is applied to the copied
+source, and pytest runs only the named test there, in its own subprocess (the
+copied ``pyproject.toml`` puts the copied ``src/`` first on the path).  The
+same test must pass on an unmutated copy.  Exit status 1 when a mutant's test
+passes, a test fails unmutated, or a replacement no longer matches the source
+(the table is stale); 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/lefschetz, text, replacement, test that must fail)
+MUTANTS = (
+    (
+        "ceiling one too low",
+        "wlp.py",
+        "ceiling=ideal + min(hs, ht)",
+        "ceiling=ideal + min(hs, ht) - 1",
+        "tests/test_linalg.py::test_deficient_ranks_are_sound_at_a_small_prime",
+    ),
+    (
+        "artinian at Froberg's degree without a rank",
+        "wlp.py",
+        "    guess = froberg_degree(spec.n, spec.d, spec.r)\n",
+        "    return True\n",
+        "tests/test_wlp.py::test_is_artinian_is_false_on_forms_with_a_common_factor",
+    ),
+    (
+        "nonzero rows and columns counted over residues, not over Z",
+        "linalg.py",
+        "if modp == min(sum(map(any, rows)), sum(map(any, zip(*rows)))):",
+        "if modp == min(sum(map(any, _to_modp_array(rows))), "
+        "sum(map(any, _to_modp_array(rows).T))):",
+        "tests/test_linalg.py::test_exact_rank_screen_counts_nonzero_rows_and_columns",
+    ),
+    (
+        "Laplace jets ranked at a point with a zero coordinate",
+        "osculating.py",
+        "_jet_matrix(system, s, (1,) * system.n)",
+        "_jet_matrix(system, s, (0,) + (1,) * (system.n - 1))",
+        "tests/test_cli.py::test_json_stdout_bytes_are_pinned",
+    ),
+    (
+        "shoelace without its closing edge",
+        "polytope.py",
+        "zip(hull, hull[1:] + hull[:1])",
+        "zip(hull, hull[1:])",
+        "tests/test_polytope.py::test_case_volumes_match_the_pyramid_recursion",
+    ),
+)
+
+
+def _run(test: str, mutant=None) -> bool:
+    """Whether ``test`` passes on a copy of the sources, mutated if asked."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if mutant is not None:
+            filename, text, replacement = mutant
+            path = copy / "src" / "lefschetz" / filename
+            source = path.read_text()
+            if source.count(text) != 1:
+                raise LookupError(f"{filename}: {text!r} does not occur exactly once")
+            path.write_text(source.replace(text, replacement))
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
+        result = subprocess.run(command, cwd=copy, capture_output=True, text=True)
+        return result.returncode == 0
+
+
+def main() -> int:
+    status = 0
+    for name, filename, text, replacement, test in MUTANTS:
+        try:
+            caught = not _run(test, (filename, text, replacement))
+        except LookupError as error:
+            print(f"STALE   {name}: {error}")
+            status = 1
+            continue
+        sound = _run(test)
+        print(f"{'caught' if caught else 'MISSED'}  {name}: {test}")
+        if not sound:
+            print(f"BROKEN  {test} fails without the mutant")
+        status |= not (caught and sound)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -433,11 +433,14 @@ def test_deficient_ranks_are_sound_at_a_small_prime(
     # at p = 3 or 2 it falls short often, and every such rank must be Bareiss's
     expected = _small_prime_readings(corpus, three_way)
     checked = []
+    by_ceiling = []
 
-    def checked_rank(rows):
-        rank = exact_rank(rows)  # this module's binding, which stays unwrapped
+    def checked_rank(rows, **kwargs):
+        rank = exact_rank(rows, **kwargs)  # this module's binding, unwrapped
         if len(rows) and rank < min(len(rows), len(rows[0])):
             checked.append((rank, bareiss_rank(rows)))
+            modp = linalg._modp_rank(linalg._to_modp_array(rows))
+            by_ceiling.append(modp == kwargs.get("ceiling"))
         return rank
 
     monkeypatch.setattr(linalg, "_PRIME", prime)
@@ -447,4 +450,19 @@ def test_deficient_ranks_are_sound_at_a_small_prime(
         monkeypatch.setattr(module, "exact_rank", checked_rank)
     assert _small_prime_readings(corpus, three_way) == expected
     assert checked
+    # the caller's ceiling decided some of them: its soundness is under test
+    assert any(by_ceiling)
     assert [(rank, true) for rank, true in checked if rank != true] == []
+
+
+def test_a_ceiling_below_the_rank_raises():
+    # mod-p rank <= rank, so a mod-p rank above the ceiling proves it wrong
+    rows = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]  # rank 3
+    assert exact_rank(rows, ceiling=3) == 3
+    with pytest.raises(ArithmeticError):
+        exact_rank(rows, ceiling=2)
+    # rank 2, below min(rows, cols): only the ceiling certifies it mod p
+    deficient = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    assert exact_rank(deficient, ceiling=2) == 2
+    with pytest.raises(ArithmeticError):
+        exact_rank(deficient, ceiling=1)

@@ -5,15 +5,19 @@ from math import comb, lcm
 
 import pytest
 
-from lefschetz import wlp
+from lefschetz import linalg, wlp
 from lefschetz.wlp import (
     IdealSpec,
     TypeBResult,
+    artinian_bound,
     certified_lefschetz_report,
     fails_in_degree_dminus1,
+    froberg_degree,
     generator_bound,
     h_vector,
     has_wlp,
+    hilbert_function,
+    is_artinian,
     is_togliatti,
     multiplication_rank,
     restricted_generators,
@@ -22,6 +26,7 @@ from lefschetz.wlp import (
 )
 from lefschetz.algebra import (
     Form,
+    linear_substitution,
     monomial_basis,
     multiples_matrix,
     pure_power,
@@ -53,6 +58,98 @@ def test_h_vector_rejects_non_artinian():
     spec = IdealSpec.from_monomials(2, 3, [(3, 0, 0), (0, 3, 0)])
     with pytest.raises(ValueError):
         h_vector(spec)
+
+
+def _scan_is_artinian(spec):
+    """The scan ``is_artinian`` replaced, as the reference: rank the
+    multiples of the generators in degree t = d, d+1, ... up to
+    ``artinian_bound`` until they span R_t."""
+    return spec.r > 0 and any(
+        exact_rank(multiples_matrix(spec.generators, t - spec.d)) == comb(spec.n + t, t)
+        for t in range(spec.d, artinian_bound(spec) + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, d, r, degree", [(2, 3, 4, 5), (2, 4, 4, 7), (3, 3, 5, 6), (2, 1, 3, 1), (4, 1, 5, 1)]
+)
+def test_froberg_degree_hand_checked(n, d, r, degree):
+    assert froberg_degree(n, d, r) == degree
+
+
+def test_froberg_degree_of_a_complete_intersection_is_the_artinian_bound():
+    # and more generators only lower it, so is_artinian's scan from it to the
+    # bound is never empty
+    for n in range(1, 5):
+        for d in range(1, 7):
+            spec = IdealSpec.from_monomials(n, d, [pure_power(n, i, d) for i in range(n + 1)])
+            degrees = [froberg_degree(n, d, r) for r in range(n + 1, comb(n + d, d) + 1)]
+            assert degrees[0] == artinian_bound(spec), (n, d)
+            assert degrees == sorted(degrees, reverse=True), (n, d)
+
+
+def test_is_artinian_equals_the_scan_on_the_general_corpus(corpus):
+    general = [spec for spec in corpus if not spec.is_monomial]
+    assert len(general) == 214
+    for spec in general:
+        assert is_artinian(spec) == _scan_is_artinian(spec) is True
+
+
+def test_is_artinian_scans_past_a_wrong_froberg_guess():
+    # of the degree-5 monomials with every exponent below 3, only x y^2 z^2
+    # escapes x^2 y: for (x^3, y^3, z^3, x^2 y), h(5) = 1 where Froberg
+    # expects 0, and h(6) = 0
+    gens = [Form.monomial(e) for e in ((3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0))]
+    change = [[1, 1, 0], [0, 1, 1], [1, 1, 1]]  # determinant 1
+    spec = IdealSpec(2, 3, linear_substitution(gens, change))
+    assert not spec.is_monomial
+    assert froberg_degree(2, 3, 4) == 5
+    assert is_artinian(spec) == _scan_is_artinian(spec) is True
+    assert (hilbert_function(spec, 5), hilbert_function(spec, 6)) == (1, 0)
+
+
+@pytest.mark.parametrize("n, d, r", [(2, 3, 4), (2, 3, 6), (3, 2, 4)])
+def test_is_artinian_is_false_on_forms_with_a_common_factor(n, d, r):
+    # every generator lies in the principal ideal of one linear form
+    rng = rng_for(0, "artinian", "common-factor", n, d, r)
+    factor = random_linear_form(n, rng)
+    spec = IdealSpec(n, d, [factor * random_form(n, d - 1, rng) for _ in range(r)])
+    assert not spec.is_monomial
+    assert is_artinian(spec) == _scan_is_artinian(spec) is False
+
+
+def test_too_few_generators_are_never_artinian_and_rank_nothing(monkeypatch):
+    # Krull's height theorem: an artinian quotient of k[x_0..x_n] needs n+1
+    rng = rng_for(0, "artinian", "few-generators")
+    specs = [
+        IdealSpec(n, d, [random_form(n, d, rng) for _ in range(r)])
+        for n, d, r in ((2, 3, 1), (2, 3, 2), (3, 2, 2), (3, 2, 3))
+    ]
+    assert [_scan_is_artinian(spec) for spec in specs] == [False] * len(specs)
+
+    def no_rank(rows, **kwargs):
+        pytest.fail("is_artinian ranked a matrix for r <= n")
+
+    monkeypatch.setattr(wlp, "exact_rank", no_rank)
+    assert [is_artinian(spec) for spec in specs] == [False] * len(specs)
+
+
+def test_a_maximal_general_rank_under_its_ceiling_needs_no_bareiss(monkeypatch):
+    # four general cubics in four variables: h = 1, 4, 10, 16, 19, 16, ...  For
+    # j >= d the rows of L*I_j repeat inside I_{j+1}, so the stacked rank falls
+    # below both the row and the column count, and only the ceiling
+    # dim I_{j+1} + min(h_j, h_{j+1}) certifies the mod-p rank
+    rng = rng_for(0, "ceiling", "general")
+    spec = IdealSpec(3, 3, [random_form(3, 3, rng) for _ in range(4)])
+    form = random_linear_form(3, rng)
+
+    def no_bareiss(rows):
+        pytest.fail("Bareiss fallback under a ceiling the rank meets")
+
+    monkeypatch.setattr(linalg, "bareiss_rank", no_bareiss)
+    for j, rank in ((3, 16), (4, 16)):
+        report = multiplication_rank(spec, form, j)
+        assert report.maximal_rank and report.rank == rank
 
 
 def test_togliatti_fails_only_in_degree_two(togliatti_cubic):
