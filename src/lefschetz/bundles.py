@@ -25,7 +25,8 @@ The figure of merit: a_{r-1} < 0 (equivalently k(0) = 0, the restricted
 generators stay independent) is exactly WLP in degree d-1, which gives the
 third, bundle-theoretic route to the Togliatti verdict.  ``verify_r4_theorem``
 runs the r = 4, n = 2 picture over a degree range: every S_3-orbit of the
-ideals (x^d, y^d, z^d, m), m a mixed monomial, and seeded random ideals.
+ideals (x^d, y^d, z^d, m), m a mixed monomial, and five random ideals per
+degree, each drawn through ``sample_until`` like every other sample.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from fractions import Fraction
 from .algebra import linear_substitution, monomial_basis, multiples_matrix, pure_power
 from .linalg import exact_rank
 from .sampling import (
-    DEFAULT_SEED, DEFAULT_TRIALS, random_form, random_line, rng_for, sample_until
+    DEFAULT_SEED, DEFAULT_TRIALS, random_form, random_line, sample_until
 )
 from .wlp import IdealSpec, fails_in_degree_dminus1, has_wlp, is_artinian
 
+_R4_RANDOM_SAMPLES = 5  # random ideals per degree
 _R4_RANDOM_FULL_SCANS = 3  # random ideals per degree that get a full WLP scan
 _R4_RANDOM_DRAWS = 10  # draws allowed for one artinian random ideal
 
@@ -170,12 +172,7 @@ def splitting_type(
 
 
 def verify_r4_theorem(
-    d_min: int,
-    d_max: int,
-    *,
-    seed=DEFAULT_SEED,
-    trials=DEFAULT_TRIALS,
-    random_samples: int = 5,
+    d_min: int, d_max: int, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS
 ) -> dict:
     """Check the r = 4, n = 2 picture over d in [d_min, d_max].
 
@@ -188,17 +185,17 @@ def verify_r4_theorem(
     orbits go to "non_wlp_orbits", and the witness orbit of
     x^lambda y^lambda z^lambda must fail exactly in degree 4*lambda - 2,
     its only rule (at d = 3 that degree is d-1 = 2).
+    Each of the _R4_RANDOM_SAMPLES random ideals of a degree is drawn
+    through ``sample_until`` on its own stream ("r4-random", d, k).
     Returns a JSON-ready report; report["ok"] is the verdict.  ValueError
-    for d_min < 3 (r = 4 is over the generator bound d + 1 below that), an
-    empty range or a negative count; AnalysisError when _R4_RANDOM_DRAWS
-    draws give no artinian random ideal.
+    for d_min < 3 (r = 4 is over the generator bound d + 1 below that) or
+    an empty range; AnalysisError when _R4_RANDOM_DRAWS draws give no
+    artinian random ideal.
     """
     if d_min < 3:
         raise ValueError(f"d_min must be at least 3, not {d_min}")
     if d_max < d_min:
         raise ValueError(f"empty degree range [{d_min}, {d_max}]")
-    if random_samples < 0:
-        raise ValueError("sample counts must be non-negative")
     report = {"d_min": d_min, "d_max": d_max, "seed": seed, "per_degree": []}
     violations = []
     for d in range(d_min, d_max + 1):
@@ -207,7 +204,7 @@ def verify_r4_theorem(
         entry = {
             "d": d,
             "monomial_orbits": len(orbits),
-            "random_samples": random_samples,
+            "random_samples": _R4_RANDOM_SAMPLES,
             "degree_dminus1_failures": [],
             "full_wlp_failures": [],
             "non_wlp_orbits": [],
@@ -227,17 +224,19 @@ def verify_r4_theorem(
                 entry["non_wlp_orbits"].append([list(m), scans[m]])
             elif not ok:
                 entry["full_wlp_failures"].append(["monomial", list(m), scans[m]])
-        rng_random = rng_for(seed, "r4-random", d)
-        for k in range(random_samples):
-            for _ in range(_R4_RANDOM_DRAWS):
-                forms = [random_form(2, d, rng_random) for _ in range(4)]
-                try:
-                    spec = IdealSpec(2, d, forms)
-                except ValueError:
-                    continue
-                if is_artinian(spec):
-                    break
-            else:
+
+        def draw(rng):
+            try:
+                spec = IdealSpec(2, d, [random_form(2, d, rng) for _ in range(4)])
+            except ValueError:
+                return None  # dependent forms
+            return spec if is_artinian(spec) else None
+
+        for k in range(_R4_RANDOM_SAMPLES):
+            spec = sample_until(
+                seed, ("r4-random", d, k), _R4_RANDOM_DRAWS, draw, lambda s: s is not None
+            )[-1]
+            if spec is None:
                 raise AnalysisError(
                     f"d={d}, k={k}: no artinian random ideal in {_R4_RANDOM_DRAWS} draws"
                 )

@@ -143,9 +143,6 @@ class ClassificationRecord:
     def j(self) -> int:
         return len(self.extra)
 
-    def ideal(self) -> IdealSpec:
-        return IdealSpec.from_monomials(self.n, 3, self.generators)
-
     def to_json_dict(self) -> dict:
         names = _variable_names(self.n)
         data = {"schema": RECORD_SCHEMA}

@@ -370,14 +370,7 @@ def _cmd_verify_r4(args):
     # r = 4 generators stay within the bound d + 1 only from d = 3 on
     _at_least("--dmin", args.dmin, 3)
     _at_least("--dmax", args.dmax, args.dmin)
-    _at_least("--random-samples", args.random_samples, 0)
-    report_dict = verify_r4_theorem(
-        args.dmin,
-        args.dmax,
-        seed=seed,
-        trials=trials,
-        random_samples=args.random_samples,
-    )
+    report_dict = verify_r4_theorem(args.dmin, args.dmax, seed=seed, trials=trials)
     lines = []
     for entry in report_dict["per_degree"]:
         status = "ok"
@@ -515,7 +508,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = add_command("verify-r4", "scan the 4-generator picture on P^2 over a degree range")
     p.add_argument("--dmin", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--random-samples", type=int, default=5)
     p.set_defaults(handler=_cmd_verify_r4)
 
     p = add_command("example", "emit a named example as a document", output)

@@ -7,7 +7,9 @@ degenerate.  Defaults: 3 samples, integer coefficients uniform in [-999, 999]
 (points for osculating computations of non-monomial systems use [1, 999] to
 stay off the coordinate hyperplanes).  Every operation derives its own
 generator from ``(seed, operation, qualifier)`` so results do not depend on
-call order, and every sampled operation draws through ``sample_until``.
+call order.  Every sampled operation, the random ideals of the r = 4 harness
+included, draws through ``sample_until``, the only function that opens a
+stream.
 """
 
 from __future__ import annotations
@@ -60,11 +62,11 @@ def random_linear_form(n: int, rng: random.Random) -> Form:
     return Form(n, 1, {pure_power(n, i): c for i, c in enumerate(coeffs) if c})
 
 
-def random_form(n: int, degree: int, rng: random.Random, bound=COEFF_BOUND) -> Form:
-    """Dense form of the given degree, nonzero, coefficients in [-bound, bound]."""
+def random_form(n: int, degree: int, rng: random.Random) -> Form:
+    """Dense form of the given degree, nonzero, coefficients in [-999, 999]."""
     while True:
         terms = {
-            e: rng.randint(-bound, bound) for e in monomial_basis(n, degree)
+            e: rng.randint(-COEFF_BOUND, COEFF_BOUND) for e in monomial_basis(n, degree)
         }
         form = Form(n, degree, terms)
         if not form.is_zero:

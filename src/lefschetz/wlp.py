@@ -160,7 +160,10 @@ def froberg_degree(n: int, d: int, r: int) -> int:
     Math. Scand. 56 (1985); proved for n = 2 by Anick, J. Algebra 100 (1986)).
     It is ``artinian_bound`` at r = n+1, and each further factor 1 - z^d
     takes from the coefficient at the old degree the positive one d places
-    back, so the degree never exceeds that bound."""
+    back, so the degree never exceeds that bound.  ValueError for r <= n,
+    where every coefficient is positive and no such t exists."""
+    if r <= n:
+        raise ValueError(f"froberg_degree needs at least n+1 = {n + 1} forms, not {r}")
 
     def coefficient(t):  # comb(r, k) = 0 for k > r
         return sum((-1) ** k * comb(r, k) * comb(n + t - k * d, n) for k in range(t // d + 1))

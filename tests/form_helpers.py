@@ -3,13 +3,23 @@ forms and never evaluates them."""
 
 from fractions import Fraction
 
-from lefschetz.algebra import Form, pure_power, shifted
+from lefschetz.algebra import Form, monomial_basis, pure_power, shifted
 from lefschetz.linalg import clear_denominators
 
 
 def variable(n: int, i: int) -> Form:
     """The linear form x_i in n+1 variables."""
     return Form.monomial(pure_power(n, i))
+
+
+def small_form(n: int, degree: int, rng, bound: int = 9) -> Form:
+    """Dense nonzero form with coefficients in [-bound, bound]: small entries
+    keep the tests' rational cross-checks quick to compute."""
+    while True:
+        terms = {e: rng.randint(-bound, bound) for e in monomial_basis(n, degree)}
+        form = Form(n, degree, terms)
+        if not form.is_zero:
+            return form
 
 
 def form_sum(*forms) -> Form:

@@ -58,6 +58,13 @@ MUTANTS = (
         "zip(hull, hull[1:])",
         "tests/test_polytope.py::test_case_volumes_match_the_pyramid_recursion",
     ),
+    (
+        "splitting floor stop one rank short of onto",
+        "bundles.py",
+        "if r * (t + 1) - k == t + d + 1:",
+        "if r * (t + 1) - k >= t + d:",
+        "tests/test_bundles.py::test_kernel_profile_ranks_on_where_a_rank_is_one_short",
+    ),
 )
 
 

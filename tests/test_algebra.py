@@ -20,7 +20,7 @@ from lefschetz.linalg import clear_denominators, exact_rank, rational_rank
 from lefschetz.parser import format_form, parse_polynomial
 from lefschetz.sampling import random_form, random_linear_form, rng_for
 
-from form_helpers import evaluate, form_difference, form_sum, variable
+from form_helpers import evaluate, form_difference, form_sum, small_form, variable
 
 
 def test_monomial_basis_counts_and_order():
@@ -93,8 +93,8 @@ def test_substitution_is_a_ring_map():
     rng = rng_for(0, "algebra-subst")
     for trial in range(30):
         n = rng.choice([2, 3])
-        f = random_form(n, 2, rng, bound=9)
-        g = random_form(n, 2, rng, bound=9)
+        f = small_form(n, 2, rng)
+        g = small_form(n, 2, rng)
         i = rng.randrange(n + 1)
         # replacement must avoid x_i
         replacement = Form(
@@ -130,7 +130,7 @@ def test_rank_of_span_invariances():
     for trial in range(20):
         n = 2
         d = rng.choice([2, 3])
-        forms = [random_form(n, d, rng, bound=9) for _ in range(rng.randrange(1, 6))]
+        forms = [small_form(n, d, rng) for _ in range(rng.randrange(1, 6))]
         base = rank_of_span(forms)
         assert rank_of_span(forms + [Form(n, d)]) == base
         assert rank_of_span(forms + [forms[0] * 3]) == base
@@ -171,7 +171,7 @@ def test_multiples_matrix_matches_form_products(t):
         quadric = _fraction_linear_form(n, rng) * _fraction_linear_form(n, rng)
         count = rng.randrange(1, 4)
         forms = [quadric * _fraction_linear_form(n, rng) for _ in range(count)]
-        forms.append(random_form(n, 3, rng, bound=9) * Fraction(1, rng.randint(1, 9)))
+        forms.append(small_form(n, 3, rng) * Fraction(1, rng.randint(1, 9)))
         rows = multiples_matrix(forms, t)
         assert len(rows) == len(forms) * len(monomial_basis(n, t))
         assert all(len(row) == len(monomial_basis(n, t + 3)) for row in rows)
@@ -222,8 +222,8 @@ def test_form_coefficients_are_int_when_integral():
     for _ in range(20):
         n, d = rng.randint(0, 3), rng.randint(0, 3)
         scale = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        f1 = random_form(n, d, rng, bound=5) * scale
-        f2 = random_form(n, d, rng, bound=5) * Fraction(2, rng.randint(1, 2))
+        f1 = small_form(n, d, rng, bound=5) * scale
+        f2 = small_form(n, d, rng, bound=5) * Fraction(2, rng.randint(1, 2))
         product = f1 * f2
         assert exact_types(f1) and exact_types(f2) and exact_types(product)
         assert exact_types(random_linear_form(n, rng))
@@ -255,7 +255,7 @@ def test_linear_substitution_matches_evaluation():
         n = rng.randint(0, 3)
         m = rng.randint(0, 3)
         d = rng.randint(0, 4)
-        forms = [random_form(n, d, rng, bound=9) * Fraction(1, rng.randint(1, 5))]
+        forms = [small_form(n, d, rng) * Fraction(1, rng.randint(1, 5))]
         forms.append(Form(n, d))
         if trial % 2:
             rows = [[rng.randint(-4, 4) for _ in range(m + 1)] for _ in range(n + 1)]
@@ -285,7 +285,7 @@ def test_restrict_to_line_matches_evaluation(kind):
     for trial in range(20):
         n = rng.randint(1, 3)
         d = rng.randint(1, 4)
-        forms = [random_form(n, d, rng, bound=9) for _ in range(2)] + [Form(n, d)]
+        forms = [small_form(n, d, rng) for _ in range(2)] + [Form(n, d)]
         while True:
             p = [convert(rng.randint(-6, 6)) for _ in range(n + 1)]
             q = [convert(rng.randint(-6, 6)) for _ in range(n + 1)]
@@ -308,7 +308,7 @@ def test_substitute_variable_matches_evaluation():
         n = rng.randint(1, 3)
         d = rng.randint(1, 4)
         i = rng.randint(0, n)
-        forms = [random_form(n, d, rng, bound=9) for _ in range(2)] + [Form(n, d)]
+        forms = [small_form(n, d, rng) for _ in range(2)] + [Form(n, d)]
         replacement = Form(
             n,
             1,
@@ -351,7 +351,7 @@ def test_rank_of_span_counts_single_term_forms():
                 coeff = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
                 forms.append(Form.monomial(rng.choice(basis), coeff))
             else:
-                forms.append(random_form(n, d, rng, bound=3))
+                forms.append(small_form(n, d, rng, bound=3))
         nonzero = [f for f in forms if not f.is_zero]
         mixed += any(len(f.terms) > 1 for f in nonzero)
         assert rank_of_span(forms) == exact_rank(multiples_matrix(nonzero, 0))
@@ -377,7 +377,7 @@ def test_multiples_matrix_matches_the_cell_by_cell_builder():
     for trial in range(40):
         n, d, t = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
         forms = [
-            random_form(n, d, rng, bound=9) * Fraction(1, rng.randint(1, 6))
+            small_form(n, d, rng) * Fraction(1, rng.randint(1, 6))
             for _ in range(rng.randint(0, 3))
         ]
         if trial % 5 == 0:
@@ -416,7 +416,7 @@ def test_linear_substitution_matches_the_fraction_route():
     for trial in range(40):
         n, m, d = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4)
         scales = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(2)]
-        forms = [random_form(n, d, rng, bound=9) * c for c in scales] + [Form(n, d)]
+        forms = [small_form(n, d, rng) * c for c in scales] + [Form(n, d)]
         if trial % 2:
             rows = [[rng.randint(-4, 4) for _ in range(m + 1)] for _ in range(n + 1)]
         else:

@@ -13,7 +13,7 @@ from lefschetz.algebra import (
     pure_power,
     rank_of_span,
 )
-from lefschetz.sampling import random_form, random_linear_form, rng_for
+from lefschetz.sampling import random_linear_form, rng_for
 from lefschetz.wlp import (
     IdealSpec,
     certified_lefschetz_report,
@@ -22,7 +22,7 @@ from lefschetz.wlp import (
     multiplication_rank,
 )
 
-from form_helpers import form_sum
+from form_helpers import form_sum, small_form
 
 
 def contract(operator, target):
@@ -155,7 +155,7 @@ def _duality_cases():
             while general < 2:
                 try:
                     spec = IdealSpec(
-                        n, d, [random_form(n, d, rng, bound=9) for _ in range(n + 2)]
+                        n, d, [small_form(n, d, rng) for _ in range(n + 2)]
                     )
                 except ValueError:
                     continue  # dependent draw

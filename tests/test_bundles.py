@@ -132,6 +132,25 @@ def test_kernel_profile_stops_ranking_only_where_the_floor_is_exact(corpus):
     assert (ranked, degrees) == (656, 2480)
 
 
+def test_kernel_profile_ranks_on_where_a_rank_is_one_short():
+    # on the corpus lines a rank of exactly t+d is always followed by an onto
+    # map (in two variables the span's codimension drops in every degree
+    # unless the forms share a factor), so a stop that fired there would
+    # still read the right profile; on a line through a common zero of the
+    # forms the restrictions share a root and the rank stays at t+d
+    rng = rng_for(0, "one-short")
+    one_short = 0
+    for r, d in [(3, 2), (4, 3), (3, 4), (5, 3), (4, 5)]:
+        # dense forms with no x^d term all vanish at (1, 0, 0)
+        forms = [random_form(2, d, rng) for _ in range(r)]
+        forms = [Form(2, d, {e: c for e, c in f.terms.items() if e[0] < d}) for f in forms]
+        restricted = restrict_to_line(forms, (1, 0, 0), random_line(2, rng)[1])
+        full = [_kernel_dimension_on_line(restricted, t) for t in range(d + 1)]
+        assert _kernel_profile(restricted, r, d) == full, (r, d)
+        one_short += any(r * (t + 1) - k == t + d for t, k in enumerate(full))
+    assert one_short == 5
+
+
 def test_kernel_profile_ranks_once_when_degree_d_is_spanned(monkeypatch):
     # r >= d+1 forms spanning the binary forms of degree d: t = 0 is onto
     calls = []
@@ -185,8 +204,9 @@ def test_restrict_to_line_keeps_count(togliatti_cubic):
     assert all(f.degree == 3 for f in out)
 
 
-def test_verify_r4_smoke():
-    report = verify_r4_theorem(4, 4, seed=0, trials=2, random_samples=2)
+def test_verify_r4_smoke(monkeypatch):
+    monkeypatch.setattr(bundles, "_R4_RANDOM_SAMPLES", 2)
+    report = verify_r4_theorem(4, 4, seed=0, trials=2)
     assert report["ok"]
     assert report["violations"] == []
     assert report["d_min"] == report["d_max"] == 4
@@ -212,7 +232,8 @@ def test_verify_r4_checks_one_monomial_per_orbit(monkeypatch):
         return fails_in_degree_dminus1(spec, **kwargs)
 
     monkeypatch.setattr(bundles, "fails_in_degree_dminus1", counting)
-    report = verify_r4_theorem(3, 12, seed=0, trials=1, random_samples=0)
+    monkeypatch.setattr(bundles, "_R4_RANDOM_SAMPLES", 0)
+    report = verify_r4_theorem(3, 12, seed=0, trials=1)
     counts = []
     for entry in report["per_degree"]:
         d = entry["d"]
@@ -227,8 +248,9 @@ def test_verify_r4_checks_one_monomial_per_orbit(monkeypatch):
     assert counts == [2, 3, 4, 6, 7, 9, 11, 13, 15, 18]
 
 
-def test_verify_r4_lists_the_non_wlp_orbits_at_d_nine():
-    report = verify_r4_theorem(9, 9, seed=0, trials=1, random_samples=0)
+def test_verify_r4_lists_the_non_wlp_orbits_at_d_nine(monkeypatch):
+    monkeypatch.setattr(bundles, "_R4_RANDOM_SAMPLES", 0)
+    report = verify_r4_theorem(9, 9, seed=0, trials=1)
     assert report["ok"], report["violations"]
     (entry,) = report["per_degree"]
     assert entry["non_wlp_orbits"] == [
@@ -244,10 +266,11 @@ def test_verify_r4_lists_the_non_wlp_orbits_at_d_nine():
     assert entry["full_wlp_failures"] == []
 
 
-def test_verify_r4_judges_the_d_three_witness_by_its_own_rule():
+def test_verify_r4_judges_the_d_three_witness_by_its_own_rule(monkeypatch):
     # x y z is Togliatti's cubic: it fails in degree 2 = d-1 = 4*lambda - 2,
     # which the witness rule asks for and the degree-(d-1) rule leaves to it
-    report = verify_r4_theorem(3, 3, seed=0, trials=1, random_samples=2)
+    monkeypatch.setattr(bundles, "_R4_RANDOM_SAMPLES", 2)
+    report = verify_r4_theorem(3, 3, seed=0, trials=1)
     assert report["ok"], report["violations"]
     (entry,) = report["per_degree"]
     assert entry["degree_dminus1_failures"] == []
@@ -265,21 +288,20 @@ def test_verify_r4_caps_the_random_ideal_redraw(monkeypatch):
         return False
 
     monkeypatch.setattr(bundles, "is_artinian", never_artinian)
-    with pytest.raises(AnalysisError, match="d=3, k=0"):
-        verify_r4_theorem(3, 3, seed=0, trials=1, random_samples=1)
+    with pytest.raises(AnalysisError, match="d=3, k=0: no artinian random ideal in 10 draws"):
+        verify_r4_theorem(3, 3, seed=0, trials=1)
     assert 0 < len(calls) <= bundles._R4_RANDOM_DRAWS
 
 
 @pytest.mark.parametrize(
-    "d_min, d_max, counts, message",
+    "d_min, d_max, message",
     [
-        (2, 4, {}, "d_min must be at least 3"),
-        (1, 4, {}, "d_min must be at least 3"),
-        (5, 3, {}, "empty degree range"),
-        (4, 4, {"random_samples": -1}, "sample counts must be non-negative"),
+        (2, 4, "d_min must be at least 3"),
+        (1, 4, "d_min must be at least 3"),
+        (5, 3, "empty degree range"),
     ],
-    ids=["dmin-two", "dmin-one", "empty-range", "random-samples"],
+    ids=["dmin-two", "dmin-one", "empty-range"],
 )
-def test_verify_r4_rejects_bad_ranges(d_min, d_max, counts, message):
+def test_verify_r4_rejects_bad_ranges(d_min, d_max, message):
     with pytest.raises(ValueError, match=message):
-        verify_r4_theorem(d_min, d_max, seed=0, trials=2, **counts)
+        verify_r4_theorem(d_min, d_max, seed=0, trials=2)

@@ -54,14 +54,10 @@ def test_rref_serves_only_the_cross_check_and_solve_exact():
     ]
 
 
-def test_only_the_sampling_loop_and_verify_r4_open_a_stream():
-    # one loop draws samples: every sampled verdict draws through
-    # sample_until, and verify_r4_theorem draws its random ideals from one
-    # stream; its monomial half checks every orbit and draws nothing
-    assert sorted(_enclosing_functions("rng_for")) == [
-        ("bundles.py", "verify_r4_theorem"),
-        ("sampling.py", "sample_until"),
-    ]
+def test_only_the_sampling_loop_opens_a_stream():
+    # one loop draws samples: every sampled verdict, and each random ideal of
+    # the r = 4 harness, draws through sample_until
+    assert _enclosing_functions("rng_for") == [("sampling.py", "sample_until")]
 
 
 def test_fraction_is_named_only_where_coefficients_are_read_or_printed():

@@ -377,10 +377,6 @@ def test_classify_rejects_max_extra_below_one(capsys):
     "argv, message",
     [
         (("verify-r4", "--dmin", "5", "--dmax", "3"), "--dmax must be at least 5"),
-        (
-            ("verify-r4", "--dmin", "4", "--dmax", "4", "--random-samples", "-1"),
-            "--random-samples must be at least 0",
-        ),
         (("verify-r4", "--dmin", "1", "--dmax", "4"), "--dmin must be at least 3"),
         (("verify-r4", "--dmin", "2", "--dmax", "4"), "--dmin must be at least 3"),
         (("osculate", *TOG, "--order", "-1"), "--order must be at least 0"),
@@ -389,7 +385,6 @@ def test_classify_rejects_max_extra_below_one(capsys):
     ],
     ids=[
         "dmax-below-dmin",
-        "negative-random-samples",
         "dmin-one",
         "dmin-two",
         "negative-order",
@@ -432,19 +427,15 @@ def test_classify_n3_contains_the_classical_smooth_systems(capsys):
 
 
 def test_verify_r4_cli(capsys):
-    payload = run_json(
-        capsys, "verify-r4", "--dmin", "4", "--dmax", "4", "--random-samples", "2"
-    )
+    payload = run_json(capsys, "verify-r4", "--dmin", "4", "--dmax", "4")
     assert payload["ok"] is True
     assert payload["violations"] == []
     (entry,) = payload["per_degree"]
-    assert (entry["monomial_orbits"], entry["random_samples"]) == (3, 2)
+    assert (entry["monomial_orbits"], entry["random_samples"]) == (3, 5)
     assert entry["non_wlp_orbits"] == []
-    code, out, err = run_cli(
-        capsys, "verify-r4", "--dmin", "4", "--dmax", "4", "--random-samples", "2"
-    )
+    code, out, err = run_cli(capsys, "verify-r4", "--dmin", "4", "--dmax", "4")
     assert code == 0
-    assert out.startswith("d=4: 3 monomial orbits + 2 random ideals, ok\n")
+    assert out.startswith("d=4: 3 monomial orbits + 5 random ideals, ok\n")
     assert "verdict: ok" in out
 
 
@@ -462,6 +453,14 @@ def test_verify_r4_has_no_monomial_samples_flag(capsys):
         )
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --monomial-samples 8" in capsys.readouterr().err
+
+
+def test_verify_r4_has_no_random_samples_flag(capsys):
+    # the count of random ideals per degree is fixed at five
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(capsys, "verify-r4", "--dmin", "4", "--dmax", "4", "--random-samples", "1")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --random-samples 1" in capsys.readouterr().err
 
 
 def test_example_round_trip(capsys, tmp_path):
@@ -637,3 +636,13 @@ def test_classify_n3_stdout_bytes_are_pinned(capsys):
         assert (code, err) == (0, "")
         digests[flag] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == CLASSIFY_N3
+
+
+def test_verify_r4_json_stdout_bytes_are_pinned(capsys):
+    # d = 3..9 holds both witnesses (d = 3 and d = 9) and the degrees 3 does
+    # not divide, where the first random ideals get a full scan
+    code, out, err = run_cli(capsys, "verify-r4", "--dmin", "3", "--dmax", "9", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ec9066bebc987455601ccb8d8739c734d0b4e1ff844eea12717f90c3f8a66856"
+    )

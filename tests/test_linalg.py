@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lefschetz import IdealSpec, h_vector, linalg, splitting_type, verify_r4_theorem
+from lefschetz import IdealSpec, bundles, h_vector, linalg, splitting_type, verify_r4_theorem
 from lefschetz.classify import enumerate_cubic_togliatti
 from lefschetz.linalg import (
     bareiss_rank,
@@ -411,11 +411,12 @@ RANK_MODULES = (
 
 
 def _small_prime_readings(corpus, three_way):
-    """The n = 2 census records, an r = 4 report, and for the first 60 corpus
-    ideals their three-way integers, h-vector and splitting type.  Each ideal
-    is rebuilt, so that no dimension memoized under another prime is read."""
+    """The n = 2 census records, an r = 4 report (one random ideal per degree:
+    the caller patches the count), and for the first 60 corpus ideals their
+    three-way integers, h-vector and splitting type.  Each ideal is rebuilt,
+    so that no dimension memoized under another prime is read."""
     census = enumerate_cubic_togliatti(2)
-    report = verify_r4_theorem(4, 9, seed=0, trials=1, random_samples=1)
+    report = verify_r4_theorem(4, 9, seed=0, trials=1)
     ideals = []
     for i, spec in enumerate(corpus[:60]):
         spec = IdealSpec(spec.n, spec.d, spec.generators)
@@ -431,6 +432,7 @@ def test_deficient_ranks_are_sound_at_a_small_prime(
     # at p = 2**31 - 1 the screen almost always reaches the true rank, so an
     # unsound certificate for a rank below min(rows, cols) is never consulted;
     # at p = 3 or 2 it falls short often, and every such rank must be Bareiss's
+    monkeypatch.setattr(bundles, "_R4_RANDOM_SAMPLES", 1)
     expected = _small_prime_readings(corpus, three_way)
     checked = []
     by_ceiling = []

@@ -43,7 +43,7 @@ from lefschetz.sampling import (
     rng_for,
 )
 
-from form_helpers import tangent_rows
+from form_helpers import small_form, tangent_rows
 
 
 def test_h_vector_togliatti(togliatti_cubic):
@@ -75,6 +75,13 @@ def _scan_is_artinian(spec):
 )
 def test_froberg_degree_hand_checked(n, d, r, degree):
     assert froberg_degree(n, d, r) == degree
+
+
+@pytest.mark.parametrize("n, d, r", [(2, 3, 2), (2, 3, 0), (3, 1, 3), (1, 2, 1)])
+def test_froberg_degree_rejects_fewer_than_n_plus_one_forms(n, d, r):
+    # (1 - z^d)^r / (1 - z)^(n+1) has no coefficient <= 0 for r <= n
+    with pytest.raises(ValueError, match=f"at least n\\+1 = {n + 1} forms, not {r}"):
+        froberg_degree(n, d, r)
 
 
 def test_froberg_degree_of_a_complete_intersection_is_the_artinian_bound():
@@ -385,7 +392,7 @@ def test_table_restriction_is_a_multiple_of_the_substitution_on_general_ideals()
         n, d = rng.choice([2, 3]), rng.choice([3, 4])
         r = rng.randint(1, generator_bound(n, d))
         scales = [Fraction(1, rng.randint(1, 6)) for _ in range(r)]
-        specs.append(IdealSpec(n, d, [random_form(n, d, rng, 9) * c for c in scales]))
+        specs.append(IdealSpec(n, d, [small_form(n, d, rng) * c for c in scales]))
     verdicts = set()
     for seed, spec in enumerate(specs):
         n, d = spec.n, spec.d
