@@ -3,12 +3,15 @@
 Every monomial artinian ideal generated in degree 3 contains the pure cubes,
 so candidates are (x_0^3, ..., x_n^3) plus j mixed cubic monomials with
 1 <= j <= comb(n+2, n-1) - (n+1), the generator bound for the degree-2
-failure theory.  The enumeration walks the subsets of mixed monomials once
-and, at the first subset of each orbit under the coordinate permutations,
-marks the whole orbit.  Each orbit's canonical form (its lex-minimal member)
-is tested with ``is_togliatti``, and each hit is fully certified: apolar
-system, Laplace count re-verified, lattice quadric, polytope verdict (smooth
-/ quasi-smooth / singular), toric degree, triviality flags, orbit size.
+failure theory.  The enumeration walks the subsets of mixed monomials once,
+as integer bit masks, one block of subsets at a time.  Subsets come in
+descending mask order, so a subset opens its orbit under the coordinate
+permutations iff no permutation maps it to a larger mask.  Each orbit's
+canonical form (its lex-minimal member, the largest mask under a second
+bit order) is tested with ``is_togliatti``, and each hit is fully
+certified: apolar system, Laplace count re-verified, lattice quadric,
+polytope verdict (smooth / quasi-smooth / singular), toric degree,
+triviality flags, orbit size.
 A ``ClassificationRecord`` keeps only what it certified.  Its r, j, mixed
 generators and Togliatti flag are read off the generators, and its JSON
 writes them too.  Nothing reads a record back: every run certifies every
@@ -43,6 +46,8 @@ from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from math import comb
 from typing import Optional
+
+import numpy as np
 
 from .algebra import Form, monomial_basis, pure_power
 from .apolarity import apolar_complement
@@ -92,6 +97,75 @@ def canonical_form(exponents):
     for deduplication everywhere in this module.
     """
     return min(permutation_images(exponents))
+
+
+# Bits held in one int64 word of a subset mask; masks of more elements take
+# several words, compared from the high word down.
+_WORD_BITS = 62
+# int64 cells in one block of image masks: the group order times the words
+# of a mask times the subsets in the block.
+_BLOCK_CELLS = 1 << 15
+
+
+def _action_table(mixed):
+    """The coordinate permutations as maps on the indices of ``mixed``.
+
+    Row i holds the index of element i's image under each permutation, in
+    the order of ``_permuted``, identity first.  Also returns the indices in
+    ascending exponent order.  An exponent tuple with entries below 4 is
+    coded in base 4, so codes sort as the tuples do.
+    """
+    exponents = np.array(mixed, dtype=np.int64)
+    width = exponents.shape[1]
+    sigmas = np.array(list(itertools.permutations(range(width))), dtype=np.intp)
+    # the image (e[sigma[0]], ..., e[sigma[n]]) puts e[sigma[k]] in digit k
+    weights = np.zeros((width, len(sigmas)), dtype=np.int64)
+    place = 4 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    weights[sigmas.T, np.arange(len(sigmas))] = place[:, None]
+    codes = exponents @ place
+    order = np.argsort(codes)
+    images = order[np.searchsorted(codes[order], exponents @ weights)]
+    return images, order
+
+
+def _bit_words(positions, words: int):
+    """Row i: the mask with bit ``positions[i]`` alone, high word first."""
+    table = np.zeros((len(positions), words), dtype=np.int64)
+    word = words - 1 - positions // _WORD_BITS
+    table[np.arange(len(positions)), word] = np.int64(1) << positions % _WORD_BITS
+    return table
+
+
+def _image_masks(table, block):
+    """The mask of every image of every subset: ``table[i, g]`` is the mask
+    of element i's image under permutation g, ``block`` holds one subset
+    of element indices a row.  Shape (subsets, permutations, words)."""
+    masks = table[block[:, 0]]
+    for column in block.T[1:]:
+        masks += table[column]  # distinct bits, so the sum is the union
+    return masks
+
+
+def _above_and_equal(masks, own):
+    """Where each mask is above, and where it equals, the ``own`` mask of
+    its subset; words are compared from the high word down."""
+    above = np.zeros(masks.shape[:-1], dtype=bool)
+    equal = np.ones(masks.shape[:-1], dtype=bool)
+    for word in range(masks.shape[-1]):
+        above |= equal & (masks[..., word] > own[..., word])
+        equal &= masks[..., word] == own[..., word]
+    return above, equal
+
+
+def _largest(masks):
+    """The largest mask of each subset over all permutations (axis 1)."""
+    best = np.empty((len(masks), masks.shape[-1]), dtype=np.int64)
+    alive = np.ones(masks.shape[:-1], dtype=bool)
+    for word in range(masks.shape[-1]):
+        column = np.where(alive, masks[..., word], -1)
+        best[:, word] = column.max(axis=1)
+        alive &= column == best[:, word, None]
+    return best
 
 
 def _variable_names(n: int):
@@ -266,30 +340,53 @@ def enumerate_cubic_togliatti(
         )
     cubes = _pure_cubes(n)
     mixed = tuple(e for e in monomial_basis(n, 3) if max(e) < 3)
-    # Each coordinate permutation as a map on the indices of ``mixed``; the
-    # pure cubes are fixed as a set, so they never need permuting.
-    position = {e: i for i, e in enumerate(mixed)}
-    actions = [tuple(position[e] for e in image) for image in _permuted(mixed)]
+    # The pure cubes are fixed as a set, so only ``mixed`` is permuted.
+    # Element i of ``mixed`` is bit m-1-i of a subset's mask, so the subsets
+    # of one size come in descending mask order.  Its key bit is m-1 minus
+    # its exponent rank: the larger of two key masks is the subset whose
+    # least differing element has the lesser exponent, the lex-lesser key.
+    images, order = _action_table(mixed)
+    rank = np.argsort(order)
+    m, group = images.shape
+    words = -(-m // _WORD_BITS)
+    subset_table = _bit_words(m - 1 - np.arange(m), words)[images]
+    key_table = _bit_words(m - 1 - rank, words)[images]
+    by_rank = [mixed[i] for i in order]
+    # reading a key's words bit by bit, high bit first, gives ascending rank
+    shifts = np.arange(_WORD_BITS - 1, -1, -1, dtype=np.int64)
+    padding = words * _WORD_BITS - m
+    rows = max(1, _BLOCK_CELLS // (group * words))
     hit_counts = {}
     candidates = []
     subsets_seen = 0
     for j in range(1, j_limit + 1):
-        # A permutation keeps j, so the marks of one layer never serve the
-        # next.  Subsets come in lex order, so each orbit is met, and entered
-        # in ``hit_counts``, at its lex-first member.
-        marked = set()
-        for subset in itertools.combinations(range(len(mixed)), j):
-            subsets_seen += 1
-            if subset in marked:
+        subsets = itertools.combinations(range(m), j)
+        while True:
+            block = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(subsets, rows)),
+                dtype=np.intp,
+            ).reshape(-1, j)
+            if not len(block):
+                break
+            subsets_seen += len(block)
+            # A subset is met first at its orbit's largest mask, so it opens
+            # an orbit, entered in ``hit_counts`` there, iff no image is above
+            # its own (identity) mask.
+            masks = _image_masks(subset_table, block)
+            above, equal = _above_and_equal(masks, masks[:, :1])
+            opens = ~above.any(axis=1)
+            if not opens.any():
                 continue
-            orbit = {tuple(sorted(action[i] for i in subset)) for action in actions}
-            marked |= orbit
-            key = min(
-                tuple(sorted(cubes + tuple(mixed[i] for i in image)))
-                for image in orbit
-            )
-            hit_counts[key] = len(orbit)
-            candidates.append(key)
+            fixed = equal[opens].sum(axis=1)
+            keys = _largest(_image_masks(key_table, block[opens]))
+            # each key has j bits, read off high bit first: ascending rank
+            bits = (keys[:, :, None] >> shifts) & 1
+            ranks = np.nonzero(bits.reshape(len(keys), -1))[1] - padding
+            sizes = (group // fixed).tolist()
+            for size, row in zip(sizes, ranks.reshape(-1, j).tolist()):
+                key = tuple(sorted(cubes + tuple(by_rank[r] for r in row)))
+                hit_counts[key] = size
+                candidates.append(key)
     candidates.sort(key=lambda key: (len(key), key))
     records = []
     for key in candidates:

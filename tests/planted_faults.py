@@ -52,6 +52,13 @@ MUTANTS = (
         "tests/test_cli.py::test_json_stdout_bytes_are_pinned",
     ),
     (
+        "census keys read under the subset bit order, not the key order",
+        "classify.py",
+        "key_table = _bit_words(m - 1 - rank, words)[images]",
+        "key_table = _bit_words(m - 1 - np.arange(m), words)[images]",
+        "tests/test_classify.py::test_n3_matches_brute_force",
+    ),
+    (
         "shoelace without its closing edge",
         "polytope.py",
         "zip(hull, hull[1:] + hull[:1])",

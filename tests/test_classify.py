@@ -226,6 +226,21 @@ def test_n4_partial_census(max_extra, subsets, candidates, records):
     assert all(120 % size == 0 for size in run.hit_counts.values())
 
 
+def test_n6_census_runs_on_two_word_masks():
+    # 77 mixed cubics: each subset mask takes two int64 words; the figures
+    # are those of the tuple-sorting enumeration this one replaced
+    run = enumerate_cubic_togliatti(6, max_extra=2)
+    assert (run.subsets_seen, run.candidates_tested, len(run.records)) == (
+        3003,
+        14,
+        0,
+    )
+    assert list(run.hit_counts.values()) == [
+        42, 35, 105, 21, 210, 210, 420, 105, 420, 420, 420, 210, 315, 70
+    ]
+    assert all(key == canonical_form(key) for key in run.hit_counts)
+
+
 def test_max_extra_below_one_is_rejected():
     for max_extra in (0, -2):
         with pytest.raises(ValueError, match="max_extra must be at least 1"):

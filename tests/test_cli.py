@@ -638,6 +638,25 @@ def test_classify_n3_stdout_bytes_are_pinned(capsys):
     assert digests == CLASSIFY_N3
 
 
+# SHA-256 of the stdout of the n = 4 census up to four mixed generators,
+# with and without --json; it holds one record
+CLASSIFY_N4 = {
+    "--json": "c912c2d086b2fc9217ba9c678fe2c4aef3f79148290d428299375f29eee812ae",
+    "": "4ac01a38d022c83bd873936e24f5b8722ddb98a7a70b53aa3d2e6c62bb97c011",
+}
+
+
+def test_classify_n4_stdout_bytes_are_pinned(capsys):
+    digests = {}
+    for flag in CLASSIFY_N4:
+        code, out, err = run_cli(
+            capsys, "classify", "--n", "4", "--max-extra", "4", *flag.split()
+        )
+        assert (code, err) == (0, "")
+        digests[flag] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == CLASSIFY_N4
+
+
 def test_verify_r4_json_stdout_bytes_are_pinned(capsys):
     # d = 3..9 holds both witnesses (d = 3 and d = 9) and the degrees 3 does
     # not divide, where the first random ideals get a full scan
