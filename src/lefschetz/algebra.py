@@ -13,11 +13,10 @@ Conventions used throughout the package:
   integer rows of the monomial multiples x^e * f of forms, used for dim I_t,
   the Lefschetz multiplication maps, the syzygy kernels on a line and the
   span of a list of forms.
-* Restrictions run in integers on one memoized expansion of monomial
-  images.  ``hyperplane_table`` holds the rows of the degree-d monomials on a
-  hyperplane, from which ``wlp`` reads the restricted generators;
-  ``linear_substitution`` expands forms at x = M*y, for the restriction to a
-  line (``bundles.restrict_to_line``).
+* ``linear_substitution`` is the one restriction: it expands forms at
+  x = M*y in integers, on one memoized expansion of monomial images, for
+  the restriction to a hyperplane (``wlp``) and to a line
+  (``bundles.restrict_to_line``).
 * ``LinearSystem`` is r independent forms of one degree, read both as a
   linear system (Laplace equations) and, as its subclass ``wlp.IdealSpec``,
   as the generators of an ideal I (the WLP).
@@ -109,14 +108,24 @@ class Form:
         raise AttributeError("Form is immutable")
 
     @classmethod
+    def _of_clean_terms(cls, n: int, degree: int, terms: dict) -> "Form":
+        """A form on terms already clean (nonzero ``_exact`` coefficients on
+        exponents of degree ``degree`` in n+1 variables), built without the
+        per-term pass of ``__init__``."""
+        form = cls(n, degree)
+        object.__setattr__(form, "terms", terms)
+        return form
+
+    @classmethod
     def monomial(cls, exponent, coeff=1) -> "Form":
-        """coeff * x^exponent, built without the per-term pass of ``__init__``."""
+        """coeff * x^exponent."""
         exponent = tuple(map(index, exponent))
         if not exponent or min(exponent) < 0:
             raise ValueError(f"bad exponent {exponent}")
-        form, coeff = cls(len(exponent) - 1, sum(exponent)), _exact(coeff)
-        object.__setattr__(form, "terms", {exponent: coeff} if coeff else {})
-        return form
+        coeff = _exact(coeff)
+        return cls._of_clean_terms(
+            len(exponent) - 1, sum(exponent), {exponent: coeff} if coeff else {}
+        )
 
     @property
     def is_zero(self) -> bool:
@@ -156,12 +165,11 @@ class Form:
         return hash((self.n, self.degree, frozenset(self.terms.items())))
 
     def __repr__(self):
-        from .parser import format_form
+        from .parser import default_names, format_form
 
         if self.is_zero:
             return f"Form(n={self.n}, degree={self.degree}, 0)"
-        names = [f"x{i}" for i in range(self.n + 1)]
-        return f"Form({format_form(self, names)})"
+        return f"Form({format_form(self, default_names(self.n))})"
 
 
 def _exact(c):
@@ -199,23 +207,6 @@ def _monomial_images(rows):
     return image
 
 
-def hyperplane_table(n: int, d: int, a) -> dict:
-    """Integer restriction of each degree-d monomial to sum(a_i x_i) = 0.
-
-    Maps each exponent of ``monomial_basis(n, d)`` to its row over
-    ``monomial_basis(n - 1, d)``: the image under x_i := a_n * y_i (i < n),
-    x_n := -(a_0 y_0 + ... + a_{n-1} y_{n-1}), which is a_n^d times the
-    restriction (x_n := -sum a_i y_i / a_n), so no rank changes.
-    """
-    rows = [[a[n] if j == i else 0 for j in range(n)] for i in range(n)]
-    rows.append([-c for c in a[:n]])
-    image = _monomial_images(rows)
-    columns = monomial_basis(n - 1, d)
-    return {
-        e: tuple(image(e).get(c, 0) for c in columns) for e in monomial_basis(n, d)
-    }
-
-
 def linear_substitution(forms, rows):
     """The forms at x_k := sum_j rows[k][j] * y_j, as forms in y_0, ..., y_m.
 
@@ -240,8 +231,10 @@ def linear_substitution(forms, rows):
             for key, value in image(exponent).items():
                 terms[key] = terms.get(key, 0) + coeff * value
         den *= scale**form.degree
-        terms = {e: v if den == 1 else Fraction(v, den) for e, v in terms.items() if v}
-        restricted.append(Form(m, form.degree, terms))
+        terms = {
+            e: v if den == 1 else _exact(Fraction(v, den)) for e, v in terms.items() if v
+        }
+        restricted.append(Form._of_clean_terms(m, form.degree, terms))
     return restricted
 
 

@@ -32,12 +32,12 @@ degree, each drawn through ``sample_until`` like every other sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import linear_substitution, monomial_basis, multiples_matrix, pure_power
-from .linalg import exact_rank
+from .linalg import clear_denominators, exact_rank
 from .sampling import (
-    DEFAULT_SEED, DEFAULT_TRIALS, random_form, random_line, sample_until
+    DEFAULT_SEED, DEFAULT_TRIALS, projectively_distinct, random_form, random_line,
+    sample_until,
 )
 from .wlp import IdealSpec, fails_in_degree_dminus1, has_wlp, is_artinian
 
@@ -66,22 +66,15 @@ class SplittingType:
 def restrict_to_line(forms, point_p, point_q):
     """Restrict forms to the line s*p + t*q, as binary forms in (s, t).
 
-    The points must be projectively distinct (some 2x2 minor nonzero).
-    Coordinates other than ints are read exactly, through ``Fraction``.
+    The points must be projectively distinct (some 2x2 minor nonzero), which
+    is tested on each point cleared to integers: scaling a point keeps it
+    the same projective point.  Coordinates are read exactly.
     """
-    point_p, point_q = (
-        tuple(c if type(c) is int else Fraction(c) for c in point)
-        for point in (point_p, point_q)
-    )
     if len(point_p) != len(point_q):
         raise ValueError("points of different lengths")
-    n = len(point_p) - 1
-    if not any(
-        point_p[i] * point_q[j] - point_p[j] * point_q[i]
-        for i in range(n + 1)
-        for j in range(i + 1, n + 1)
-    ):
+    if not projectively_distinct(*map(clear_denominators, (point_p, point_q))):
         raise ValueError("points are coincident (projectively equal)")
+    n = len(point_p) - 1
     if any(form.n != n for form in forms):
         raise ValueError("form does not live on the ambient space of the points")
     return linear_substitution(forms, list(zip(point_p, point_q)))

@@ -53,7 +53,7 @@ from .algebra import Form, monomial_basis, pure_power
 from .apolarity import apolar_complement
 from .bundles import AnalysisError
 from .osculating import laplace_count, perkinson_quadric
-from .parser import format_form
+from .parser import default_names, format_form
 from .polytope import (
     VERDICT_DEGENERATE,
     build_polytope,
@@ -71,23 +71,16 @@ from .wlp import (
 RECORD_SCHEMA = 1
 
 
-def _permuted(exponents):
-    """The images of ``exponents`` under each coordinate permutation, in order.
-
-    Yields one tuple per permutation sigma, holding the image
-    ``(e[sigma[0]], ..., e[sigma[n]])`` of every exponent ``e`` in input order.
-    """
-    width = len(exponents[0])
-    for sigma in itertools.permutations(range(width)):
-        yield tuple(tuple(e[s] for s in sigma) for e in exponents)
-
-
 def permutation_images(exponents):
-    """All distinct images of the set under coordinate permutations."""
+    """All distinct images of the set under coordinate permutations: the
+    image under sigma maps each e to (e[sigma[0]], ..., e[sigma[n]])."""
     exponents = [tuple(e) for e in exponents]
     if not exponents:
         return {()}
-    return {tuple(sorted(image)) for image in _permuted(exponents)}
+    return {
+        tuple(sorted(tuple(e[s] for s in sigma) for e in exponents))
+        for sigma in itertools.permutations(range(len(exponents[0])))
+    }
 
 
 def canonical_form(exponents):
@@ -111,9 +104,9 @@ def _action_table(mixed):
     """The coordinate permutations as maps on the indices of ``mixed``.
 
     Row i holds the index of element i's image under each permutation, in
-    the order of ``_permuted``, identity first.  Also returns the indices in
-    ascending exponent order.  An exponent tuple with entries below 4 is
-    coded in base 4, so codes sort as the tuples do.
+    the order of ``itertools.permutations``, identity first.  Also returns
+    the indices in ascending exponent order.  An exponent tuple with entries
+    below 4 is coded in base 4, so codes sort as the tuples do.
     """
     exponents = np.array(mixed, dtype=np.int64)
     width = exponents.shape[1]
@@ -168,10 +161,6 @@ def _largest(masks):
     return best
 
 
-def _variable_names(n: int):
-    return [f"x{i}" for i in range(n + 1)]
-
-
 def _to_json(value, names):
     """A record value as JSON: Forms printed, tuples as lists."""
     if isinstance(value, Form):
@@ -218,7 +207,7 @@ class ClassificationRecord:
         return len(self.extra)
 
     def to_json_dict(self) -> dict:
-        names = _variable_names(self.n)
+        names = default_names(self.n)
         data = {"schema": RECORD_SCHEMA}
         for name in _DERIVED + tuple(f.name for f in fields(self)):
             data[name] = _to_json(getattr(self, name), names)
@@ -411,36 +400,24 @@ def canonical_json(payload) -> str:
 
 
 # The four n = 3 classification cases, by their apolar systems (the
-# inverse-system monomials); the ideals are the complements.
+# inverse-system monomials, spelled in a..d with repeats, "aab" for a^2 b);
+# the ideals are the complements.
 _CASE_SYSTEMS = {
-    1: "a2b a2c a2d ab2 ac2 ad2 b2c b2d bc2 bd2 c2d cd2",
-    2: "abc abd a2c a2d ac2 ad2 b2c b2d bc2 bd2 c2d cd2",
-    3: "abc abd acd bcd a2c ac2 a2d ad2 b2c bc2 b2d bd2",
-    4: "acd bcd a2c a2d ac2 ad2 b2c b2d bc2 bd2 c2d cd2",
+    1: "aab aac aad abb acc add bbc bbd bcc bdd ccd cdd",
+    2: "abc abd aac aad acc add bbc bbd bcc bdd ccd cdd",
+    3: "abc abd acd bcd aac acc aad add bbc bcc bbd bdd",
+    4: "acd bcd aac aad acc add bbc bbd bcc bdd ccd cdd",
 }
 
-_LETTERS = "abcd"
 
-
-def _monomial_word_to_exponent(word: str, n: int = 3):
-    exponent = [0] * (n + 1)
-    i = 0
-    while i < len(word):
-        idx = _LETTERS.index(word[i])
-        if i + 1 < len(word) and word[i + 1].isdigit():
-            exponent[idx] += int(word[i + 1])
-            i += 2
-        else:
-            exponent[idx] += 1
-            i += 1
-    return tuple(exponent)
+def _exponent(word: str):
+    """The exponent of a monomial spelled in the letters a..d ("aab": a^2 b)."""
+    return tuple(map(word.count, "abcd"))
 
 
 def classification_case_system(case: int):
     """Apolar-system exponents of classification case 1..4 (n = 3)."""
-    return tuple(
-        sorted(_monomial_word_to_exponent(w) for w in _CASE_SYSTEMS[case].split())
-    )
+    return tuple(sorted(map(_exponent, _CASE_SYSTEMS[case].split())))
 
 
 def classification_case_ideal(case: int) -> IdealSpec:
@@ -473,7 +450,7 @@ def four_prime_projections():
     bound = comb(5, 2)
     results = []
     for case, subset in removals:
-        removed = [_monomial_word_to_exponent(w) for w in subset]
+        removed = [_exponent(w) for w in subset]
         base = classification_case_ideal(case)
         gens = tuple(sorted(set(base.exponents()) | set(removed)))
         images = permutation_images(gens)

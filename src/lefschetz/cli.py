@@ -37,7 +37,9 @@ from .classify import (
     enumerate_cubic_togliatti,
 )
 from .osculating import laplace_count
-from .parser import ParseError, format_form, is_variable_name, parse_polynomial
+from .parser import (
+    ParseError, default_names, format_form, is_variable_name, parse_polynomial
+)
 from .polytope import (
     VERDICT_DEGENERATE,
     DegeneratePolytopeError,
@@ -419,7 +421,7 @@ def _cmd_example(args):
             spec = build_named_example(args.name, args.n, partition)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    names = [f"x{i}" for i in range(spec.n + 1)]
+    names = default_names(spec.n)
     document = {
         "variables": names,
         "degree": spec.d,

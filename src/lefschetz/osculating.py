@@ -97,10 +97,13 @@ def laplace_count(
     way.  Any other system is ranked at sampled points, the highest rank
     kept (the osculating dimension is lower semicontinuous, so it is the
     general value); a rank on its ceiling min(comb(n+s, s), members) is
-    certified, a drop is Monte Carlo.
+    certified, a drop is Monte Carlo.  ValueError at n = 0, where the map
+    has a point for its image and no chart to take jets in.
     """
     if s < 0:
         raise ValueError("order must be non-negative")
+    if system.n == 0:
+        raise ValueError("Laplace equations need n >= 1: the image of P^0 is a point")
     if system.is_monomial:
         # For a member x^alpha, alpha' = (alpha_1, ..., alpha_n), the entry at
         # jet beta and chart point t is (alpha')_beta * t^(alpha' - beta), a

@@ -198,6 +198,11 @@ def parse_polynomial(text: str, variables, expected_degree=None) -> Form:
     return Form(n, degree, terms)
 
 
+def default_names(n: int) -> list:
+    """The variable names x0, ..., xn of a form in n+1 variables."""
+    return [f"x{i}" for i in range(n + 1)]
+
+
 def format_form(form: Form, variables) -> str:
     """Canonical string: terms in descending lex order, '*' between factors."""
     if len(variables) != form.n + 1:

@@ -78,19 +78,20 @@ def random_chart_point(n: int, rng: random.Random):
     return tuple(rng.randint(1, COEFF_BOUND) for _ in range(n))
 
 
+def projectively_distinct(p, q) -> bool:
+    """Whether two points of one length span a line: some 2x2 minor of the
+    matrix with rows p and q is nonzero (never, when either point is zero)."""
+    return any(
+        p[i] * q[j] - p[j] * q[i] for i in range(len(p)) for j in range(i + 1, len(p))
+    )
+
+
 def random_line(n: int, rng: random.Random):
     """Two projectively distinct points with coordinates in [-999, 999]."""
     while True:
         p = tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(n + 1))
         q = tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(n + 1))
-        if not any(p) or not any(q):
-            continue
-        # projectively distinct: some 2x2 minor is nonzero
-        if any(
-            p[i] * q[j] - p[j] * q[i]
-            for i in range(n + 1)
-            for j in range(i + 1, n + 1)
-        ):
+        if projectively_distinct(p, q):
             return p, q
 
 

@@ -20,10 +20,10 @@ map is a multiplication on R itself) up to the first surjective degree
 The degree d-1 is the interesting one: for r <= comb(n+d-1, d) the map in
 degree d-1 fails maximal rank exactly when the restrictions of the
 generators to a general hyperplane become linearly dependent, which is the
-bridge to Laplace equations (module ``osculating``).  The restrictions are
-integer rows read off ``algebra.hyperplane_table``; for a monomial ideal,
-x_0 + ... + x_n = 0 is general enough, so ``is_togliatti`` is one exact rank
-of rows from one cached table.
+bridge to Laplace equations (module ``osculating``).  The restrictions go
+through ``algebra.linear_substitution``, as integer rows; for a monomial
+ideal, x_0 + ... + x_n = 0 is general enough, so ``is_togliatti`` is one
+exact rank of rows from one cached table.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional
 from .algebra import (
     Form,
     LinearSystem,
-    hyperplane_table,
+    linear_substitution,
     monomial_basis,
     multiples_matrix,
     pure_power,
@@ -211,15 +211,31 @@ def _sum_of_variables(n: int) -> Form:
     return Form(n, 1, {pure_power(n, i): 1 for i in range(n + 1)})
 
 
+def _quotient_map_rows(spec: IdealSpec, sources, coeffs, t: int) -> list:
+    """Integer rows of x L on the quotient basis of degree t of a monomial
+    ideal, L = sum c_i x_i with integer ``coeffs``: one row per source
+    monomial x^e of degree t-1, one column per monomial outside I_t, and
+    the row of x^e holds c_i at x^e * x_i for each c_i whose product stays
+    outside I_t.  Rows that come out zero are dropped, so the mod-p screen
+    checks full rank against min(rows, cols)."""
+    target = quotient_basis(spec, t)
+    rows = []
+    for e in sources:
+        row = [0] * len(target)
+        for i, c in enumerate(coeffs):
+            k = target.get(shifted(e, i))
+            if c and k is not None:
+                row[k] = c
+        if any(row):
+            rows.append(row)
+    return rows
+
+
 def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport:
     """Exact rank of x linear_form : (R/I)_j -> (R/I)_{j+1}.
 
     rank = dim(L*R_j + I_{j+1}) - dim I_{j+1}.  For monomial ideals the map
-    is written on the quotient bases: one row per monomial x^e outside I_j,
-    one column per monomial outside I_{j+1}, and the row of x^e holds c_i
-    at x^e * x_i for each coefficient c_i of L whose product stays outside
-    I_{j+1}.  Rows that come out zero are dropped, so the mod-p screen
-    checks full rank against min(rows, cols).
+    is written on the quotient bases by ``_quotient_map_rows``.
 
     Below degree d-1 nothing is ranked: for j <= d-2, I_{j+1} = 0 and the
     map is multiplication by a nonzero L on the domain R, injective, so the
@@ -238,20 +254,11 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
         return WlpReport(j, hs, ht, hs, linear_form)
     if spec.is_monomial:
         n = spec.n
-        target = quotient_basis(spec, j + 1)
         coeffs = clear_denominators(
             [linear_form.terms.get(pure_power(n, i), 0) for i in range(n + 1)]
         )
-        rows = []
-        for e in quotient_basis(spec, j):
-            row = [0] * ht
-            for i, c in enumerate(coeffs):
-                k = target.get(shifted(e, i))
-                if c and k is not None:
-                    row[k] = c
-            if any(row):
-                rows.append(row)
-        rank = exact_rank(rows)
+        sources = quotient_basis(spec, j)
+        rank = exact_rank(_quotient_map_rows(spec, sources, coeffs, j + 1))
     else:
         rows = multiples_matrix([linear_form], j)
         if j + 1 >= spec.d:
@@ -313,46 +320,59 @@ def has_wlp(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
 
 
 def generator_bound(n: int, d: int) -> int:
-    """comb(n+d-1, n-1): the generator-count bound for the degree-(d-1) theory.
-
-    Equals comb(n+d-1, d) (same binomial coefficient), the bound under which
-    restriction to a general hyperplane detects the degree-(d-1) failure.
+    """comb(n+d-1, d): the generator-count bound for the degree-(d-1) theory,
+    under which restriction to a general hyperplane detects the degree-(d-1)
+    failure.  It equals comb(n+d-1, n-1) for n >= 1 and is 0 at n = 0,
+    where there is no hyperplane to restrict to.
     """
-    return comb(n + d - 1, n - 1)
+    return comb(n + d - 1, d)
+
+
+def _hyperplane_rows(a) -> list:
+    """The substitution rows of the hyperplane sum(a_i x_i) = 0, a_n != 0:
+    x_i := a_n * y_i (i < n), x_n := -(a_0 y_0 + ... + a_{n-1} y_{n-1}).
+    A degree-d form goes to a_n^d times its restriction
+    (x_n := -sum a_i y_i / a_n), so no rank changes."""
+    n = len(a) - 1
+    rows = [[a[n] if j == i else 0 for j in range(n)] for i in range(n)]
+    rows.append([-c for c in a[:n]])
+    return rows
 
 
 @lru_cache(maxsize=None)
 def _sum_hyperplane_table(n: int, d: int) -> dict:
-    """``hyperplane_table`` of x_0 + ... + x_n = 0, enough for monomial ideals."""
-    return hyperplane_table(n, d, (1,) * (n + 1))
+    """The integer row of each degree-d monomial on x_0 + ... + x_n = 0,
+    keyed by its exponent, over ``monomial_basis(n - 1, d)``: enough for
+    monomial ideals."""
+    basis = monomial_basis(n, d)
+    restricted = linear_substitution(
+        [Form.monomial(e) for e in basis], _hyperplane_rows((1,) * (n + 1))
+    )
+    return dict(zip(basis, map(tuple, multiples_matrix(restricted, 0))))
 
 
 def _restricted_rows(spec: IdealSpec, seed, trials, read, done) -> list:
     """``read`` of the integer rows of the generators on general
     hyperplanes: x_0 + ... + x_n = 0 (a cached table) for monomial ideals,
     sampled ones until ``done`` accepts a read for general ideals.  A
-    generator's row is the sum of its cleared coefficients times the
-    ``hyperplane_table`` rows of its terms, a nonzero multiple of its
+    generator's row is the ``linear_substitution`` of the generator, cleared
+    to integers, at the ``_hyperplane_rows``: a nonzero multiple of its
     restriction."""
-    n, d = spec.n, spec.d
     if spec.is_monomial:
         check_trials(trials)
-        table = _sum_hyperplane_table(n, d)
+        table = _sum_hyperplane_table(spec.n, spec.d)
         return [read([table[next(iter(g.terms))] for g in spec.generators])]
 
     cleared = [
-        list(zip(g.terms, clear_denominators(g.terms.values()))) for g in spec.generators
+        Form._of_clean_terms(
+            g.n, g.degree, dict(zip(g.terms, clear_denominators(g.terms.values())))
+        )
+        for g in spec.generators
     ]
 
     def draw(rng):
-        table = hyperplane_table(n, d, random_hyperplane(n, rng))
-        rows = []
-        for terms in cleared:
-            row = [0] * comb(n - 1 + d, d)
-            for e, c in terms:
-                row = [x + c * y for x, y in zip(row, table[e])]
-            rows.append(row)
-        return read(rows)
+        rows = _hyperplane_rows(random_hyperplane(spec.n, rng))
+        return read(multiples_matrix(linear_substitution(cleared, rows), 0))
 
     return sample_until(seed, ("hyperplane",), trials, draw, done)
 
@@ -434,19 +454,6 @@ class TypeBResult:
     witness: Optional[int]
 
 
-def _tangent_rows(n: int, i: int, columns: dict):
-    """Integer rows of x_k * x_i * (x_0 + ... + x_n), k = 0..n, kept on
-    ``columns`` only."""
-    rows = [[0] * len(columns) for _ in range(n + 1)]
-    for j in range(n + 1):
-        e = shifted(pure_power(n, i), j)
-        for k, row in enumerate(rows):
-            column = columns.get(shifted(e, k))
-            if column is not None:
-                row[column] = 1
-    return rows
-
-
 def trivial_type_b_test(spec: IdealSpec) -> TypeBResult:
     """The ``TypeBResult`` of a monomial cubic ideal.  It is exact and draws
     no sample, so it takes no seed or trial count."""
@@ -458,7 +465,6 @@ def trivial_type_b_test(spec: IdealSpec) -> TypeBResult:
     # x_i*(sum c_k x_k)*R_1, so the intersection dimension at the sum is its
     # value on the dense open set of M with no zero coefficient, the generic one
     gens = spec.exponents()
-    columns = quotient_basis(spec, 3)
     sufficient = False
     witness = None
     for i in range(n + 1):
@@ -468,8 +474,10 @@ def trivial_type_b_test(spec: IdealSpec) -> TypeBResult:
         if witness is not None:
             continue
         # x_i*M*R_1 has dimension n+1 (R is a domain) and the generators are
-        # unit rows, so dim(I_3 meet x_i*M*R_1) = (n+1) - rank of the tangent
-        # rows on the columns outside I_3: nonzero iff that rank falls short
-        if exact_rank(_tangent_rows(n, i, columns)) < n + 1:
+        # unit rows, so dim(I_3 meet x_i*M*R_1) = (n+1) - rank of the rows of
+        # x M on the sources x_i*x_k, k = 0..n, kept on the columns outside
+        # I_3: nonzero iff that rank falls short
+        sources = [shifted(pure_power(n, i), k) for k in range(n + 1)]
+        if exact_rank(_quotient_map_rows(spec, sources, [1] * (n + 1), 3)) < n + 1:
             witness = i
     return TypeBResult(sufficient, witness is not None, witness)

@@ -72,6 +72,20 @@ MUTANTS = (
         "if r * (t + 1) - k >= t + d:",
         "tests/test_bundles.py::test_kernel_profile_ranks_on_where_a_rank_is_one_short",
     ),
+    (
+        "hyperplane rows restricting to x_n = 0",
+        "wlp.py",
+        "rows.append([-c for c in a[:n]])",
+        "rows.append([0] * n)",
+        "tests/test_classify.py::test_n3_matches_brute_force",
+    ),
+    (
+        "quotient-map rows reading x^e * x_0 for every coefficient",
+        "wlp.py",
+        "k = target.get(shifted(e, i))",
+        "k = target.get(shifted(e, 0))",
+        "tests/test_wlp.py::test_type_b_apolar_rank_matches_the_stacked_rank",
+    ),
 )
 
 

@@ -195,6 +195,11 @@ def test_restrict_to_line_rejects_coincident_points():
     cube = Form.monomial((3, 0, 0))
     with pytest.raises(ValueError):
         restrict_to_line([cube], (1, 2, 3), (2, 4, 6))
+    # scaled by 1/2, as Fractions and as floats exact in binary
+    with pytest.raises(ValueError):
+        restrict_to_line([cube], (Fraction(1, 2), 1, Fraction(3, 2)), (1, 2, 3))
+    with pytest.raises(ValueError):
+        restrict_to_line([cube], (0.5, 1.0, 1.5), (1, 2, 3))
 
 
 def test_restrict_to_line_keeps_count(togliatti_cubic):

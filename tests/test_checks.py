@@ -68,7 +68,6 @@ def test_fraction_is_named_only_where_coefficients_are_read_or_printed():
         ("algebra.py", "__rmul__"),
         ("algebra.py", "_exact"),  # Form: int when integral, else Fraction
         ("algebra.py", "linear_substitution"),  # one division per output term
-        ("bundles.py", "restrict_to_line"),  # non-int line points
         ("linalg.py", "_rref"),  # the rational cross-check route
         ("linalg.py", "kernel_basis"),  # the kernel over Q
         ("linalg.py", "scale_to_integers"),

@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
-from lefschetz.algebra import Form, monomial_basis, rank_of_span, substitute_variable
+from lefschetz.algebra import (
+    Form, monomial_basis, pure_power, rank_of_span, shifted, substitute_variable
+)
 from lefschetz.classify import (
     _pure_cubes,
     build_named_example,
@@ -26,8 +28,8 @@ from lefschetz.parser import format_form
 from lefschetz.sampling import random_chart_point, random_linear_form, rng_for
 from lefschetz.wlp import (
     IdealSpec,
+    _quotient_map_rows,
     _sum_of_variables,
-    _tangent_rows,
     fails_in_degree_dminus1,
     is_togliatti,
     quotient_basis,
@@ -515,8 +517,10 @@ def test_type_b_rank_at_the_sum_of_variables_is_the_rank_at_sampled_forms(run3, 
         n, columns = spec.n, quotient_basis(spec, 3)
         witness = None
         for i in range(n + 1):
-            rows = _tangent_rows(n, i, columns)
-            assert rows == tangent_rows(n, i, _sum_of_variables(n), columns)
+            sources = [shifted(pure_power(n, i), k) for k in range(n + 1)]
+            rows = _quotient_map_rows(spec, sources, [1] * (n + 1), 3)
+            reference = tangent_rows(n, i, _sum_of_variables(n), columns)
+            assert rows == [row for row in reference if any(row)]
             at_sum = exact_rank(rows)
             rng = rng_for(seed, "type-b", i)
             sampled = [

@@ -128,6 +128,21 @@ def test_document_lists_of_strings_exit_two(capsys, tmp_path, key, value):
     assert err.startswith(f"error: {key} must be a list of strings, not {value!r}")
 
 
+ONE_VARIABLE = ["--variables", "x", "--degree", "3", "--gen", "x^3"]
+
+
+def test_one_variable_documents_fail_with_a_named_reason(capsys):
+    # n = 0: no hyperplane to restrict to, and the image of P^0 is a point
+    code, out, err = run_cli(capsys, "togliatti", *ONE_VARIABLE)
+    assert (code, out) == (1, "")
+    assert err.startswith("analysis failed: r = 1 exceeds the generator bound 0")
+    code, out, err = run_cli(capsys, "osculate", *ONE_VARIABLE, "--order", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "analysis failed: Laplace equations need n >= 1: the image of P^0 is a point\n"
+    )
+
+
 def test_zero_trials_osculate_exits_two(capsys):
     code, out, err = run_cli(capsys, "osculate", *TOG, "--order", "2", "--trials", "0")
     assert code == 2

@@ -1,5 +1,6 @@
 """Multiplication maps, h-vectors, and the degree d-1 failure criteria."""
 
+import operator
 from fractions import Fraction
 from math import comb, lcm
 
@@ -9,6 +10,7 @@ from lefschetz import linalg, wlp
 from lefschetz.wlp import (
     IdealSpec,
     TypeBResult,
+    _sum_hyperplane_table,
     artinian_bound,
     certified_lefschetz_report,
     fails_in_degree_dminus1,
@@ -43,7 +45,7 @@ from lefschetz.sampling import (
     rng_for,
 )
 
-from form_helpers import small_form, tangent_rows
+from form_helpers import evaluate, small_form, tangent_rows
 
 
 def test_h_vector_togliatti(togliatti_cubic):
@@ -410,6 +412,36 @@ def test_table_restriction_is_a_multiple_of_the_substitution_on_general_ideals()
         assert fails_in_degree_dminus1(spec, seed=seed, trials=2) == dependent
         verdicts.add(dependent)
     assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hyperplane_rows_are_the_cleared_generators_evaluated_on_the_hyperplane(n):
+    # each row, read as a form in y, is the cleared generator at
+    # x(y) = (a_n y_0, ..., a_n y_{n-1}, -(a_0 y_0 + ... + a_{n-1} y_{n-1})),
+    # checked by evaluation at seeded integer points, not by substitution
+    rng = rng_for(0, "hyperplane-evaluation", n)
+    columns = monomial_basis(n - 1, 3)
+
+    def check(generators, rows, a):
+        for g, row in zip(generators, rows, strict=True):
+            cleared = g * lcm(*(c.denominator for c in g.terms.values()))
+            restricted = Form(n - 1, 3, dict(zip(columns, row, strict=True)))
+            for _ in range(3):
+                y = [rng.randint(-30, 30) for _ in range(n)]
+                x = [a[n] * c for c in y] + [-sum(map(operator.mul, a, y))]
+                assert evaluate(restricted, y) == evaluate(cleared, x)
+
+    basis = monomial_basis(n, 3)
+    table = _sum_hyperplane_table(n, 3)
+    check([Form.monomial(e) for e in basis], [table[e] for e in basis], (1,) * (n + 1))
+    seed = 7
+    scales = [Fraction(1, rng.randint(1, 6)) for _ in range(3)]
+    spec = IdealSpec(n, 3, [small_form(n, 3, rng) * c for c in scales])
+    batches = wlp._restricted_rows(spec, seed, 3, lambda rows: rows, lambda rows: False)
+    hyperplanes = rng_for(seed, "hyperplane")
+    assert len(batches) == 3
+    for rows in batches:
+        check(spec.generators, rows, random_hyperplane(n, hyperplanes))
 
 
 def _stacked_type_b(spec, seed, trials):
