@@ -8,14 +8,20 @@ as integer bit masks, one block of subsets at a time.  Subsets come in
 descending mask order, so a subset opens its orbit under the coordinate
 permutations iff no permutation maps it to a larger mask.  Each orbit's
 canonical form (its lex-minimal member, the largest mask under a second
-bit order) is tested with ``is_togliatti``, and each hit is fully
-certified: apolar system, Laplace count re-verified, lattice quadric,
-polytope verdict (smooth / quasi-smooth / singular), toric degree,
-triviality flags, orbit size.
+bit order) is a candidate.  A candidate is Togliatti iff its generators'
+rows in ``wlp._sum_hyperplane_table`` are dependent, so candidates of one
+size are stacked and screened together mod p (``linalg``'s
+``_modp_independent_rows``): rows independent mod p are independent over
+Q, which rules the candidate out.  Only the rest, the Togliatti systems
+and the rare false alarms of the prime, go through ``certify_candidate``,
+which decides each exactly: ``is_togliatti``, then for a hit the apolar
+system, Laplace count re-verified, lattice quadric, polytope verdict
+(smooth / quasi-smooth / singular), toric degree, triviality flags, orbit
+size.
 A ``ClassificationRecord`` keeps only what it certified.  Its r, j, mixed
 generators and Togliatti flag are read off the generators, and its JSON
-writes them too.  Nothing reads a record back: every run certifies every
-candidate.
+writes them too.  Nothing reads a record back: every run decides every
+candidate afresh.
 
 The records are every Togliatti system, minimal or not: a record may keep
 the property after a mixed generator is dropped (the n = 3 smooth record of
@@ -52,6 +58,7 @@ import numpy as np
 from .algebra import Form, monomial_basis, pure_power
 from .apolarity import apolar_complement
 from .bundles import AnalysisError
+from .linalg import _modp_independent_rows
 from .osculating import laplace_count, perkinson_quadric
 from .parser import default_names, format_form
 from .polytope import (
@@ -63,6 +70,7 @@ from .polytope import (
 from .wlp import (
     IdealSpec,
     TypeBResult,
+    _sum_hyperplane_table,
     is_togliatti,
     trivial_type_a,
     trivial_type_b_test,
@@ -95,8 +103,9 @@ def canonical_form(exponents):
 # Bits held in one int64 word of a subset mask; masks of more elements take
 # several words, compared from the high word down.
 _WORD_BITS = 62
-# int64 cells in one block of image masks: the group order times the words
-# of a mask times the subsets in the block.
+# int64 cells in one block of image masks (the group order times the words
+# of a mask times the subsets in the block), and in one stack of the screen
+# (candidates times rows times columns).
 _BLOCK_CELLS = 1 << 15
 
 
@@ -311,8 +320,10 @@ def enumerate_cubic_togliatti(
 
     ``max_extra`` >= 1 caps the number j of mixed generators (required
     sanity for n >= 4, where the full range is astronomically large).
-    Every candidate is certified, in canonical order, and then passed to
-    ``progress(key, record)``, with record None for a non-Togliatti one.
+    Every candidate is decided, in canonical order, and then passed to
+    ``progress(key, record)``, with record None for a non-Togliatti one:
+    candidates whose hyperplane rows are independent mod p are ruled out
+    by one stacked screen per block, and only the rest are certified.
     ``seed`` changes nothing: every check of monomial input is exact, so
     the census draws no sample.
     """
@@ -377,13 +388,26 @@ def enumerate_cubic_togliatti(
                 hit_counts[key] = size
                 candidates.append(key)
     candidates.sort(key=lambda key: (len(key), key))
+    # Each candidate is artinian, with r at most the generator bound (the
+    # table's column count), so it is Togliatti iff its table rows are
+    # dependent; rows independent mod p are independent over Q, and only
+    # the rest are certified.
+    table = _sum_hyperplane_table(n, 3)
+    row_of = {e: i for i, e in enumerate(table)}
+    table_rows = np.array(list(table.values()), dtype=np.int64)
     records = []
-    for key in candidates:
-        record = certify_candidate(n, key, hit_counts[key])
-        if progress is not None:
-            progress(key, record)
-        if record is not None:
-            records.append(record)
+    for r, group in itertools.groupby(candidates, len):
+        group = list(group)
+        step = max(1, _BLOCK_CELLS // (r * table_rows.shape[1]))
+        for start in range(0, len(group), step):
+            chunk = group[start : start + step]
+            stack = table_rows[[[row_of[e] for e in key] for key in chunk]]
+            for key, ruled_out in zip(chunk, _modp_independent_rows(stack).tolist()):
+                record = None if ruled_out else certify_candidate(n, key, hit_counts[key])
+                if progress is not None:
+                    progress(key, record)
+                if record is not None:
+                    records.append(record)
     return ClassificationRun(
         n=n,
         j_max=j_limit,

@@ -32,7 +32,12 @@ that of the transpose), and updates each row below a pivot whose head is
 nonzero as ``(pivot * row - head * pivot_row) % p``: no modular inverse.
 With residues in [0, p) and p = 2**31 - 1 each product is below 2**62, so
 the difference fits in int64.  Rows with a zero head are left alone, which
-keeps the large sparse Macaulay matrices cheap.
+keeps the large sparse Macaulay matrices cheap.  Beside it,
+``_modp_independent_rows`` runs the same update on a whole (B, r, c) stack
+of small matrices at once, one row at a time, and says which have rank r
+mod p.  The census rules out a candidate on that verdict alone (rank mod p
+at most the rank over Q); a matrix found dependent is left to an exact
+route.
 
 Lattice coordinates need no elimination at all: ``lattice_coordinate_rows``
 returns the inverse of a unimodular matrix, so coordinates on a lattice
@@ -59,9 +64,13 @@ def scale_to_integers(row):
     """(integers, scale): a row of Fractions/ints times ``scale``, the least
     common multiple of its denominators.
 
-    ints and Fractions are read through ``numerator``/``denominator`` directly;
+    A row of plain ints comes back as a list with scale 1.  Otherwise ints and
+    Fractions are read through ``numerator``/``denominator`` directly;
     re-wrapping each entry in a new ``Fraction`` dominated the harness profile.
     """
+    row = list(row)  # callers pass dict views, read twice below
+    if all(type(x) is int for x in row):
+        return row, 1
     fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     scale = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (scale // f.denominator) for f in fracs], scale
@@ -198,6 +207,31 @@ def _modp_rank(mat: np.ndarray) -> int:
             mat[live, col + 1 :] = block
         rank += 1
     return rank
+
+
+def _modp_independent_rows(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (B, r, c) integer stack has rank r mod _PRIME.
+
+    The B matrices are reduced into a copy and eliminated together, one row
+    at a time: row k pivots on its largest residue, and each row below it
+    becomes ``(pivot * row - head * pivot_row) % p``.  A row that is zero
+    once the rows above it are eliminated makes its matrix dependent mod p
+    (its pivot 0 then zeroes the rows below, which decide nothing more).
+    """
+    mat = stack % _PRIME_INT64
+    batch = np.arange(len(mat))
+    independent = np.ones(len(mat), dtype=bool)
+    for k in range(mat.shape[1]):
+        row = mat[:, k]
+        column = row.argmax(axis=1)
+        pivot = row[batch, column]
+        independent &= pivot != 0
+        below = mat[:, k + 1 :]
+        head = below[batch, :, column]
+        below *= pivot[:, None, None]
+        below -= head[:, :, None] * row[:, None, :]
+        below %= _PRIME_INT64
+    return independent
 
 
 def _to_modp_array(rows) -> np.ndarray:

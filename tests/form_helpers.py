@@ -1,5 +1,5 @@
-"""Sums and values of forms for the tests; the package itself only multiplies
-forms and never evaluates them."""
+"""Sums and values of forms, and unimodular coordinate changes, for the
+tests; the package itself only multiplies forms and never evaluates them."""
 
 from fractions import Fraction
 
@@ -64,3 +64,19 @@ def tangent_rows(n: int, i: int, m: Form, columns: dict):
             if column is not None:
                 row[column] = c
     return rows
+
+
+def random_unimodular(rng, m):
+    """An m x m integer matrix of determinant +-1: a signed permutation
+    times three elementary shears."""
+    perm = list(range(m))
+    rng.shuffle(perm)
+    mat = [
+        [rng.choice([-1, 1]) if j == perm[i] else 0 for j in range(m)]
+        for i in range(m)
+    ]
+    for _ in range(3):
+        i, j = rng.sample(range(m), 2)
+        q = rng.choice([-2, -1, 1, 2])
+        mat[i] = [a + q * b for a, b in zip(mat[i], mat[j])]
+    return mat

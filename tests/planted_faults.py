@@ -86,6 +86,27 @@ MUTANTS = (
         "k = target.get(shifted(e, 0))",
         "tests/test_wlp.py::test_type_b_apolar_rank_matches_the_stacked_rank",
     ),
+    (
+        "degree d-1 failure read as a rank below r - 1",
+        "wlp.py",
+        "return ranks[-1] < spec.r\n",
+        "return ranks[-1] < spec.r - 1\n",
+        "tests/test_classify.py::test_n3_verdicts_agree_with_the_laplace_criteria",
+    ),
+    (
+        "stacked screen blind to a zero last row",
+        "linalg.py",
+        "for k in range(mat.shape[1]):",
+        "for k in range(mat.shape[1] - 1):",
+        "tests/test_classify.py::test_n3_run_totals",
+    ),
+    (
+        "stacked screen that rules out nothing",
+        "linalg.py",
+        "independent = np.ones(len(mat), dtype=bool)",
+        "independent = np.zeros(len(mat), dtype=bool)",
+        "tests/test_classify.py::test_the_n3_census_opens_no_random_stream",
+    ),
 )
 
 

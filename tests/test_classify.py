@@ -4,10 +4,17 @@ import itertools
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from lefschetz.algebra import (
-    Form, monomial_basis, pure_power, rank_of_span, shifted, substitute_variable
+    Form,
+    linear_substitution,
+    monomial_basis,
+    pure_power,
+    rank_of_span,
+    shifted,
+    substitute_variable,
 )
 from lefschetz.classify import (
     _pure_cubes,
@@ -21,9 +28,12 @@ from lefschetz.classify import (
     permutation_images,
 )
 import lefschetz
+from lefschetz import linalg
 from lefschetz.apolarity import apolar_complement
 from lefschetz.linalg import exact_rank
-from lefschetz.osculating import LinearSystem, _jet_matrix, laplace_count
+from lefschetz.osculating import (
+    LinearSystem, _jet_matrix, laplace_count, perkinson_quadric
+)
 from lefschetz.parser import format_form
 from lefschetz.sampling import random_chart_point, random_linear_form, rng_for
 from lefschetz.wlp import (
@@ -36,7 +46,7 @@ from lefschetz.wlp import (
     trivial_type_b_test,
 )
 
-from form_helpers import evaluate, tangent_rows
+from form_helpers import evaluate, random_unimodular, tangent_rows
 
 NAMES4 = ("x0", "x1", "x2", "x3")
 
@@ -177,6 +187,56 @@ def test_table_verdicts_match_substitution_on_the_census_candidates(census3):
         assert fails_in_degree_dminus1(spec) == verdict
         dependent += verdict
     assert (len(tested), dependent) == (714, len(run.records))
+
+
+def _assert_three_criteria_agree(run, tested):
+    """The paper's three descriptions of a Togliatti system agree with the
+    census on every candidate: the generators dependent on a general
+    hyperplane, an order-2 Laplace equation on the apolar system, and a
+    lattice quadric through its exponents."""
+    records = {record.generators for record in run.records}
+    disagreements = []
+    for key in tested:
+        spec = IdealSpec.from_monomials(run.n, 3, key)
+        apolar = apolar_complement(spec)
+        verdicts = (
+            key in records,
+            is_togliatti(spec),
+            laplace_count(apolar, 2).delta >= 1,
+            perkinson_quadric(apolar.exponents()) is not None,
+        )
+        if len(set(verdicts)) > 1:
+            disagreements.append((key, verdicts))
+    assert disagreements == []
+
+
+def test_n3_verdicts_agree_with_the_laplace_criteria(census3):
+    _assert_three_criteria_agree(*census3)
+    assert (len(census3[1]), len(census3[0].records)) == (714, 224)
+
+
+def test_n4_verdicts_agree_with_the_laplace_criteria():
+    run, tested = _census(4, max_extra=5)
+    _assert_three_criteria_agree(run, tested)
+    assert (len(tested), len(run.records)) == (1753, 6)
+
+
+def test_general_route_agrees_after_a_unimodular_change_of_coordinates(census3):
+    # Togliatti-ness is invariant under GL(4); after a unimodular change the
+    # generators are not monomials, so the sampled-hyperplane route decides
+    run, tested = census3
+    records = {record.generators for record in run.records}
+    rng = rng_for(0, "census-unimodular")
+    verdicts = []
+    for key in rng.sample(tested, 50):
+        rows = random_unimodular(rng, 4)
+        forms = linear_substitution([Form.monomial(e) for e in key], rows)
+        spec = IdealSpec(3, 3, tuple(forms))
+        assert not spec.is_monomial
+        verdict = is_togliatti(spec, seed=0, trials=2)
+        assert verdict == (key in records), key
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def _brute_force_hit_counts(n, j_max):
@@ -537,10 +597,25 @@ def test_type_b_rank_at_the_sum_of_variables_is_the_rank_at_sampled_forms(run3, 
     assert checked == 224 + 73 and full > 0
 
 
+def _counting_certify(monkeypatch):
+    """Patch the census's ``certify_candidate``; returns the list of its
+    verdicts, True for each record made."""
+    verdicts = []
+
+    def counting_certify(n, generators, orbit_size):
+        record = certify_candidate(n, generators, orbit_size)
+        verdicts.append(record is not None)
+        return record
+
+    monkeypatch.setattr(lefschetz.classify, "certify_candidate", counting_certify)
+    return verdicts
+
+
 def test_the_n3_census_opens_no_random_stream(monkeypatch):
     streams = []
     ranks = []
     sweeps = []
+    certified = _counting_certify(monkeypatch)
 
     def counting_rng_for(*args):
         streams.append(args)
@@ -563,9 +638,27 @@ def test_the_n3_census_opens_no_random_stream(monkeypatch):
     run = enumerate_cubic_togliatti(3)
     assert len(run.records) == 224
     assert streams == []
-    assert 0 < len(ranks) <= 2009
+    # the screen rules out the 490 candidates that are not Togliatti, and
+    # only the 224 records are certified, at 1,519 exact ranks in all
+    assert certified == [True] * 224
+    assert len(ranks) == 1519
     # one sweep per record hull: the volume recursion ends at polygons
     assert len(sweeps) == 224
+
+
+@pytest.mark.parametrize("prime", [3, 2])
+def test_the_census_screen_is_sound_at_a_small_prime(monkeypatch, run3, prime):
+    # at p = 3 every candidate's rows are dependent mod p, at p = 2 those of
+    # 297; certify_candidate must rule out the non-Togliatti ones exactly
+    certified = _counting_certify(monkeypatch)
+    monkeypatch.setattr(linalg, "_PRIME", prime)
+    monkeypatch.setattr(linalg, "_PRIME_INT64", np.int64(prime))
+    run = enumerate_cubic_togliatti(3)
+    assert [record.to_json_dict() for record in run.records] == [
+        record.to_json_dict() for record in run3.records
+    ]
+    assert run.hit_counts == run3.hit_counts
+    assert (len(certified), certified.count(True)) == ({3: 714, 2: 297}[prime], 224)
 
 
 def test_the_census_ignores_its_seed():

@@ -20,6 +20,7 @@ from lefschetz.linalg import (
     primitive_kernel_vector,
     primitive_vector,
     rational_rank,
+    scale_to_integers,
     solve_exact,
 )
 from lefschetz.sampling import rng_for
@@ -174,6 +175,10 @@ def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
     assert clear_denominators([2, 4]) == [2, 4]
     assert clear_denominators([]) == []
+    # dict views and generators are read once, with or without fractions
+    assert scale_to_integers({(1, 0): 2, (0, 1): -3}.values()) == ([2, -3], 1)
+    assert scale_to_integers(x for x in (Fraction(1, 2), 3)) == ([1, 6], 2)
+    assert scale_to_integers(x for x in (np.int64(4), 6)) == ([4, 6], 1)
     rows = [[Fraction(1, 7), Fraction(2, 7)], [1, 2]]
     assert exact_rank([clear_denominators(row) for row in rows]) == 1
 
@@ -455,6 +460,38 @@ def test_deficient_ranks_are_sound_at_a_small_prime(
     # the caller's ceiling decided some of them: its soundness is under test
     assert any(by_ceiling)
     assert [(rank, true) for rank, true in checked if rank != true] == []
+
+
+@pytest.mark.parametrize("prime", [linalg._PRIME, 3, 2])
+def test_stacked_screen_decides_each_matrix_by_its_mod_p_rank(monkeypatch, prime):
+    # zero rows and multiples of other rows make matrices dependent over Q;
+    # at p = 3 or 2 some independent ones are dependent mod p as well
+    monkeypatch.setattr(linalg, "_PRIME", prime)
+    monkeypatch.setattr(linalg, "_PRIME_INT64", np.int64(prime))
+    rng = rng_for(prime, "linalg-stacked-screen")
+    verdicts = Counter()
+    for trial in range(80):
+        r = rng.randrange(1, 7)
+        c = rng.randrange(r, 9)
+        stack = []
+        for _ in range(rng.randrange(1, 9)):
+            rows = [[rng.randrange(-4, 5) for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.3:
+                rows[rng.randrange(r)] = [0] * c
+            if r > 1 and rng.random() < 0.3:
+                i, j = rng.sample(range(r), 2)
+                q = rng.randrange(-3, 4)
+                rows[i] = [q * x for x in rows[j]]
+            stack.append(rows)
+        stack = np.array(stack, dtype=np.int64)
+        before = stack.copy()
+        independent = linalg._modp_independent_rows(stack).tolist()
+        assert np.array_equal(stack, before)
+        assert independent == [
+            linalg._modp_rank(matrix % np.int64(prime)) == r for matrix in stack
+        ]
+        verdicts.update(independent)
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_a_ceiling_below_the_rank_raises():

@@ -21,6 +21,8 @@ from lefschetz.polytope import (
 )
 from lefschetz.sampling import rng_for
 
+from form_helpers import random_unimodular
+
 HEXAGON = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
@@ -202,21 +204,6 @@ def random_full_points(rng, m, count, spread=3):
         P = polytope_from_points(sorted(pts))
         if P.is_full_dimensional:
             return sorted(pts)
-
-
-def random_unimodular(rng, m):
-    # a signed permutation times elementary shears: determinant +-1
-    perm = list(range(m))
-    rng.shuffle(perm)
-    mat = [
-        [rng.choice([-1, 1]) if j == perm[i] else 0 for j in range(m)]
-        for i in range(m)
-    ]
-    for _ in range(3):
-        i, j = rng.sample(range(m), 2)
-        q = rng.choice([-2, -1, 1, 2])
-        mat[i] = [a + q * b for a, b in zip(mat[i], mat[j])]
-    return mat
 
 
 def apply(mat, shift, points):
