@@ -67,6 +67,11 @@ def pure_power(n: int, i: int, k: int = 1) -> Exponent:
     return tuple(exponent)
 
 
+def pure_powers(n: int, d: int) -> tuple:
+    """Exponent vectors of x_0^d, ..., x_n^d, in that order."""
+    return tuple(pure_power(n, i, d) for i in range(n + 1))
+
+
 def shifted(e: Exponent, i: int, k: int = 1) -> Exponent:
     """Exponent vector of x^e * x_i^k (k = -1: x^e / x_i)."""
     return e[:i] + (e[i] + k,) + e[i + 1 :]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import linear_substitution, monomial_basis, multiples_matrix, pure_power
+from .algebra import linear_substitution, monomial_basis, multiples_matrix, pure_powers
 from .linalg import clear_denominators, exact_rank
 from .sampling import (
     DEFAULT_SEED, DEFAULT_TRIALS, projectively_distinct, random_form, random_line,
@@ -192,7 +192,7 @@ def verify_r4_theorem(
     report = {"d_min": d_min, "d_max": d_max, "seed": seed, "per_degree": []}
     violations = []
     for d in range(d_min, d_max + 1):
-        pure = [pure_power(2, i, d) for i in range(3)]
+        pure = pure_powers(2, d)
         orbits = sorted({tuple(sorted(e)) for e in monomial_basis(2, d) if max(e) < d})
         entry = {
             "d": d,
@@ -207,7 +207,7 @@ def verify_r4_theorem(
         witness = (d // 3,) * 3 if failures_allowed else None
         scans = {}
         for m in orbits:
-            spec = IdealSpec.from_monomials(2, d, pure + [m])
+            spec = IdealSpec.from_monomials(2, d, pure + (m,))
             # the witness answers to its own rule: its scan starts at d-1, so
             # a degree-(d-1) failure breaks [4*lambda - 2] unless the two agree
             if fails_in_degree_dminus1(spec) and m != witness:

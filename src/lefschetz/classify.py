@@ -4,13 +4,16 @@ Every monomial artinian ideal generated in degree 3 contains the pure cubes,
 so candidates are (x_0^3, ..., x_n^3) plus j mixed cubic monomials with
 1 <= j <= comb(n+2, n-1) - (n+1), the generator bound for the degree-2
 failure theory.  The enumeration walks the subsets of mixed monomials once,
-as integer bit masks, one block of subsets at a time.  Subsets come in
-descending mask order, so a subset opens its orbit under the coordinate
-permutations iff no permutation maps it to a larger mask.  Each orbit's
-canonical form (its lex-minimal member, the largest mask under a second
-bit order) is a candidate.  A candidate is Togliatti iff its generators'
-rows in ``wlp._sum_hyperplane_table`` are dependent, so candidates of one
-size are stacked and screened together mod p (``linalg``'s
+as integer bit masks, one block of subsets at a time.  The mixed monomials
+are listed in ascending exponent order, the first as the highest bit, so
+subsets come in descending mask order, and of two subsets of one size the
+larger mask is the lex-lesser one.  A subset opens its orbit under the
+coordinate permutations iff no permutation maps it to a larger mask; it is
+then the orbit's lex-minimal member, its canonical form, and a candidate
+(orderly generation, McKay 1998).  Candidates thus open in canonical
+(size, key) order.  A candidate is Togliatti iff its generators' rows in
+``wlp._sum_hyperplane_table`` are dependent, so candidates of one size are
+stacked and screened together mod p (``linalg``'s
 ``_modp_independent_rows``): rows independent mod p are independent over
 Q, which rules the candidate out.  Only the rest, the Togliatti systems
 and the rare false alarms of the prime, go through ``certify_candidate``,
@@ -55,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Form, monomial_basis, pure_power
+from .algebra import Form, monomial_basis, pure_powers
 from .apolarity import apolar_complement
 from .bundles import AnalysisError
 from .linalg import _modp_independent_rows
@@ -110,12 +113,13 @@ _BLOCK_CELLS = 1 << 15
 
 
 def _action_table(mixed):
-    """The coordinate permutations as maps on the indices of ``mixed``.
+    """The coordinate permutations as maps on the indices of ``mixed``,
+    which is in ascending exponent order.
 
     Row i holds the index of element i's image under each permutation, in
-    the order of ``itertools.permutations``, identity first.  Also returns
-    the indices in ascending exponent order.  An exponent tuple with entries
-    below 4 is coded in base 4, so codes sort as the tuples do.
+    the order of ``itertools.permutations``, identity first.  An exponent
+    tuple with entries below 4 is coded in base 4, so codes sort as the
+    tuples do.
     """
     exponents = np.array(mixed, dtype=np.int64)
     width = exponents.shape[1]
@@ -125,9 +129,7 @@ def _action_table(mixed):
     place = 4 ** np.arange(width - 1, -1, -1, dtype=np.int64)
     weights[sigmas.T, np.arange(len(sigmas))] = place[:, None]
     codes = exponents @ place
-    order = np.argsort(codes)
-    images = order[np.searchsorted(codes[order], exponents @ weights)]
-    return images, order
+    return np.searchsorted(codes, exponents @ weights)
 
 
 def _bit_words(positions, words: int):
@@ -157,17 +159,6 @@ def _above_and_equal(masks, own):
         above |= equal & (masks[..., word] > own[..., word])
         equal &= masks[..., word] == own[..., word]
     return above, equal
-
-
-def _largest(masks):
-    """The largest mask of each subset over all permutations (axis 1)."""
-    best = np.empty((len(masks), masks.shape[-1]), dtype=np.int64)
-    alive = np.ones(masks.shape[:-1], dtype=bool)
-    for word in range(masks.shape[-1]):
-        column = np.where(alive, masks[..., word], -1)
-        best[:, word] = column.max(axis=1)
-        alive &= column == best[:, word, None]
-    return best
 
 
 def _to_json(value, names):
@@ -223,10 +214,6 @@ class ClassificationRecord:
         return data
 
 
-def _pure_cubes(n: int):
-    return tuple(pure_power(n, i, 3) for i in range(n + 1))
-
-
 def certify_candidate(
     n: int, generators, orbit_size: int
 ) -> Optional[ClassificationRecord]:
@@ -277,7 +264,7 @@ class ClassificationRun:
     j_max: int
     subsets_seen: int
     candidates_tested: int
-    hit_counts: dict  # canonical key -> number of subsets in its orbit
+    hit_counts: dict  # canonical key -> orbit size, in canonical (size, key) order
     records: tuple
 
     @cached_property
@@ -320,7 +307,9 @@ def enumerate_cubic_togliatti(
 
     ``max_extra`` >= 1 caps the number j of mixed generators (required
     sanity for n >= 4, where the full range is astronomically large).
-    Every candidate is decided, in canonical order, and then passed to
+    Each orbit's candidate is the subset that opens it, so candidates come
+    in canonical (size, key) order, the order of ``hit_counts``.  Every
+    candidate is decided, in that order, and then passed to
     ``progress(key, record)``, with record None for a non-Togliatti one:
     candidates whose hyperplane rows are independent mod p are ruled out
     by one stacked screen per block, and only the rest are certified.
@@ -338,26 +327,19 @@ def enumerate_cubic_togliatti(
         raise ValueError(
             "for n >= 4 pass max_extra: the full enumeration is out of reach"
         )
-    cubes = _pure_cubes(n)
-    mixed = tuple(e for e in monomial_basis(n, 3) if max(e) < 3)
+    cubes = pure_powers(n, 3)
     # The pure cubes are fixed as a set, so only ``mixed`` is permuted.
-    # Element i of ``mixed`` is bit m-1-i of a subset's mask, so the subsets
-    # of one size come in descending mask order.  Its key bit is m-1 minus
-    # its exponent rank: the larger of two key masks is the subset whose
-    # least differing element has the lesser exponent, the lex-lesser key.
-    images, order = _action_table(mixed)
-    rank = np.argsort(order)
-    m, group = images.shape
+    # Element i of ``mixed``, in ascending exponent order, is bit m-1-i of a
+    # subset's mask, so the subsets of one size come in descending mask
+    # order, and the larger of two masks is the subset whose least differing
+    # element has the lesser exponent: the lex-lesser key.
+    mixed = tuple(e for e in reversed(monomial_basis(n, 3)) if max(e) < 3)
+    images = _action_table(mixed)
+    m, group_order = images.shape
     words = -(-m // _WORD_BITS)
-    subset_table = _bit_words(m - 1 - np.arange(m), words)[images]
-    key_table = _bit_words(m - 1 - rank, words)[images]
-    by_rank = [mixed[i] for i in order]
-    # reading a key's words bit by bit, high bit first, gives ascending rank
-    shifts = np.arange(_WORD_BITS - 1, -1, -1, dtype=np.int64)
-    padding = words * _WORD_BITS - m
-    rows = max(1, _BLOCK_CELLS // (group * words))
+    mask_table = _bit_words(m - 1 - np.arange(m), words)[images]
+    rows = max(1, _BLOCK_CELLS // (group_order * words))
     hit_counts = {}
-    candidates = []
     subsets_seen = 0
     for j in range(1, j_limit + 1):
         subsets = itertools.combinations(range(m), j)
@@ -370,38 +352,28 @@ def enumerate_cubic_togliatti(
                 break
             subsets_seen += len(block)
             # A subset is met first at its orbit's largest mask, so it opens
-            # an orbit, entered in ``hit_counts`` there, iff no image is above
-            # its own (identity) mask.
-            masks = _image_masks(subset_table, block)
+            # an orbit iff no image is above its own (identity) mask; it is
+            # then the orbit's canonical key, entered in ``hit_counts``.
+            masks = _image_masks(mask_table, block)
             above, equal = _above_and_equal(masks, masks[:, :1])
             opens = ~above.any(axis=1)
-            if not opens.any():
-                continue
-            fixed = equal[opens].sum(axis=1)
-            keys = _largest(_image_masks(key_table, block[opens]))
-            # each key has j bits, read off high bit first: ascending rank
-            bits = (keys[:, :, None] >> shifts) & 1
-            ranks = np.nonzero(bits.reshape(len(keys), -1))[1] - padding
-            sizes = (group // fixed).tolist()
-            for size, row in zip(sizes, ranks.reshape(-1, j).tolist()):
-                key = tuple(sorted(cubes + tuple(by_rank[r] for r in row)))
-                hit_counts[key] = size
-                candidates.append(key)
-    candidates.sort(key=lambda key: (len(key), key))
+            sizes = (group_order // equal[opens].sum(axis=1)).tolist()
+            for size, row in zip(sizes, block[opens].tolist()):
+                hit_counts[tuple(sorted(cubes + tuple(mixed[i] for i in row)))] = size
     # Each candidate is artinian, with r at most the generator bound (the
     # table's column count), so it is Togliatti iff its table rows are
     # dependent; rows independent mod p are independent over Q, and only
     # the rest are certified.
-    table = _sum_hyperplane_table(n, 3)
-    row_of = {e: i for i, e in enumerate(table)}
-    table_rows = np.array(list(table.values()), dtype=np.int64)
+    hyperplane = _sum_hyperplane_table(n, 3)
+    row_of = {e: i for i, e in enumerate(hyperplane)}
+    hyperplane_rows = np.array(list(hyperplane.values()), dtype=np.int64)
     records = []
-    for r, group in itertools.groupby(candidates, len):
-        group = list(group)
-        step = max(1, _BLOCK_CELLS // (r * table_rows.shape[1]))
-        for start in range(0, len(group), step):
-            chunk = group[start : start + step]
-            stack = table_rows[[[row_of[e] for e in key] for key in chunk]]
+    for r, same_size in itertools.groupby(hit_counts, len):
+        same_size = list(same_size)
+        step = max(1, _BLOCK_CELLS // (r * hyperplane_rows.shape[1]))
+        for start in range(0, len(same_size), step):
+            chunk = same_size[start : start + step]
+            stack = hyperplane_rows[[[row_of[e] for e in key] for key in chunk]]
             for key, ruled_out in zip(chunk, _modp_independent_rows(stack).tolist()):
                 record = None if ruled_out else certify_candidate(n, key, hit_counts[key])
                 if progress is not None:
@@ -412,7 +384,7 @@ def enumerate_cubic_togliatti(
         n=n,
         j_max=j_limit,
         subsets_seen=subsets_seen,
-        candidates_tested=len(candidates),
+        candidates_tested=len(hit_counts),
         hit_counts=hit_counts,
         records=tuple(records),
     )
@@ -536,7 +508,7 @@ def build_named_example(name: str, n: int, partition=None) -> IdealSpec:
         parts = [(i,) for i in range(n + 1)]
         return IdealSpec.from_monomials(n, 3, _partition_generators(n, parts))
     if name == "second-example":
-        gens = set(_pure_cubes(n))
+        gens = set(pure_powers(n, 3))
         gens.add(tuple(2 if i == 0 else (1 if i == 1 else 0) for i in range(n + 1)))
         gens.add(tuple(1 if i == 0 else (2 if i == 1 else 0) for i in range(n + 1)))
         for triple in itertools.combinations(range(n + 1), 3):

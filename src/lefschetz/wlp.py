@@ -41,6 +41,7 @@ from .algebra import (
     monomial_basis,
     multiples_matrix,
     pure_power,
+    pure_powers,
     shifted,
 )
 from .linalg import clear_denominators, exact_rank
@@ -187,7 +188,7 @@ def is_artinian(spec: IdealSpec) -> bool:
         return False
     if spec.is_monomial:
         gens = frozenset(spec.exponents())
-        return all(pure_power(spec.n, i, spec.d) in gens for i in range(spec.n + 1))
+        return gens.issuperset(pure_powers(spec.n, spec.d))
     guess = froberg_degree(spec.n, spec.d, spec.r)
     return any(hilbert_function(spec, t) == 0 for t in range(guess, artinian_bound(spec) + 1))
 

@@ -52,10 +52,10 @@ MUTANTS = (
         "tests/test_cli.py::test_json_stdout_bytes_are_pinned",
     ),
     (
-        "census keys read under the subset bit order, not the key order",
+        "census masks with the first mixed monomial as the lowest bit",
         "classify.py",
-        "key_table = _bit_words(m - 1 - rank, words)[images]",
-        "key_table = _bit_words(m - 1 - np.arange(m), words)[images]",
+        "_bit_words(m - 1 - np.arange(m), words)",
+        "_bit_words(np.arange(m), words)",
         "tests/test_classify.py::test_n3_matches_brute_force",
     ),
     (

@@ -12,12 +12,12 @@ from lefschetz.algebra import (
     linear_substitution,
     monomial_basis,
     pure_power,
+    pure_powers,
     rank_of_span,
     shifted,
     substitute_variable,
 )
 from lefschetz.classify import (
-    _pure_cubes,
     build_named_example,
     canonical_form,
     certify_candidate,
@@ -241,7 +241,7 @@ def test_general_route_agrees_after_a_unimodular_change_of_coordinates(census3):
 
 def _brute_force_hit_counts(n, j_max):
     """The census's hit counts by definition: every subset, canonicalised."""
-    cubes = _pure_cubes(n)
+    cubes = pure_powers(n, 3)
     mixed = tuple(e for e in monomial_basis(n, 3) if max(e) < 3)
     return Counter(
         canonical_form(sorted(cubes + subset))
@@ -252,11 +252,12 @@ def _brute_force_hit_counts(n, j_max):
 
 def _assert_matches_brute_force(run, tested):
     reference = _brute_force_hit_counts(run.n, run.j_max)
-    # same counts, and the same order of first appearance
-    assert list(run.hit_counts.items()) == list(reference.items())
+    # same counts, in canonical (size, key) order
+    canonical = sorted(reference.items(), key=lambda item: (len(item[0]), item[0]))
+    assert list(run.hit_counts.items()) == canonical
     assert run.subsets_seen == sum(reference.values())
-    # the keys are canonical forms, so these are the self-canonical subsets
-    assert tested == sorted(reference, key=lambda key: (len(key), key))
+    # the keys are canonical forms, decided in the order they opened
+    assert list(run.hit_counts) == tested
     assert run.candidates_tested == len(tested)
 
 
@@ -289,8 +290,9 @@ def test_n4_partial_census(max_extra, subsets, candidates, records):
 
 
 def test_n6_census_runs_on_two_word_masks():
-    # 77 mixed cubics: each subset mask takes two int64 words; the figures
-    # are those of the tuple-sorting enumeration this one replaced
+    # 77 mixed cubics: each subset mask takes two int64 words; the orbit
+    # sizes are those of the brute-force canonicalisation of all 3003
+    # subsets, in canonical (size, key) order
     run = enumerate_cubic_togliatti(6, max_extra=2)
     assert (run.subsets_seen, run.candidates_tested, len(run.records)) == (
         3003,
@@ -298,7 +300,7 @@ def test_n6_census_runs_on_two_word_masks():
         0,
     )
     assert list(run.hit_counts.values()) == [
-        42, 35, 105, 21, 210, 210, 420, 105, 420, 420, 420, 210, 315, 70
+        42, 35, 21, 105, 210, 210, 105, 420, 420, 420, 420, 210, 315, 70
     ]
     assert all(key == canonical_form(key) for key in run.hit_counts)
 
@@ -400,7 +402,7 @@ def test_pure_cubes_are_not_togliatti():
     # the one fact behind the minimality lookup for j = 1 records that the
     # census does not certify itself
     for n in (2, 3):
-        spec = IdealSpec.from_monomials(n, 3, _pure_cubes(n))
+        spec = IdealSpec.from_monomials(n, 3, pure_powers(n, 3))
         assert not is_togliatti(spec, seed=0, trials=3)
 
 
