@@ -559,7 +559,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AnalysisError, DegeneratePolytopeError, ValueError) as exc:
+    except (AnalysisError, DegeneratePolytopeError, NotImplementedError, ValueError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -13,13 +13,15 @@ Everything is exact integer arithmetic:
   a candidate with every point of A on one side.  The sweep is vectorized
   with numpy int64; a Hadamard-bound guard refuses inputs whose minors
   could overflow (far beyond every lattice of exponent vectors in range).
-* Vertices and edges are read off the incidence table (the set of facets
-  through each point of A), with no linear algebra: a face is the
-  intersection of the facets that contain it.  The table is one int64
-  product, points @ normals.T == offsets, which the sweep's Hadamard guard
-  already bounds.  A point is a vertex iff no other point lies on every
-  facet through it; two vertices span an edge iff no third vertex lies on
-  every facet they share.
+  One pass makes its result: the [normal | offset] rows with A below and
+  the negated rows with A above, as Python ints, deduplicated and sorted.
+* One membership test, the incidence table: one int64 product,
+  points @ normals.T == offsets, which the sweep's guard already bounds.
+  Vertices and edges are read off it with no linear algebra (a face is the
+  intersection of the facets that contain it): a point is a vertex iff no
+  other point lies on every facet through it; two vertices span an edge
+  iff no third vertex lies on every facet they share.  The volume
+  recursion reads each facet's section off it too.
 * Smooth at a vertex: the primitive edge directions form a lattice basis
   (|det| = 1) AND the first lattice point along each edge belongs to A.
   The second condition is what "punctured" faces violate.
@@ -27,12 +29,15 @@ Everything is exact integer arithmetic:
   facets: sum over facets of (lattice height of a fixed point of A above the
   facet) times (normalized volume of the facet), which holds for any apex
   in P since every height is >= 0.  The recursion starts from the facets
-  the polytope already holds and works on plain point lists, facets only:
-  no vertices, no edges.  A facet's points get integer lattice coordinates
-  as U^-1 (p - base), with U the unimodular split of its primitive normal
-  from ``lattice_coordinate_rows``; no rational solve is involved.  The
-  recursion ends at polygons: twice the shoelace area of the monotone-chain
-  hull, so a 3-polytope sweeps nothing past its own facets.
+  the polytope already holds and works on plain point lists, facets only.
+  A facet's points get integer lattice coordinates as U^-1 (p - base),
+  with U the unimodular split of its primitive normal from
+  ``lattice_coordinate_rows``.  The recursion ends at polygons: twice the
+  shoelace area of the monotone-chain hull, so a 3-polytope sweeps nothing
+  past its own facets.  One guard: a zero volume, at any m, is a
+  degenerate section.  A full-dimensional hull has positive volume, and a
+  flat set sweeps to the two sides of its hyperplane, at height 0, or to
+  nothing.
 """
 
 from __future__ import annotations
@@ -71,12 +76,6 @@ class LatticePolytope:
         return self.affine_dim == self.dim
 
 
-def _on_facet(point, facet) -> bool:
-    """True iff the point lies on the facet's hyperplane normal . p == offset."""
-    normal, offset = facet
-    return sum(a * b for a, b in zip(normal, point)) == offset
-
-
 def _det_batch(arrays: np.ndarray) -> np.ndarray:
     """Determinants of a stack of k x k int64 matrices, exact cofactor expansion."""
     k = arrays.shape[-1]
@@ -107,7 +106,7 @@ def _facet_sweep(points):
     pts = np.array(points, dtype=np.int64)
     combos = np.array(
         list(itertools.combinations(range(npoints), m)), dtype=np.int64
-    )
+    ).reshape(-1, m)  # fewer than m points: no combos, no facets
     diffs = pts[combos[:, 1:]] - pts[combos[:, :1]]
     normals = np.empty((combos.shape[0], m), dtype=np.int64)
     cols = np.arange(m)
@@ -123,14 +122,17 @@ def _facet_sweep(points):
     values = pts @ normals.T  # (npoints, candidates)
     below = (values <= offsets[None, :]).all(axis=0)
     above = (values >= offsets[None, :]).all(axis=0)
-    facets = set()
-    for idx in np.nonzero(below)[0]:
-        facets.add((tuple(int(x) for x in normals[idx]), int(offsets[idx])))
-    for idx in np.nonzero(above)[0]:
-        facets.add(
-            (tuple(-int(x) for x in normals[idx]), -int(offsets[idx]))
-        )
-    return tuple(sorted(facets))
+    table = np.column_stack((normals, offsets))  # rows [normal | offset]
+    rows = {tuple(row) for row in np.concatenate((table[below], -table[above])).tolist()}
+    return tuple((row[:-1], row[-1]) for row in sorted(rows))
+
+
+def _incidence(points, facets) -> np.ndarray:
+    """Boolean table: entry [k, j] is True iff point k lies on facet j."""
+    pts = np.array(points, dtype=np.int64)
+    normals = np.array([normal for normal, _ in facets], dtype=np.int64)
+    offsets = np.array([offset for _, offset in facets], dtype=np.int64)
+    return pts @ normals.reshape(-1, pts.shape[1]).T == offsets
 
 
 def polytope_from_points(points) -> LatticePolytope:
@@ -154,9 +156,7 @@ def polytope_from_points(points) -> LatticePolytope:
     if affine_dim < m:
         return LatticePolytope(m, tuple(cleaned), affine_dim, (), (), ())
     facets = _facet_sweep(cleaned)
-    normals = np.array([normal for normal, _ in facets], dtype=np.int64)
-    offsets = np.array([offset for _, offset in facets], dtype=np.int64)
-    on = np.array(cleaned, dtype=np.int64) @ normals.T == offsets
+    on = _incidence(cleaned, facets)
     incident = [frozenset(np.flatnonzero(row).tolist()) for row in on]
     # A vertex is the only point on all of its facets.  Any other point lies
     # on fewer facets than each vertex of the smallest face holding it.
@@ -269,42 +269,38 @@ def _twice_hull_area(points) -> int:
 def _nvol(points, m: int, facets=None) -> int:
     """Normalized volume of the hull of distinct points in Z^m.
 
-    A segment's is its length and a polygon's is twice its shoelace area,
-    since the points are lattice coordinates; a polygon of zero area is a
-    degenerate section.  From m = 3 up it is the pyramid sum over facets.
-    ``facets`` are the hull's facets when the caller already has them;
-    otherwise the points are checked to span Z^m and swept for facets.
+    A segment's is its length, a polygon's twice its shoelace area, and from
+    m = 3 up it is the pyramid sum over ``facets``, the hull's facets when
+    the caller has them, else swept here.  A zero volume raises.
     """
     if m == 1:
         xs = [p[0] for p in points]
-        return max(xs) - min(xs)
-    if m == 2:
-        area = _twice_hull_area(points)
-        if area == 0:
-            raise DegeneratePolytopeError("facet recursion hit a degenerate section")
-        return area
-    if facets is None:
-        base = points[0]
-        if exact_rank([[a - b for a, b in zip(p, base)] for p in points[1:]]) < m:
-            raise DegeneratePolytopeError("facet recursion hit a degenerate section")
-        facets = _facet_sweep(points)
-    apex = points[0]
-    total = 0
-    for normal, offset in facets:
-        height = offset - sum(a * b for a, b in zip(normal, apex))
-        if height == 0:
-            continue
-        section = [p for p in points if _on_facet(p, (normal, offset))]
-        base = section[0]
-        inverse = lattice_coordinate_rows(normal)
-        coords = []
-        for p in section:
-            diff = [a - b for a, b in zip(p, base)]
-            image = [sum(a * b for a, b in zip(row, diff)) for row in inverse]
-            if image[0]:
-                raise ArithmeticError(f"{p} is off the facet plane of {normal}")
-            coords.append(tuple(image[1:]))
-        total += height * _nvol(coords, m - 1)
+        total = max(xs) - min(xs)
+    elif m == 2:
+        total = _twice_hull_area(points)
+    else:
+        if facets is None:
+            facets = _facet_sweep(points)
+        apex = points[0]
+        total = 0
+        columns = _incidence(points, facets).T.tolist()  # one per facet
+        for (normal, offset), column in zip(facets, columns):
+            height = offset - sum(a * b for a, b in zip(normal, apex))
+            if height == 0:
+                continue
+            section = [p for p, hit in zip(points, column) if hit]
+            base = section[0]
+            inverse = lattice_coordinate_rows(normal)
+            coords = []
+            for p in section:
+                diff = [a - b for a, b in zip(p, base)]
+                image = [sum(a * b for a, b in zip(row, diff)) for row in inverse]
+                if image[0]:
+                    raise ArithmeticError(f"{p} is off the facet plane of {normal}")
+                coords.append(tuple(image[1:]))
+            total += height * _nvol(coords, m - 1)
+    if total == 0:
+        raise DegeneratePolytopeError("facet recursion hit a degenerate section")
     return total
 
 

@@ -66,6 +66,20 @@ MUTANTS = (
         "tests/test_polytope.py::test_case_volumes_match_the_pyramid_recursion",
     ),
     (
+        "zero volume let through as a section's volume",
+        "polytope.py",
+        "if total == 0:",
+        "if total < 0:",
+        "tests/test_polytope.py::test_degenerate_sections_raise",
+    ),
+    (
+        "facet sweep without the negated rows of the upper side",
+        "polytope.py",
+        "np.concatenate((table[below], -table[above]))",
+        "table[below]",
+        "tests/test_polytope.py::test_case_polytopes",
+    ),
+    (
         "splitting floor stop one rank short of onto",
         "bundles.py",
         "if r * (t + 1) - k == t + d + 1:",

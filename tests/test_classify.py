@@ -613,7 +613,9 @@ def _counting_certify(monkeypatch):
     return verdicts
 
 
-def test_the_n3_census_opens_no_random_stream(monkeypatch):
+def _counted_census(monkeypatch, n, max_extra=None):
+    """A census run with its random streams, certifications, exact ranks and
+    facet sweeps counted: (run, streams, verdicts, ranks, sweeps)."""
     streams = []
     ranks = []
     sweeps = []
@@ -637,15 +639,31 @@ def test_the_n3_census_opens_no_random_stream(monkeypatch):
             monkeypatch.setattr(module, "exact_rank", counting_exact_rank)
     facet_sweep = lefschetz.polytope._facet_sweep
     monkeypatch.setattr(lefschetz.polytope, "_facet_sweep", counting_facet_sweep)
-    run = enumerate_cubic_togliatti(3)
+    run = enumerate_cubic_togliatti(n, max_extra=max_extra)
+    return run, streams, certified, len(ranks), len(sweeps)
+
+
+def test_the_n3_census_opens_no_random_stream(monkeypatch):
+    run, streams, certified, ranks, sweeps = _counted_census(monkeypatch, 3)
     assert len(run.records) == 224
     assert streams == []
     # the screen rules out the 490 candidates that are not Togliatti, and
     # only the 224 records are certified, at 1,519 exact ranks in all
     assert certified == [True] * 224
-    assert len(ranks) == 1519
+    assert ranks == 1519
     # one sweep per record hull: the volume recursion ends at polygons
-    assert len(sweeps) == 224
+    assert sweeps == 224
+
+
+def test_n4_record_volumes_take_no_rank(monkeypatch):
+    # each of the six record hulls in Z^4 is swept once, and the volume
+    # recursion sweeps the 31 facet sections it meets, with no rank: a flat
+    # section shows as a zero volume, not as a rank below m
+    run, streams, certified, ranks, sweeps = _counted_census(monkeypatch, 4, max_extra=5)
+    assert len(run.records) == 6
+    assert streams == []
+    assert certified == [True] * 6
+    assert (ranks, sweeps) == (47, 37)
 
 
 @pytest.mark.parametrize("prime", [3, 2])

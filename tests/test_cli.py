@@ -354,6 +354,21 @@ def test_polytope_rejects_non_monomial(capsys):
     assert "monomial" in err
 
 
+def test_polytope_too_large_for_the_sweep_exits_one(capsys, tmp_path):
+    # the hull of x_i^11 on P^10 is refused by the facet sweep's int64
+    # guard: a failed analysis, with no traceback, and the --out file goes
+    names = [f"x{i}" for i in range(11)]
+    target = tmp_path / "report"
+    code, out, err = run_cli(
+        capsys, "polytope", "--system",
+        *(arg for name in names for arg in ("--gen", f"{name}^11")),
+        "--variables", ",".join(names), "--degree", "11", "--out", str(target),
+    )
+    assert (code, out) == (1, "")
+    assert err == "analysis failed: coordinates too large for the int64 facet sweep\n"
+    assert not target.exists()
+
+
 def test_splitting_payload(capsys):
     payload = run_json(capsys, "splitting", *TOG)
     assert payload["values"] == [-2, -1, 0]

@@ -11,8 +11,8 @@ from lefschetz.linalg import det_int, lattice_coordinate_rows, rational_rank
 from lefschetz.osculating import LinearSystem
 from lefschetz.polytope import (
     DegeneratePolytopeError,
+    _incidence,
     _nvol,
-    _on_facet,
     build_polytope,
     normalized_volume,
     polytope_from_points,
@@ -24,6 +24,12 @@ from lefschetz.sampling import rng_for
 from form_helpers import random_unimodular
 
 HEXAGON = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+def on_facet(point, facet) -> bool:
+    """The reference membership test: normal . point == offset, in Python ints."""
+    normal, offset = facet
+    return sum(a * b for a, b in zip(normal, point)) == offset
 
 
 def case_polytope(case):
@@ -81,7 +87,7 @@ def test_case_polytopes(case):
     rep = smoothness_report(P)
     assert rep.simple
     assert rep.smooth is smooth
-    assert sorted(sum(_on_facet(p, f) for p in P.points) for f in P.facets) == sizes
+    assert sorted(sum(on_facet(p, f) for p in P.points) for f in P.facets) == sizes
 
 
 def test_case_one_never_needs_edge_rule():
@@ -138,7 +144,7 @@ def test_polytope_json_shape():
 
 
 def rank_criterion(P):
-    normals = [[f[0] for f in P.facets if _on_facet(p, f)] for p in P.points]
+    normals = [[f[0] for f in P.facets if on_facet(p, f)] for p in P.points]
     m = P.dim
     vertices = tuple(
         k for k, rows in enumerate(normals) if rows and rational_rank(rows) == m
@@ -173,6 +179,9 @@ def test_vertices_and_edges_match_the_rank_criterion(m):
             assert P.vertices == P.edges == P.facets == ()
             continue
         full += 1
+        assert _incidence(P.points, P.facets).tolist() == [
+            [on_facet(p, f) for f in P.facets] for p in P.points
+        ]
         assert (P.vertices, P.edges) == rank_criterion(P)
     assert full >= 20
 
@@ -299,7 +308,7 @@ def pyramid_volume(points):
         height = offset - sum(a * b for a, b in zip(normal, apex))
         if height == 0:
             continue
-        section = [p for p in points if _on_facet(p, (normal, offset))]
+        section = [p for p in points if on_facet(p, (normal, offset))]
         base = section[0]
         rows = lattice_coordinate_rows(normal)[1:]
         coords = [
@@ -333,7 +342,22 @@ def test_random_volumes_match_the_pyramid_recursion(m):
 
 
 def test_degenerate_sections_raise():
+    # a flat set sweeps to the two sides of its hyperplane, at height 0, or
+    # (too few points, or a lower affine dimension) to no facet at all
     with pytest.raises(DegeneratePolytopeError):
         _nvol([(0, 0), (1, 1), (3, 3)], 2)
     with pytest.raises(DegeneratePolytopeError):
         _nvol([(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)], 3)
+    with pytest.raises(DegeneratePolytopeError):
+        _nvol([(0, 0, 0), (1, 0, 0)], 3)
+    with pytest.raises(DegeneratePolytopeError):
+        _nvol([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)], 4)
+
+
+def test_sweep_refuses_coordinates_that_could_overflow_int64():
+    # 11 times the standard 10-simplex, the hull of x_i^11 on P^10: the
+    # Hadamard bound on its 9 x 9 minors, times the support products,
+    # reaches 2^62, so the sweep refuses it rather than risk an overflow
+    simplex = [tuple(11 * int(i == j) for j in range(10)) for i in range(10)]
+    with pytest.raises(NotImplementedError, match="too large for the int64 facet sweep"):
+        polytope_from_points(simplex + [(0,) * 10])
