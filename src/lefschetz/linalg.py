@@ -26,18 +26,28 @@ is known without any big-integer work.  A deficient mod-p outcome is never
 trusted; it falls back to Bareiss.  The shortcut changes nothing about the
 returned value.
 
-The mod-p screen ``_modp_rank`` is fraction-free too.  It transposes a wide
-matrix, so that its Python loop runs over the shorter side (the rank mod p is
-that of the transpose), and updates each row below a pivot whose head is
-nonzero as ``(pivot * row - head * pivot_row) % p``: no modular inverse.
+The mod-p screen ``_modp_rank`` is fraction-free too: each row below a pivot
+becomes ``(pivot * row - head * pivot_row) % p``, with no modular inverse.
 With residues in [0, p) and p = 2**31 - 1 each product is below 2**62, so
-the difference fits in int64.  Rows with a zero head are left alone, which
-keeps the large sparse Macaulay matrices cheap.  Beside it,
-``_modp_independent_rows`` runs the same update on a whole (B, r, c) stack
-of small matrices at once, one row at a time, and says which have rank r
-mod p.  The census rules out a candidate on that verdict alone (rank mod p
-at most the rank over Q); a matrix found dependent is left to an exact
-route.
+the difference fits in int64.  Which rows are updated is decided by the
+size of the matrix:
+
+* at most ``_ROWWISE_CELLS`` cells (almost every rank the package takes):
+  the shorter side becomes the rows, row k pivots on its largest residue,
+  and every row below it is updated in place by three whole-slice
+  operations.  A zero row has pivot 0 and adds nothing to the rank.
+* above that (the large sparse Macaulay and quotient maps): a wide matrix
+  is transposed, the loop runs over the shorter side's columns, the first
+  row with a nonzero head pivots, and only the rows below it with a nonzero
+  head are updated; rows with a zero head are left alone.
+
+The rank over F_p does not depend on the order of elimination, so the two
+paths agree wherever both could run.  Beside them,
+``_modp_independent_rows`` runs the row-wise update, with the same pivot
+rule, on a whole (B, r, c) stack of small matrices at once, one row at a
+time, and says which have rank r mod p.  The census rules out a candidate
+on that verdict alone (rank mod p at most the rank over Q); a matrix found
+dependent is left to an exact route.
 
 Lattice coordinates need no elimination at all: ``lattice_coordinate_rows``
 returns the inverse of a unimodular matrix, so coordinates on a lattice
@@ -58,6 +68,12 @@ import numpy as np
 _PRIME = 2_147_483_647
 # the same prime as a numpy scalar, which numpy's in-place ops take directly
 _PRIME_INT64 = np.int64(_PRIME)
+# Above this many cells ``_modp_rank`` updates only the rows with a nonzero
+# head.  Below it the whole-slice row update is cheaper than finding them:
+# over the ranks of the corpus audit the split costs least near 2,048 cells,
+# and on the sparse quotient maps beyond it the whole-slice update is about
+# twenty times dearer.
+_ROWWISE_CELLS = 2048
 
 
 def scale_to_integers(row):
@@ -180,7 +196,41 @@ def rational_rank(rows) -> int:
 
 
 def _modp_rank(mat: np.ndarray) -> int:
-    """Rank of an int64 matrix already reduced mod _PRIME.  Destroys its input."""
+    """Rank of an int64 matrix already reduced mod _PRIME.  May destroy its input.
+
+    Up to ``_ROWWISE_CELLS`` cells, the rows are the shorter side and row k
+    pivots on its largest residue; every row below it becomes
+    ``(pivot * row - head * pivot_row) % p`` in place, as in
+    ``_modp_independent_rows``.  Larger matrices go to ``_modp_rank_live``.
+    """
+    if mat.size > _ROWWISE_CELLS:
+        return _modp_rank_live(mat)
+    if mat.shape[0] > mat.shape[1]:
+        mat = np.ascontiguousarray(mat.T)
+    rank = 0
+    for k in range(len(mat) - 1):
+        row = mat[k]
+        column = row.argmax()
+        pivot = row[column]
+        if pivot:
+            rank += 1
+            below = mat[k + 1 :]
+            product = below[:, column, None] * row
+            below *= pivot
+            below -= product
+            below %= _PRIME_INT64
+    # nothing lies below the last row: it counts if it is not zero
+    return rank + bool(mat[-1:].any())
+
+
+def _modp_rank_live(mat: np.ndarray) -> int:
+    """``_modp_rank`` of a large matrix: the same update, on live rows only.
+
+    The loop runs over the columns of the shorter side.  The first row with
+    a nonzero head pivots, and only the rows below it whose head is nonzero
+    (the live rows) become ``(pivot * row - head * pivot_row) % p``; on a
+    sparse Macaulay matrix most rows are left alone.
+    """
     if mat.shape[1] > mat.shape[0]:
         mat = np.ascontiguousarray(mat.T)
     nrows, ncols = mat.shape
@@ -214,7 +264,8 @@ def _modp_independent_rows(stack: np.ndarray) -> np.ndarray:
 
     The B matrices are reduced into a copy and eliminated together, one row
     at a time: row k pivots on its largest residue, and each row below it
-    becomes ``(pivot * row - head * pivot_row) % p``.  A row that is zero
+    becomes ``(pivot * row - head * pivot_row) % p``, as in ``_modp_rank``
+    on a matrix of at most ``_ROWWISE_CELLS`` cells.  A row that is zero
     once the rows above it are eliminated makes its matrix dependent mod p
     (its pivot 0 then zeroes the rows below, which decide nothing more).
     """

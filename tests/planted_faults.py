@@ -108,6 +108,20 @@ MUTANTS = (
         "tests/test_classify.py::test_n3_verdicts_agree_with_the_laplace_criteria",
     ),
     (
+        "row-wise screen skipping the row under each pivot",
+        "linalg.py",
+        "below = mat[k + 1 :]",
+        "below = mat[k + 2 :]",
+        "tests/test_linalg.py::test_modp_rank_matches_python_rank_mod_p",
+    ),
+    (
+        "live-row screen skipping the first live row",
+        "linalg.py",
+        "live = nz[1:] + rank",
+        "live = nz[2:] + rank",
+        "tests/test_linalg.py::test_modp_rank_matches_python_rank_mod_p",
+    ),
+    (
         "stacked screen blind to a zero last row",
         "linalg.py",
         "for k in range(mat.shape[1]):",

@@ -614,10 +614,12 @@ def _counting_certify(monkeypatch):
 
 
 def _counted_census(monkeypatch, n, max_extra=None):
-    """A census run with its random streams, certifications, exact ranks and
-    facet sweeps counted: (run, streams, verdicts, ranks, sweeps)."""
+    """A census run with its random streams, certifications, exact ranks,
+    their Bareiss fallbacks and facet sweeps counted: (run, streams,
+    verdicts, ranks, fallbacks, sweeps)."""
     streams = []
     ranks = []
+    fallbacks = []
     sweeps = []
     certified = _counting_certify(monkeypatch)
 
@@ -629,6 +631,10 @@ def _counted_census(monkeypatch, n, max_extra=None):
         ranks.append(1)
         return exact_rank(rows)
 
+    def counting_bareiss_rank(rows):
+        fallbacks.append(1)
+        return bareiss_rank(rows)
+
     def counting_facet_sweep(points):
         sweeps.append(1)
         return facet_sweep(points)
@@ -637,20 +643,24 @@ def _counted_census(monkeypatch, n, max_extra=None):
     for module in vars(lefschetz).values():
         if getattr(module, "exact_rank", None) is exact_rank:
             monkeypatch.setattr(module, "exact_rank", counting_exact_rank)
+    # only exact_rank calls bareiss_rank: each call is one of its fallbacks
+    bareiss_rank = linalg.bareiss_rank
+    monkeypatch.setattr(linalg, "bareiss_rank", counting_bareiss_rank)
     facet_sweep = lefschetz.polytope._facet_sweep
     monkeypatch.setattr(lefschetz.polytope, "_facet_sweep", counting_facet_sweep)
     run = enumerate_cubic_togliatti(n, max_extra=max_extra)
-    return run, streams, certified, len(ranks), len(sweeps)
+    return run, streams, certified, len(ranks), len(fallbacks), len(sweeps)
 
 
 def test_the_n3_census_opens_no_random_stream(monkeypatch):
-    run, streams, certified, ranks, sweeps = _counted_census(monkeypatch, 3)
+    run, streams, certified, ranks, fallbacks, sweeps = _counted_census(monkeypatch, 3)
     assert len(run.records) == 224
     assert streams == []
     # the screen rules out the 490 candidates that are not Togliatti, and
-    # only the 224 records are certified, at 1,519 exact ranks in all
+    # only the 224 records are certified, at 1,519 exact ranks in all; the
+    # mod-p screen leaves 362 of them to Bareiss
     assert certified == [True] * 224
-    assert ranks == 1519
+    assert (ranks, fallbacks) == (1519, 362)
     # one sweep per record hull: the volume recursion ends at polygons
     assert sweeps == 224
 
@@ -659,7 +669,7 @@ def test_n4_record_volumes_take_no_rank(monkeypatch):
     # each of the six record hulls in Z^4 is swept once, and the volume
     # recursion sweeps the 31 facet sections it meets, with no rank: a flat
     # section shows as a zero volume, not as a rank below m
-    run, streams, certified, ranks, sweeps = _counted_census(monkeypatch, 4, max_extra=5)
+    run, streams, certified, ranks, _, sweeps = _counted_census(monkeypatch, 4, max_extra=5)
     assert len(run.records) == 6
     assert streams == []
     assert certified == [True] * 6

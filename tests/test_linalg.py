@@ -133,14 +133,23 @@ def python_rank_mod_p(rows, p):
     return rank
 
 
-def test_modp_rank_matches_python_rank_mod_p():
+@pytest.mark.parametrize("prime", [linalg._PRIME, 3, 2])
+def test_modp_rank_matches_python_rank_mod_p(monkeypatch, prime):
     # residues at p - 1 or spread over [0, p) are where a fraction-free
-    # int64 update has the least headroom; tall and wide shapes both occur
-    p = linalg._PRIME
-    rng = rng_for(0, "linalg-modp")
-    shapes = [(24, 6), (6, 24), (15, 15), (1, 30), (30, 1)]
-    seen = Counter()
-    for nrows, ncols in shapes:
+    # int64 update has the least headroom; tall and wide shapes both occur.
+    # The kernel must read the patched prime when it is called: the
+    # small-prime tests rely on it.
+    monkeypatch.setattr(linalg, "_PRIME", prime)
+    monkeypatch.setattr(linalg, "_PRIME_INT64", np.int64(prime))
+    p = prime
+    rng = rng_for(p, "linalg-modp")
+    cells = linalg._ROWWISE_CELLS
+    # the row-wise path up to _ROWWISE_CELLS cells (the last two shapes sit
+    # at it), the live-row path just above it
+    dense = [(24, 6), (6, 24), (15, 15), (1, 30), (30, 1), (cells // 32, 32),
+             (32, cells // 32), (cells // 32 + 1, 32)]
+    cases = []
+    for nrows, ncols in dense:
         rank_caps = {min(nrows, ncols), 1, max(1, min(nrows, ncols) // 2)}
         mats = [[[p - 1] * ncols for _ in range(nrows)]]
         for k in sorted(rank_caps):
@@ -153,22 +162,34 @@ def test_modp_rank_matches_python_rank_mod_p():
                 for row in left
             ])
         # sparse: row swaps, and heads that are zero on some rows only
-        mats.append([
-            [rng.choice([p - 1, rng.randrange(p)]) if rng.random() < 0.3 else 0
-             for _ in range(ncols)]
-            for _ in range(nrows)
-        ])
+        mats.append(_sparse_residues(rng, p, nrows, ncols, 0.3))
         # signed and beyond-int64 entries are reduced before the screen runs
         mats.append([
             [rng.choice([-(p - 1), p - 1, 10**30 + rng.randrange(p), -rng.randrange(p)])
              for _ in range(ncols)]
             for _ in range(nrows)
         ])
-        for mat in mats:
-            expected = python_rank_mod_p(mat, p)
-            assert linalg._modp_rank(linalg._to_modp_array(mat)) == expected
-            seen["deficient" if expected < min(nrows, ncols) else "full"] += 1
+        cases += [(min(nrows, ncols), mat) for mat in mats]
+    # the large sparse shapes of Macaulay and quotient maps, tall and wide,
+    # at about 1% density: the live-row path
+    for nrows, ncols in ((300, 150), (150, 300)):
+        cases += [(150, _sparse_residues(rng, p, nrows, ncols, d)) for d in (0.01, 0.02)]
+    seen = Counter()
+    for full, mat in cases:
+        expected = python_rank_mod_p(mat, p)
+        assert linalg._modp_rank(linalg._to_modp_array(mat)) == expected
+        seen["deficient" if expected < full else "full"] += 1
     assert seen["deficient"] >= 8 and seen["full"] >= 8
+
+
+def _sparse_residues(rng, p, nrows, ncols, density):
+    """An nrows x ncols matrix of residues mod p, each nonzero (p - 1 or
+    anywhere in [0, p)) with probability ``density``."""
+    return [
+        [rng.choice([p - 1, rng.randrange(p)]) if rng.random() < density else 0
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
 
 
 def test_clear_denominators():
