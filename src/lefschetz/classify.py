@@ -3,24 +3,36 @@
 Every monomial artinian ideal generated in degree 3 contains the pure cubes,
 so candidates are (x_0^3, ..., x_n^3) plus j mixed cubic monomials with
 1 <= j <= comb(n+2, n-1) - (n+1), the generator bound for the degree-2
-failure theory.  The enumeration walks the subsets of mixed monomials once,
-as integer bit masks, one block of subsets at a time.  The mixed monomials
-are listed in ascending exponent order, the first as the highest bit, so
-subsets come in descending mask order, and of two subsets of one size the
-larger mask is the lex-lesser one.  A subset opens its orbit under the
-coordinate permutations iff no permutation maps it to a larger mask; it is
-then the orbit's lex-minimal member, its canonical form, and a candidate
-(orderly generation, McKay 1998).  Candidates thus open in canonical
-(size, key) order.  A candidate is Togliatti iff its generators' rows in
-``wlp._sum_hyperplane_table`` are dependent, so candidates of one size are
-stacked and screened together mod p (``linalg``'s
-``_modp_independent_rows``): rows independent mod p are independent over
-Q, which rules the candidate out.  Only the rest, the Togliatti systems
-and the rare false alarms of the prime, go through ``certify_candidate``,
-which decides each exactly: ``is_togliatti``, then for a hit the apolar
-system, Laplace count re-verified, lattice quadric, polytope verdict
-(smooth / quasi-smooth / singular), toric degree, triviality flags, orbit
-size.
+failure theory.  A subset of the mixed monomials is a sorted tuple of their
+indices, and an integer bit mask.  The mixed monomials are listed in
+ascending exponent order, the first as the highest bit, so of two subsets
+of one size the larger mask is the lex-lesser one.  A subset opens its
+orbit under the coordinate permutations iff no permutation maps it to a
+larger mask; it is then the orbit's lex-minimal member, its canonical form,
+and a candidate.  The enumeration is orderly generation (Read 1978; McKay
+1998): it walks the sizes up, and makes the subsets of size j only as the
+children of the canonical subsets of size j-1, each extended by every
+element above its maximum.  That reaches every canonical subset, since a
+canonical subset less its largest element is canonical too: if a
+permutation mapped the rest to a lex-lesser set, the image of the whole
+subset would be lex-lesser than the subset as well, since adding an
+element keeps or lowers each entry of a sorted tuple, and the subset
+agrees with the rest up to the place where rest and image differ.
+Parents are taken in lex order and each one's children in order, so
+candidates open in canonical (size, key) order.  Each block of children is
+tested in one numpy pass over their image masks, and only the index rows
+of the canonical ones are kept, as the next level's parents.  The number
+of subsets seen is computed, not walked: the orbits of the candidates of
+size j cover all comb(m, j) subsets of that size.  A candidate is
+Togliatti iff its generators' rows in ``wlp._sum_hyperplane_table`` are
+dependent, so candidates of one size are stacked and screened together
+mod p (``linalg``'s ``_modp_independent_rows``): rows independent mod p
+are independent over Q, which rules the candidate out.  Only the rest,
+the Togliatti systems and the rare false alarms of the prime, go through
+``certify_candidate``, which decides each exactly: ``is_togliatti``, then
+for a hit the apolar system, Laplace count re-verified, lattice quadric,
+polytope verdict (smooth / quasi-smooth / singular), toric degree,
+triviality flags, orbit size.
 A ``ClassificationRecord`` keeps only what it certified.  Its r, j, mixed
 generators and Togliatti flag are read off the generators, and its JSON
 writes them too.  Nothing reads a record back: every run decides every
@@ -107,8 +119,8 @@ def canonical_form(exponents):
 # several words, compared from the high word down.
 _WORD_BITS = 62
 # int64 cells in one block of image masks (the group order times the words
-# of a mask times the subsets in the block), and in one stack of the screen
-# (candidates times rows times columns).
+# of a mask times the children tested in the block), and in one stack of
+# the screen (candidates times rows times columns).
 _BLOCK_CELLS = 1 << 15
 
 
@@ -159,6 +171,50 @@ def _above_and_equal(masks, own):
         above |= equal & (masks[..., word] > own[..., word])
         equal &= masks[..., word] == own[..., word]
     return above, equal
+
+
+def _children(parents, ends, numbers, m: int):
+    """The children numbered ``numbers`` of the index rows ``parents``.
+
+    Each parent is extended by every element above its maximum, in order.
+    The children of parent p are numbered from ``ends[p - 1]`` (from 0 for
+    the first parent) to ``ends[p] - 1``; the last is extended by element
+    m-1.
+    """
+    parent = np.searchsorted(ends, numbers, side="right")
+    return np.column_stack((parents[parent], numbers - ends[parent] + m))
+
+
+def _orbit_openers(images, j_limit: int):
+    """Yield (row, orbit size) for each subset of 1 to ``j_limit`` elements
+    that opens its orbit under the ``_action_table`` ``images``, in
+    canonical (size, key) order, by orderly generation (see the module
+    docstring).  A row is the subset's sorted element indices, and element
+    i is bit m-1-i of its mask.
+    """
+    m, group_order = images.shape
+    words = -(-m // _WORD_BITS)
+    mask_table = _bit_words(m - 1 - np.arange(m), words)[images]
+    rows = max(1, _BLOCK_CELLS // (group_order * words))
+    # the empty set; rows are kept as int16, a quarter of the memory of intp
+    parents = np.zeros((1, 0), dtype=np.int16)
+    for j in range(1, j_limit + 1):
+        ends = np.cumsum(m - 1 - parents.max(axis=1, initial=-1))
+        opening = np.zeros(ends[-1], dtype=bool)
+        for start in range(0, ends[-1], rows):
+            numbers = np.arange(start, min(start + rows, ends[-1]))
+            block = _children(parents, ends, numbers, m)
+            # A child opens its orbit iff no image is above its own
+            # (identity) mask; it is then the orbit's canonical row.
+            masks = _image_masks(mask_table, block)
+            above, equal = _above_and_equal(masks, masks[:, :1])
+            opens = ~above.any(axis=1)
+            opening[start : start + rows] = opens
+            sizes = (group_order // equal[opens].sum(axis=1)).tolist()
+            yield from zip(block[opens].tolist(), sizes)
+        if j < j_limit:  # the canonical rows of the last size parent nothing
+            parents = _children(parents, ends, np.flatnonzero(opening), m)
+            parents = parents.astype(np.int16)
 
 
 def _to_json(value, names):
@@ -307,12 +363,15 @@ def enumerate_cubic_togliatti(
 
     ``max_extra`` >= 1 caps the number j of mixed generators (required
     sanity for n >= 4, where the full range is astronomically large).
-    Each orbit's candidate is the subset that opens it, so candidates come
-    in canonical (size, key) order, the order of ``hit_counts``.  Every
-    candidate is decided, in that order, and then passed to
-    ``progress(key, record)``, with record None for a non-Togliatti one:
-    candidates whose hyperplane rows are independent mod p are ruled out
-    by one stacked screen per block, and only the rest are certified.
+    Each orbit's candidate is the subset that opens it, found by orderly
+    generation (see the module docstring), so candidates come in canonical
+    (size, key) order, the order of ``hit_counts``, and all are found
+    before the first is decided.  ``subsets_seen`` is the sum of comb(m, j)
+    over the sizes j, for m mixed cubics.  Every candidate is decided, in
+    that order, and then passed to ``progress(key, record)``, with record
+    None for a non-Togliatti one: candidates whose hyperplane rows are
+    independent mod p are ruled out by one stacked screen per block, and
+    only the rest are certified.
     ``seed`` changes nothing: every check of monomial input is exact, so
     the census draws no sample.
     """
@@ -328,38 +387,14 @@ def enumerate_cubic_togliatti(
             "for n >= 4 pass max_extra: the full enumeration is out of reach"
         )
     cubes = pure_powers(n, 3)
-    # The pure cubes are fixed as a set, so only ``mixed`` is permuted.
-    # Element i of ``mixed``, in ascending exponent order, is bit m-1-i of a
-    # subset's mask, so the subsets of one size come in descending mask
-    # order, and the larger of two masks is the subset whose least differing
-    # element has the lesser exponent: the lex-lesser key.
+    # The pure cubes are fixed as a set, so only ``mixed`` is permuted.  It
+    # is in ascending exponent order, so the lex order of index rows is the
+    # lex order of the keys.
     mixed = tuple(e for e in reversed(monomial_basis(n, 3)) if max(e) < 3)
-    images = _action_table(mixed)
-    m, group_order = images.shape
-    words = -(-m // _WORD_BITS)
-    mask_table = _bit_words(m - 1 - np.arange(m), words)[images]
-    rows = max(1, _BLOCK_CELLS // (group_order * words))
-    hit_counts = {}
-    subsets_seen = 0
-    for j in range(1, j_limit + 1):
-        subsets = itertools.combinations(range(m), j)
-        while True:
-            block = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(subsets, rows)),
-                dtype=np.intp,
-            ).reshape(-1, j)
-            if not len(block):
-                break
-            subsets_seen += len(block)
-            # A subset is met first at its orbit's largest mask, so it opens
-            # an orbit iff no image is above its own (identity) mask; it is
-            # then the orbit's canonical key, entered in ``hit_counts``.
-            masks = _image_masks(mask_table, block)
-            above, equal = _above_and_equal(masks, masks[:, :1])
-            opens = ~above.any(axis=1)
-            sizes = (group_order // equal[opens].sum(axis=1)).tolist()
-            for size, row in zip(sizes, block[opens].tolist()):
-                hit_counts[tuple(sorted(cubes + tuple(mixed[i] for i in row)))] = size
+    hit_counts = {
+        tuple(sorted(cubes + tuple(mixed[i] for i in row))): size
+        for row, size in _orbit_openers(_action_table(mixed), j_limit)
+    }
     # Each candidate is artinian, with r at most the generator bound (the
     # table's column count), so it is Togliatti iff its table rows are
     # dependent; rows independent mod p are independent over Q, and only
@@ -383,7 +418,7 @@ def enumerate_cubic_togliatti(
     return ClassificationRun(
         n=n,
         j_max=j_limit,
-        subsets_seen=subsets_seen,
+        subsets_seen=sum(comb(len(mixed), j) for j in range(1, j_limit + 1)),
         candidates_tested=len(hit_counts),
         hit_counts=hit_counts,
         records=tuple(records),

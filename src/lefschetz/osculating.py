@@ -25,6 +25,7 @@ evaluation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, perm
 from typing import Optional
 
@@ -130,6 +131,15 @@ def laplace_count(
     )
 
 
+@lru_cache(maxsize=None)
+def _quadric_pairs(n: int):
+    """The quadric x_i x_k as its pair (i, k), i <= k, in the order of
+    ``monomial_basis(n, 2)``: its value at a point p is p[i] * p[k]."""
+    return tuple(
+        tuple(i for i, e in enumerate(q) for _ in range(e)) for q in monomial_basis(n, 2)
+    )
+
+
 def perkinson_quadric(points) -> Optional[Form]:
     """Nonzero quadric in the n+1 lattice coordinates vanishing on ``points``.
 
@@ -147,18 +157,9 @@ def perkinson_quadric(points) -> Optional[Form]:
     n = len(points[0]) - 1
     if any(len(p) != n + 1 for p in points):
         raise ValueError("points of mixed dimension")
-    quadrics = monomial_basis(n, 2)
-    rows = []
-    for p in points:
-        row = []
-        for q in quadrics:
-            value = 1
-            for base, e in zip(p, q):
-                if e:
-                    value *= base ** e
-            row.append(value)
-        rows.append(row)
-    vec = primitive_kernel_vector(rows, len(quadrics))
+    pairs = _quadric_pairs(n)
+    rows = [[p[i] * p[k] for i, k in pairs] for p in points]
+    vec = primitive_kernel_vector(rows, len(pairs))
     if vec is None:
         return None
-    return Form(n, 2, dict(zip(quadrics, vec)))
+    return Form(n, 2, dict(zip(monomial_basis(n, 2), vec)))

@@ -59,6 +59,20 @@ MUTANTS = (
         "tests/test_classify.py::test_n3_matches_brute_force",
     ),
     (
+        "census children extended by their parent's maximum as well",
+        "classify.py",
+        "np.cumsum(m - 1 - parents.max(axis=1, initial=-1))",
+        "np.cumsum(m - parents.max(axis=1, initial=-1))",
+        "tests/test_classify.py::test_n3_matches_brute_force",
+    ),
+    (
+        "census children admitted without their canonicity test",
+        "classify.py",
+        "opens = ~above.any(axis=1)",
+        "opens = np.ones(len(block), dtype=bool)",
+        "tests/test_classify.py::test_n4_partial_census",
+    ),
+    (
         "shoelace without its closing edge",
         "polytope.py",
         "zip(hull, hull[1:] + hull[:1])",

@@ -1,5 +1,6 @@
 """Enumeration and certification of monomial cubic systems up to symmetry."""
 
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -287,6 +288,17 @@ def test_n4_partial_census(max_extra, subsets, candidates, records):
     )
     assert sum(run.hit_counts.values()) == run.subsets_seen
     assert all(120 % size == 0 for size in run.hit_counts.values())
+
+
+def test_n4_candidate_order_is_pinned():
+    # past the reach of the brute-force tests: SHA-256 of the candidates and
+    # their orbit sizes, in the order they opened (378 of 31,930 subsets)
+    run = enumerate_cubic_togliatti(4, max_extra=4)
+    items = [[list(map(list, key)), size] for key, size in run.hit_counts.items()]
+    digest = hashlib.sha256(json.dumps(items, separators=(",", ":")).encode())
+    assert digest.hexdigest() == (
+        "0ba403051dca556bf92bfd7858857bad8532a6b76a68f70720dd84552c74666a"
+    )
 
 
 def test_n6_census_runs_on_two_word_masks():

@@ -668,13 +668,15 @@ def test_classify_n3_stdout_bytes_are_pinned(capsys):
     assert digests == CLASSIFY_N3
 
 
-# SHA-256 of the stdout of the n = 4 census up to four and up to five mixed
-# generators, with and without --json; they hold one and six records
+# SHA-256 of the stdout of the n = 4 census up to four, five and six mixed
+# generators, with and without --json; they hold one, six and 36 records
 CLASSIFY_N4 = {
     ("4", "--json"): "c912c2d086b2fc9217ba9c678fe2c4aef3f79148290d428299375f29eee812ae",
     ("4", ""): "4ac01a38d022c83bd873936e24f5b8722ddb98a7a70b53aa3d2e6c62bb97c011",
     ("5", "--json"): "b2cda253a9f7a6180e54f3936b26f121e4c614d9fea47499c636ee4e86d79301",
     ("5", ""): "4cafbe50b2ab4f0edb3a8a65fbc1af475b3b9f3a8d030b031d2fc53bb03d236a",
+    ("6", "--json"): "9b00c4df820113edb49bd477769002de7016956a954ffb060796f6577280da09",
+    ("6", ""): "cd34af3e6d6fe8d879749f35feeb5fdf057038b53c35a4338f46664ea5422e7d",
 }
 
 

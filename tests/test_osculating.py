@@ -4,13 +4,16 @@ import itertools
 from fractions import Fraction
 from math import perm
 
+import numpy as np
 import pytest
 
 from lefschetz.algebra import Form, monomial_basis
 from lefschetz.apolarity import apolar_complement
 from lefschetz.classify import classification_case_ideal
-from lefschetz.linalg import clear_denominators, exact_rank
-from lefschetz.osculating import LinearSystem, laplace_count, perkinson_quadric
+from lefschetz.linalg import clear_denominators, exact_rank, primitive_kernel_vector
+from lefschetz.osculating import (
+    LinearSystem, _quadric_pairs, laplace_count, perkinson_quadric
+)
 from lefschetz.parser import format_form
 from lefschetz.sampling import random_chart_point, rng_for
 from lefschetz.wlp import IdealSpec, has_wlp
@@ -150,3 +153,28 @@ def test_quadric_vanishes_on_marked_points(hexagon_system):
 def test_quadric_requires_enough_points():
     # five points always lie on a conic; the hit only means something for >= 6
     assert perkinson_quadric(HEXAGON[:5]) is not None
+
+
+def _evaluated_quadrics(p):
+    """Each quadric of ``monomial_basis`` at p, power by power."""
+    row = []
+    for q in monomial_basis(len(p) - 1, 2):
+        value = 1
+        for base, e in zip(p, q):
+            if e:
+                value *= base ** e
+        row.append(value)
+    return row
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_quadric_rows_are_products_of_coordinate_pairs(n):
+    rng = np.random.default_rng(n)
+    size = len(monomial_basis(n, 2))
+    for count in (size - 1, size, size + 1):
+        points = [tuple(map(int, p)) for p in rng.integers(-4, 5, (count, n + 1))]
+        rows = [_evaluated_quadrics(p) for p in points]
+        assert [[p[i] * p[k] for i, k in _quadric_pairs(n)] for p in points] == rows
+        vec = primitive_kernel_vector(rows, size)
+        expected = None if vec is None else Form(n, 2, dict(zip(monomial_basis(n, 2), vec)))
+        assert perkinson_quadric(points) == expected
