@@ -10,11 +10,14 @@ Everything is exact integer arithmetic:
 
 * Facets by brute force over all m-subsets of A: a candidate normal is the
   vector of signed (m-1)x(m-1) minors of the difference matrix, a facet is
-  a candidate with every point of A on one side.  The sweep is vectorized
-  with numpy int64; a Hadamard-bound guard refuses inputs whose minors
-  could overflow (far beyond every lattice of exponent vectors in range).
-  One pass makes its result: the [normal | offset] rows with A below and
-  the negated rows with A above, as Python ints, deduplicated and sorted.
+  a candidate with every point of A on one side.  One numpy int64 Laplace
+  expansion, bottom row up, makes every candidate at once, each minor on a
+  column set once.  A Hadamard-bound guard refuses inputs whose minors could
+  overflow (far beyond every lattice of exponent vectors in range); it bounds
+  every intermediate, each a minor, an entry times a minor, or a partial sum
+  of fewer than m such products.  One pass makes its result: the
+  [normal | offset] rows with A below and the negated rows with A above, as
+  Python ints, deduplicated and sorted.
 * One membership test, the incidence table: one int64 product,
   points @ normals.T == offsets, which the sweep's guard already bounds.
   Vertices and edges are read off it with no linear algebra (a face is the
@@ -76,28 +79,30 @@ class LatticePolytope:
         return self.affine_dim == self.dim
 
 
-def _det_batch(arrays: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of k x k int64 matrices, exact cofactor expansion."""
-    k = arrays.shape[-1]
-    if k == 0:
-        return np.ones(arrays.shape[0], dtype=np.int64)
-    if k == 1:
-        return arrays[:, 0, 0].copy()
-    if k == 2:
-        return arrays[:, 0, 0] * arrays[:, 1, 1] - arrays[:, 0, 1] * arrays[:, 1, 0]
-    total = np.zeros(arrays.shape[0], dtype=np.int64)
-    cols = np.arange(k)
-    for i in range(k):
-        minor = arrays[:, 1:, :][:, :, cols != i]
-        term = arrays[:, 0, i] * _det_batch(minor)
-        total += term if i % 2 == 0 else -term
-    return total
+def _cofactors(diffs: np.ndarray) -> np.ndarray:
+    """Normals of a (B, m-1, m) int64 stack: entry i is (-1)^i times the
+    minor without column i.  Minors grow from the bottom row up, each once."""
+    batch, k, m = diffs.shape
+    a = diffs.transpose(1, 2, 0)  # (row, column, B) views, no copy
+    minors = {(): np.ones(batch, dtype=np.int64)}
+    for row in range(k - 1, -1, -1):
+        grown = {}
+        for cols in itertools.combinations(range(m), k - row):
+            total = a[row, cols[0]] * minors[cols[1:]]
+            for t in range(1, len(cols)):
+                term = a[row, cols[t]] * minors[cols[:t] + cols[t + 1 :]]
+                (np.subtract if t % 2 else np.add)(total, term, out=total)
+            grown[cols] = total
+        minors = grown
+    # the (m-1)-sets come in lex order: the one without column i is last but i
+    normals = np.array(list(minors.values())[::-1])  # (m, B)
+    normals[1::2] *= -1
+    return normals.T
 
 
 def _facet_sweep(points):
     """All supporting hyperplanes spanned by m-subsets (the facets)."""
     m = len(points[0])
-    npoints = len(points)
     bound = max((abs(c) for p in points for c in p), default=0)
     # Hadamard bound on the minors plus the support products must fit int64
     worst = (2 * bound) ** max(m - 1, 1) * max(m - 1, 1) ** (m // 2) * m * max(bound, 1)
@@ -105,21 +110,16 @@ def _facet_sweep(points):
         raise NotImplementedError("coordinates too large for the int64 facet sweep")
     pts = np.array(points, dtype=np.int64)
     combos = np.array(
-        list(itertools.combinations(range(npoints), m)), dtype=np.int64
+        list(itertools.combinations(range(len(points)), m)), dtype=np.int64
     ).reshape(-1, m)  # fewer than m points: no combos, no facets
-    diffs = pts[combos[:, 1:]] - pts[combos[:, :1]]
-    normals = np.empty((combos.shape[0], m), dtype=np.int64)
-    cols = np.arange(m)
-    for i in range(m):
-        minors = _det_batch(diffs[:, :, cols != i])  # k = 0 for m = 1: ones
-        normals[:, i] = minors if i % 2 == 0 else -minors
+    normals = _cofactors(pts[combos[:, 1:]] - pts[combos[:, :1]])
     live = np.any(normals != 0, axis=1)
     normals = normals[live]
     anchors = combos[live, 0]
     g = np.gcd.reduce(np.abs(normals), axis=1)
     normals = normals // g[:, None]
     offsets = np.einsum("ij,ij->i", normals, pts[anchors])
-    values = pts @ normals.T  # (npoints, candidates)
+    values = pts @ normals.T  # (points, candidates)
     below = (values <= offsets[None, :]).all(axis=0)
     above = (values >= offsets[None, :]).all(axis=0)
     table = np.column_stack((normals, offsets))  # rows [normal | offset]

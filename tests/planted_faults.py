@@ -87,6 +87,13 @@ MUTANTS = (
         "tests/test_polytope.py::test_degenerate_sections_raise",
     ),
     (
+        "cofactor expansion with its alternating signs flipped",
+        "polytope.py",
+        "(np.subtract if t % 2 else np.add)",
+        "(np.add if t % 2 else np.subtract)",
+        "tests/test_polytope.py::test_cofactors_are_the_signed_maximal_minors",
+    ),
+    (
         "facet sweep without the negated rows of the upper side",
         "polytope.py",
         "np.concatenate((table[below], -table[above]))",

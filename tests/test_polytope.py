@@ -1,8 +1,9 @@
 """Lattice polytopes of monomial systems: hulls, smoothness, volumes."""
 
 import itertools
-from math import factorial
+from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from lefschetz import polytope
@@ -242,22 +243,28 @@ def test_volume_is_lattice_invariant_and_scales(m):
         assert normalized_volume(polytope_from_points(dilated)) == k**m * nvol
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+# The sweep tries every m-subset of the marked points, so a closed form is
+# checked only while there are at most this many: the 2^m cube stops at
+# m = 5, the filled simplex at k = 2 for m = 5 and at k = 1 for m = 6.
+SWEPT_SUBSETS = 250_000
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_volume_closed_forms(m, k):
     cube = list(itertools.product([0, k], repeat=m))
-    assert normalized_volume(polytope_from_points(cube)) == factorial(m) * k**m
     simplex = [tuple(0 for _ in range(m))] + [
         tuple(k * int(i == j) for j in range(m)) for i in range(m)
     ]
-    assert normalized_volume(polytope_from_points(simplex)) == k**m
     # with every lattice point of k * simplex marked, the volume is the same
     filled = [p for p in itertools.product(range(k + 1), repeat=m) if sum(p) <= k]
-    assert normalized_volume(polytope_from_points(filled)) == k**m
     cross = [
         tuple(s * int(i == j) for j in range(m)) for i in range(m) for s in (1, -1)
     ]
-    assert normalized_volume(polytope_from_points(cross)) == 2**m
+    volumes = [factorial(m) * k**m, k**m, k**m, 2**m]
+    for points, volume in zip([cube, simplex, filled, cross], volumes):
+        if comb(len(points), m) <= SWEPT_SUBSETS:
+            assert normalized_volume(polytope_from_points(points)) == volume
 
 
 def twice_hull_area(points):
@@ -354,6 +361,46 @@ def test_degenerate_sections_raise():
         _nvol([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)], 4)
 
 
+def largest_guarded_coordinate(m):
+    """The largest coordinate bound the sweep's int64 guard admits in Z^m."""
+    low, high = 0, 2**62
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            polytope._facet_sweep([(mid,) + (0,) * (m - 1)])
+            low = mid
+        except NotImplementedError:
+            high = mid
+    return low
+
+
+def reference_cofactors(mat):
+    """Entry i: (-1)^i times the determinant of mat without column i."""
+    m = len(mat) + 1
+    return [
+        (-1) ** i * det_int([row[:i] + row[i + 1 :] for row in mat]) for i in range(m)
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_cofactors_are_the_signed_maximal_minors(k):
+    m = k + 1
+    rng = rng_for(k, "polytope-cofactors")
+    # differences of coordinates the guard admits lie in [-2 bound, 2 bound]
+    edge = 2 * largest_guarded_coordinate(m)
+    draws = [
+        lambda: rng.randrange(-3, 4),
+        lambda: rng.randrange(-edge, edge + 1),
+        lambda: rng.choice((-edge, edge)),
+    ]
+    for batch, draw in itertools.product([0, 1, 7], draws):
+        stack = [[[draw() for _ in range(m)] for _ in range(k)] for _ in range(batch)]
+        diffs = np.array(stack, dtype=np.int64).reshape(batch, k, m)
+        normals = polytope._cofactors(diffs)
+        assert normals.shape == (batch, m)
+        assert normals.tolist() == [reference_cofactors(mat) for mat in stack]
+
+
 def test_sweep_refuses_coordinates_that_could_overflow_int64():
     # 11 times the standard 10-simplex, the hull of x_i^11 on P^10: the
     # Hadamard bound on its 9 x 9 minors, times the support products,
@@ -361,3 +408,11 @@ def test_sweep_refuses_coordinates_that_could_overflow_int64():
     simplex = [tuple(11 * int(i == j) for j in range(10)) for i in range(10)]
     with pytest.raises(NotImplementedError, match="too large for the int64 facet sweep"):
         polytope_from_points(simplex + [(0,) * 10])
+
+
+def test_sweep_takes_ten_times_the_ten_simplex():
+    # 10 times the standard 10-simplex, the hull of x_i^10 on P^10, is just
+    # inside the guard, and its normals are 9 x 9 minors
+    simplex = [tuple(10 * int(i == j) for j in range(10)) for i in range(10)]
+    P = polytope_from_points(simplex + [(0,) * 10])
+    assert normalized_volume(P) == 10**10
