@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, perm
+from math import comb, perm, prod
+from operator import ge, sub
 from typing import Optional
 
 from .algebra import Form, LinearSystem, monomial_basis
@@ -59,32 +60,36 @@ class LaplaceCount:
         return self.expected_dim - self.actual_dim
 
 
+@lru_cache(maxsize=None)
+def _jet_terms(alpha, s: int) -> tuple:
+    """(jet row, falling-factorial product, leftover exponent) for each jet
+    beta of order <= s that does not kill x^alpha in the chart x_0 = 1:
+    d^beta t^alpha' = (alpha')_beta * t^(alpha' - beta), alpha' = alpha[1:],
+    with the jets in the row order of ``_jet_matrix``."""
+    tail = alpha[1:]
+    betas = (b for t in range(s + 1) for b in monomial_basis(len(tail) - 1, t))
+    return tuple(
+        (row, prod(map(perm, tail, beta)), tuple(map(sub, tail, beta)))
+        for row, beta in enumerate(betas)
+        if all(map(ge, tail, beta))
+    )
+
+
 def _jet_matrix(system: LinearSystem, s: int, chart_point):
     """Integer jet matrix: rows = jets of order <= s, columns = members.
 
     Entry = d^beta F_j / dt^beta at (1, t), with member coefficients cleared
-    to integers (column scaling, rank preserved).
+    to integers (column scaling, rank preserved), read off ``_jet_terms``;
+    at (1, ..., 1) no power of the chart point is taken.
     """
-    n = system.n
-    betas = [b for t in range(s + 1) for b in monomial_basis(n - 1, t)]
-    matrix = [[0] * len(system.members) for _ in betas]
+    matrix = [[0] * len(system.members) for _ in range(comb(system.n + s, s))]
+    unit = all(p == 1 for p in chart_point)
     for j, member in enumerate(system.members):
         for alpha, c in zip(member.terms, clear_denominators(member.terms.values())):
-            for bi, beta in enumerate(betas):
-                value = c
-                dead = False
-                for i in range(n):
-                    a, b = alpha[i + 1], beta[i]
-                    if a < b:
-                        dead = True
-                        break
-                    if b:
-                        value *= perm(a, b)
-                    rest = a - b
-                    if rest:
-                        value *= chart_point[i] ** rest
-                if not dead:
-                    matrix[bi][j] += value
+            for row, factor, rest in _jet_terms(alpha, s):
+                if not unit:
+                    factor *= prod(map(pow, chart_point, rest))
+                matrix[row][j] += c * factor
     return matrix
 
 

@@ -15,7 +15,8 @@ Everything is exact integer arithmetic:
   column set once.  A Hadamard-bound guard refuses inputs whose minors could
   overflow (far beyond every lattice of exponent vectors in range); it bounds
   every intermediate, each a minor, an entry times a minor, or a partial sum
-  of fewer than m such products.  One pass makes its result: the
+  of fewer than m such products.  More than ``_SWEEP_SUBSETS`` subsets are
+  refused before any is made.  One pass makes its result: the
   [normal | offset] rows with A below and the negated rows with A above, as
   Python ints, deduplicated and sorted.
 * One membership test, the incidence table: one int64 product,
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -57,6 +58,8 @@ VERDICT_SMOOTH = "smooth"
 VERDICT_QUASI_SMOOTH = "quasi-smooth"
 VERDICT_SINGULAR = "singular"
 VERDICT_DEGENERATE = "degenerate"
+# subsets held at once by the facet sweep (28 points in Z^6: 376,740, 240 MiB)
+_SWEEP_SUBSETS = 400_000
 
 
 class DegeneratePolytopeError(ValueError):
@@ -108,6 +111,8 @@ def _facet_sweep(points):
     worst = (2 * bound) ** max(m - 1, 1) * max(m - 1, 1) ** (m // 2) * m * max(bound, 1)
     if worst >= 2**62:
         raise NotImplementedError("coordinates too large for the int64 facet sweep")
+    if comb(len(points), m) > _SWEEP_SUBSETS:
+        raise NotImplementedError(f"{comb(len(points), m)} point subsets: too many to sweep")
     pts = np.array(points, dtype=np.int64)
     combos = np.array(
         list(itertools.combinations(range(len(points)), m)), dtype=np.int64

@@ -12,7 +12,8 @@ L = x_0 + ... + x_n, which is what the monomial fast path does; general
 ideals are tested against sampled linear forms and the best rank wins
 (rank is lower semicontinuous, so the max over samples is the generic rank).
 A monomial ideal's map is written on its quotient bases, the monomials
-outside I_j and outside I_{j+1}; ``quotient_basis`` lists them, memoized.
+outside I_j and outside I_{j+1}, by index: ``_up_table`` maps x^e to each
+x^e * x_i one degree up, and ``_positions`` maps a monomial to its column.
 ``has_wlp`` scans only the degrees that can fail: from d-1 (below it the
 map is a multiplication on R itself) up to the first surjective degree
 (after it every map is surjective).
@@ -28,6 +29,7 @@ exact rank of rows from one cached table.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
@@ -58,7 +60,7 @@ from .sampling import (
 @dataclass(frozen=True)
 class IdealSpec(LinearSystem):
     """The ideal I generated by the members of a ``LinearSystem``, with its
-    graded pieces memoized per degree in ``_dim_cache``: the quotient basis
+    graded pieces memoized per degree in ``_dim_cache``: the ``_positions``
     of a monomial ideal, dim I_t of any other."""
 
     _dim_cache: dict = field(default_factory=dict, init=False, compare=False)
@@ -91,39 +93,52 @@ class WlpReport:
         return self.rank == min(self.dim_source, self.dim_target)
 
 
-def quotient_basis(spec: IdealSpec, t: int) -> dict:
-    """Monomials of degree t outside a monomial ideal, each mapped to its
-    column index (basis order), memoized per degree in ``spec._dim_cache``:
-    the one place the package lists them.
+@lru_cache(maxsize=None)
+def _up_table(n: int, t: int) -> array:
+    """Flat table of the degree-t monomials' up-neighbours: entry
+    k*(n+1) + i is the index of x^e * x_i in ``monomial_basis(n, t+1)``,
+    x^e the k-th monomial of ``monomial_basis(n, t)``."""
+    column = {e: k for k, e in enumerate(monomial_basis(n, t + 1))}
+    return array("i", [column[shifted(e, i)] for e in monomial_basis(n, t) for i in range(n + 1)])
 
-    Below d nothing is in I; x^e of degree d is in I iff it is a generator,
-    and above d iff some x^e / x_i is in I_{t-1} (all generators have degree
-    d), so each degree is read off the one below it, filled upward from the
-    highest degree already held.
-    """
-    if not spec.is_monomial:
-        raise ValueError("the quotient basis is listed for monomial ideals only")
+
+def _positions(spec: IdealSpec, t: int) -> tuple:
+    """(positions, h(t)) of a monomial ideal, memoized in ``spec._dim_cache``:
+    entry k is the quotient-basis column of the k-th monomial of degree t,
+    or -1 inside I_t.  Below d nothing is in I, I_d is the generators, and
+    above d I_t = x_0 I_{t-1} + ... + x_n I_{t-1}, marked through the
+    ``_up_table``, each degree filled upward from the highest one held."""
     cache = spec._dim_cache
     if t in cache:
         return cache[t]
+    n, width = spec.n, spec.n + 1
     low = t
     while low > spec.d and low - 1 not in cache:
         low -= 1
     for s in range(low, t + 1):
         if s <= spec.d:
-            ideal = frozenset(spec.exponents()) if s == spec.d else ()
-            outside = [e for e in monomial_basis(spec.n, s) if e not in ideal]
-        elif not cache[s - 1]:
-            outside = []  # I_{s-1} = R_{s-1}, so I_s = R_s
+            gens = frozenset(spec.exponents()) if s == spec.d else ()
+            inside = {k for k, e in enumerate(monomial_basis(n, s)) if e in gens}
         else:
-            below = cache[s - 1]
-            outside = [
-                e
-                for e in monomial_basis(spec.n, s)
-                if all(shifted(e, i, -1) in below for i in range(spec.n + 1) if e[i])
-            ]
-        cache[s] = {e: k for k, e in enumerate(outside)}
+            up = _up_table(n, s - 1)
+            inside = {
+                above
+                for k, column in enumerate(cache[s - 1][0]) if column < 0
+                for above in up[k * width : k * width + width]
+            }
+        size, columns = comb(n + s, s), count()
+        positions = array("i", [-1 if k in inside else next(columns) for k in range(size)])
+        cache[s] = (positions, size - len(inside))
     return cache[t]
+
+
+def quotient_basis(spec: IdealSpec, t: int) -> dict:
+    """Monomials of degree t outside a monomial ideal, each mapped to its
+    column index (basis order), built from ``_positions`` on each call."""
+    if not spec.is_monomial:
+        raise ValueError("the quotient basis is listed for monomial ideals only")
+    positions = _positions(spec, t)[0]
+    return {e: k for e, k in zip(monomial_basis(spec.n, t), positions) if k >= 0}
 
 
 def ideal_piece_dimension(spec: IdealSpec, t: int) -> int:
@@ -133,7 +148,7 @@ def ideal_piece_dimension(spec: IdealSpec, t: int) -> int:
     if t < spec.d or spec.r == 0:
         return 0
     if spec.is_monomial:
-        return comb(spec.n + t, t) - len(quotient_basis(spec, t))
+        return comb(spec.n + t, t) - _positions(spec, t)[1]
     if t == spec.d:
         return spec.r  # ``LinearSystem`` checked the generators independent
     cached = spec._dim_cache.get(t)
@@ -210,25 +225,29 @@ def h_vector(spec: IdealSpec):
     return tuple(values)
 
 
+@lru_cache(maxsize=None)
 def _sum_of_variables(n: int) -> Form:
     return Form(n, 1, {pure_power(n, i): 1 for i in range(n + 1)})
 
 
 def _quotient_map_rows(spec: IdealSpec, sources, coeffs, t: int) -> list:
     """Integer rows of x L on the quotient basis of degree t of a monomial
-    ideal, L = sum c_i x_i with integer ``coeffs``: one row per source
-    monomial x^e of degree t-1, one column per monomial outside I_t, and
-    the row of x^e holds c_i at x^e * x_i for each c_i whose product stays
-    outside I_t.  Rows that come out zero are dropped, so the mod-p screen
-    checks full rank against min(rows, cols)."""
-    target = quotient_basis(spec, t)
+    ideal, L = sum c_i x_i with integer ``coeffs``: one row per source, the
+    index k of x^e in ``monomial_basis(n, t-1)``, one column per monomial
+    outside I_t, and the row of x^e holds c_i at x^e * x_i (read off the
+    ``_up_table``) for each c_i whose product stays outside I_t.  Rows that
+    come out zero are dropped, so the mod-p screen checks full rank against
+    min(rows, cols)."""
+    target, size = _positions(spec, t)
+    up, width = _up_table(spec.n, t - 1), spec.n + 1
+    live = [(i, c) for i, c in enumerate(coeffs) if c]
     rows = []
-    for e in sources:
-        row = [0] * len(target)
-        for i, c in enumerate(coeffs):
-            k = target.get(shifted(e, i))
-            if c and k is not None:
-                row[k] = c
+    for k in sources:
+        row = [0] * size
+        for i, c in live:
+            column = target[up[k * width + i]]
+            if column >= 0:
+                row[column] = c
         if any(row):
             rows.append(row)
     return rows
@@ -260,7 +279,7 @@ def multiplication_rank(spec: IdealSpec, linear_form: Form, j: int) -> WlpReport
         coeffs = clear_denominators(
             [linear_form.terms.get(pure_power(n, i), 0) for i in range(n + 1)]
         )
-        sources = quotient_basis(spec, j)
+        sources = [k for k, column in enumerate(_positions(spec, j)[0]) if column >= 0]
         rank = exact_rank(_quotient_map_rows(spec, sources, coeffs, j + 1))
     else:
         rows = multiples_matrix([linear_form], j)
@@ -480,7 +499,7 @@ def trivial_type_b_test(spec: IdealSpec) -> TypeBResult:
         # unit rows, so dim(I_3 meet x_i*M*R_1) = (n+1) - rank of the rows of
         # x M on the sources x_i*x_k, k = 0..n, kept on the columns outside
         # I_3: nonzero iff that rank falls short
-        sources = [shifted(pure_power(n, i), k) for k in range(n + 1)]
+        sources = _up_table(n, 1)[i * (n + 1) : (i + 1) * (n + 1)]  # x_i * x_k
         if exact_rank(_quotient_map_rows(spec, sources, [1] * (n + 1), 3)) < n + 1:
             witness = i
     return TypeBResult(sufficient, witness is not None, witness)

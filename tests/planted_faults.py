@@ -52,6 +52,13 @@ MUTANTS = (
         "tests/test_cli.py::test_json_stdout_bytes_are_pinned",
     ),
     (
+        "jet entries without their falling factorials",
+        "osculating.py",
+        "prod(map(perm, tail, beta))",
+        "1",
+        "tests/test_osculating.py::test_jet_matrix_matches_the_nested_loop",
+    ),
+    (
         "census masks with the first mixed monomial as the lowest bit",
         "classify.py",
         "_bit_words(m - 1 - np.arange(m), words)",
@@ -117,9 +124,16 @@ MUTANTS = (
     (
         "quotient-map rows reading x^e * x_0 for every coefficient",
         "wlp.py",
-        "k = target.get(shifted(e, i))",
-        "k = target.get(shifted(e, 0))",
+        "column = target[up[k * width + i]]",
+        "column = target[up[k * width]]",
         "tests/test_wlp.py::test_type_b_apolar_rank_matches_the_stacked_rank",
+    ),
+    (
+        "ideal filled upward from x_0 times the degree below only",
+        "wlp.py",
+        "for above in up[k * width : k * width + width]",
+        "for above in up[k * width : k * width + 1]",
+        "tests/test_wlp.py::test_quotient_bases_are_the_monomials_no_generator_divides",
     ),
     (
         "degree d-1 failure read as a rank below r - 1",

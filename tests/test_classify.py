@@ -591,7 +591,11 @@ def test_type_b_rank_at_the_sum_of_variables_is_the_rank_at_sampled_forms(run3, 
         n, columns = spec.n, quotient_basis(spec, 3)
         witness = None
         for i in range(n + 1):
-            sources = [shifted(pure_power(n, i), k) for k in range(n + 1)]
+            # the source x_i * x_k as its index in the degree-2 basis
+            sources = [
+                monomial_basis(n, 2).index(shifted(pure_power(n, i), k))
+                for k in range(n + 1)
+            ]
             rows = _quotient_map_rows(spec, sources, [1] * (n + 1), 3)
             reference = tangent_rows(n, i, _sum_of_variables(n), columns)
             assert rows == [row for row in reference if any(row)]

@@ -1,6 +1,7 @@
 """Osculating dimensions, Laplace equation counts, and the lattice quadric."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import perm
 
@@ -12,7 +13,7 @@ from lefschetz.apolarity import apolar_complement
 from lefschetz.classify import classification_case_ideal
 from lefschetz.linalg import clear_denominators, exact_rank, primitive_kernel_vector
 from lefschetz.osculating import (
-    LinearSystem, _quadric_pairs, laplace_count, perkinson_quadric
+    LinearSystem, _jet_matrix, _quadric_pairs, laplace_count, perkinson_quadric
 )
 from lefschetz.parser import format_form
 from lefschetz.sampling import random_chart_point, rng_for
@@ -122,6 +123,54 @@ def homogeneous_jet_rank(system: LinearSystem, s: int, point) -> int:
         rows.append(clear_denominators(row))
     return exact_rank(rows)
 
+
+
+def nested_loop_jet_matrix(system: LinearSystem, s: int, chart_point):
+    """The jet matrix by one loop over members, terms, jets and coordinates:
+    the entry at jet beta sums c * (alpha')_beta * t^(alpha' - beta) over
+    the terms c x^alpha of a member, alpha' = alpha[1:]."""
+    n = system.n
+    betas = [b for t in range(s + 1) for b in monomial_basis(n - 1, t)]
+    matrix = [[0] * len(system.members) for _ in betas]
+    for j, member in enumerate(system.members):
+        for alpha, c in zip(member.terms, clear_denominators(member.terms.values())):
+            for bi, beta in enumerate(betas):
+                value = c
+                dead = False
+                for i in range(n):
+                    a, b = alpha[i + 1], beta[i]
+                    if a < b:
+                        dead = True
+                        break
+                    if b:
+                        value *= perm(a, b)
+                    rest = a - b
+                    if rest:
+                        value *= chart_point[i] ** rest
+                if not dead:
+                    matrix[bi][j] += value
+    return matrix
+
+
+def test_jet_matrix_matches_the_nested_loop(corpus):
+    # monomial apolar systems at (1, ..., 1); general ones at two sampled
+    # chart points and at one with a zero coordinate
+    kinds = Counter()
+    for i, spec in enumerate(corpus):
+        system = apolar_complement(spec)
+        n = system.n
+        if system.is_monomial:
+            points = [(1,) * n]
+        else:
+            rng = rng_for(i, "jet-matrix")
+            points = [random_chart_point(n, rng) for _ in range(2)]
+            points.append((0,) + points[0][1:])
+        for s in range(spec.d + 1):
+            for point in points:
+                expected = nested_loop_jet_matrix(system, s, point)
+                assert _jet_matrix(system, s, point) == expected
+        kinds[system.is_monomial] += 1
+    assert kinds == {True: 286, False: 214}
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_homogeneous_jets_match_affine_chart(hexagon_system, s):

@@ -410,6 +410,20 @@ def test_sweep_refuses_coordinates_that_could_overflow_int64():
         polytope_from_points(simplex + [(0,) * 10])
 
 
+
+def test_sweep_refuses_more_subsets_than_its_budget(monkeypatch):
+    # the 64 vertices of the 2^6 cube have C(64, 6) = 74,974,368 6-subsets,
+    # about 18 GB of difference stack: refused before any subset is listed
+    # (a sweep that lists them fails here at once, not out of memory)
+    def no_subsets(*args):
+        raise AssertionError("the sweep listed its subsets")
+
+    monkeypatch.setattr(polytope.itertools, "combinations", no_subsets)
+    cube = list(itertools.product([0, 1], repeat=6))
+    assert comb(64, 6) > polytope._SWEEP_SUBSETS >= SWEPT_SUBSETS
+    with pytest.raises(NotImplementedError, match="74974368 point subsets: too many to sweep"):
+        polytope_from_points(cube)
+
 def test_sweep_takes_ten_times_the_ten_simplex():
     # 10 times the standard 10-simplex, the hull of x_i^10 on P^10, is just
     # inside the guard, and its normals are 9 x 9 minors

@@ -161,6 +161,29 @@ def test_a_maximal_general_rank_under_its_ceiling_needs_no_bareiss(monkeypatch):
         assert report.maximal_rank and report.rank == rank
 
 
+
+def test_quotient_bases_are_the_monomials_no_generator_divides(corpus):
+    # a brute-force divisibility scan as the reference, listed up to the
+    # first empty degree (socle + 1) and then asked of a fresh copy of each
+    # monomial corpus ideal from the top down, so that every degree above d
+    # is filled upward from the degree below it
+    checked = 0
+    for spec in corpus:
+        if not spec.is_monomial:
+            continue
+        bases = []
+        while not bases or bases[-1]:
+            bases.append([
+                e for e in monomial_basis(spec.n, len(bases))
+                if not any(all(map(operator.ge, e, g)) for g in spec.exponents())
+            ])
+        fresh = IdealSpec.from_monomials(spec.n, spec.d, spec.exponents())
+        for t in range(len(bases) - 1, -1, -1):
+            assert wlp.quotient_basis(fresh, t) == {e: k for k, e in enumerate(bases[t])}
+            assert hilbert_function(fresh, t) == len(bases[t])
+        checked += 1
+    assert checked == 286
+
 def test_togliatti_fails_only_in_degree_two(togliatti_cubic):
     ok, failures = has_wlp(togliatti_cubic, seed=0, trials=3)
     assert not ok
