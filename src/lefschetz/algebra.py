@@ -12,7 +12,8 @@ Conventions used throughout the package:
 * ``multiples_matrix`` is the one place Macaulay matrices are laid out: the
   integer rows of the monomial multiples x^e * f of forms, used for dim I_t,
   the Lefschetz multiplication maps, the syzygy kernels on a line and the
-  span of a list of forms.
+  span of a list of forms.  Its cached ``_shift_table`` is the one monomial
+  index table; ``wlp`` reads its degree-1 columns for monomial quotient maps.
 * ``linear_substitution`` is the one restriction: it expands forms at
   x = M*y in integers, on one memoized expansion of monomial images, for
   the restriction to a hyperplane (``wlp``) and to a line
@@ -24,6 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -77,46 +79,44 @@ def shifted(e: Exponent, i: int, k: int = 1) -> Exponent:
     return e[:i] + (e[i] + k,) + e[i + 1 :]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Form:
     """A homogeneous polynomial with exact rational coefficients.
 
-    Immutable in practice: products return new forms, the term dict is
-    never mutated after construction, and zero coefficients are dropped so
-    equality of forms is equality of term maps (plus matching n and degree;
-    zero forms remember their declared degree).
+    Immutable: products return new forms, the term dict is never mutated
+    after construction, and zero coefficients are dropped so equality of
+    forms is equality of term maps (plus matching n and degree; zero forms
+    remember their declared degree).
     """
 
-    __slots__ = ("n", "degree", "terms")
+    n: int
+    degree: int
+    terms: dict = None
 
-    def __init__(self, n: int, degree: int, terms=None):
-        if n < 0 or degree < 0:
+    def __post_init__(self):
+        if self.n < 0 or self.degree < 0:
             raise ValueError("n and degree must be non-negative")
         clean = {}
-        for exponent, coeff in (terms or {}).items():
+        for exponent, coeff in (self.terms or {}).items():
             coeff = _exact(coeff)
             if not coeff:
                 continue
             # integer entries come back unchanged, so distinct keys stay distinct
             exponent = tuple(map(index, exponent))
-            if len(exponent) != n + 1 or any(e < 0 for e in exponent):
-                raise ValueError(f"bad exponent {exponent} for n={n}")
-            if sum(exponent) != degree:
+            if len(exponent) != self.n + 1 or any(e < 0 for e in exponent):
+                raise ValueError(f"bad exponent {exponent} for n={self.n}")
+            if sum(exponent) != self.degree:
                 raise ValueError(
-                    f"exponent {exponent} has degree {sum(exponent)}, expected {degree}"
+                    f"exponent {exponent} has degree {sum(exponent)}, expected {self.degree}"
                 )
             clean[exponent] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Form is immutable")
 
     @classmethod
     def _of_clean_terms(cls, n: int, degree: int, terms: dict) -> "Form":
         """A form on terms already clean (nonzero ``_exact`` coefficients on
         exponents of degree ``degree`` in n+1 variables), built without the
-        per-term pass of ``__init__``."""
+        per-term pass of ``__post_init__``."""
         form = cls(n, degree)
         object.__setattr__(form, "terms", terms)
         return form
@@ -156,15 +156,6 @@ class Form:
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
 
     def __hash__(self):
         return hash((self.n, self.degree, frozenset(self.terms.items())))
@@ -291,12 +282,15 @@ def _check_same_shape(forms):
 
 @lru_cache(maxsize=None)
 def _shift_table(n: int, t: int, degree: int) -> dict:
-    """For each exponent a of the given degree, the column of x^(a+e) in
-    ``monomial_basis(n, t + degree)`` for every e in ``monomial_basis(n, t)``."""
+    """For each exponent a of the given degree, in basis order, an
+    ``array('i')`` of the columns of x^(a+e) in ``monomial_basis(n, t + degree)``
+    for every e in ``monomial_basis(n, t)``.  At degree 1 the keys come in
+    the order x_0, ..., x_n, so entry k under x_i is the index of x^e * x_i,
+    x^e the k-th monomial of degree t: the package's one monomial index table."""
     column = {e: k for k, e in enumerate(monomial_basis(n, t + degree))}
     shifts = monomial_basis(n, t)
     return {
-        a: tuple(column[tuple(map(add, a, e))] for e in shifts)
+        a: array("i", [column[tuple(map(add, a, e))] for e in shifts])
         for a in monomial_basis(n, degree)
     }
 

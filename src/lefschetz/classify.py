@@ -86,6 +86,7 @@ from .wlp import (
     IdealSpec,
     TypeBResult,
     _sum_hyperplane_table,
+    generator_bound,
     is_togliatti,
     trivial_type_a,
     trivial_type_b_test,
@@ -377,7 +378,7 @@ def enumerate_cubic_togliatti(
     """
     if n < 2:
         raise ValueError("classification needs n >= 2")
-    j_limit = comb(n + 2, n - 1) - (n + 1)
+    j_limit = generator_bound(n, 3) - (n + 1)
     if max_extra is not None:
         if max_extra < 1:
             raise ValueError(f"max_extra must be at least 1, not {max_extra}")
@@ -478,7 +479,7 @@ def four_prime_projections():
     for k in (1, 2):
         for subset in itertools.combinations(("acd", "bcd"), k):
             removals.append((4, subset))
-    bound = comb(5, 2)
+    bound = generator_bound(3, 3)
     results = []
     for case, subset in removals:
         removed = [_exponent(w) for w in subset]

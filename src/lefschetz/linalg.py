@@ -64,10 +64,9 @@ from fractions import Fraction
 import numpy as np
 
 # Mersenne prime 2**31 - 1: the product of two reduced residues is below
-# 2**62, so the difference of two such products fits in int64.
-_PRIME = 2_147_483_647
-# the same prime as a numpy scalar, which numpy's in-place ops take directly
-_PRIME_INT64 = np.int64(_PRIME)
+# 2**62, so the difference of two such products fits in int64.  A numpy
+# scalar, which numpy's in-place ops take directly.
+_PRIME = np.int64(2_147_483_647)
 # Above this many cells ``_modp_rank`` updates only the rows with a nonzero
 # head.  Below it the whole-slice row update is cheaper than finding them:
 # over the ranks of the corpus audit the split costs least near 2,048 cells,
@@ -218,7 +217,7 @@ def _modp_rank(mat: np.ndarray) -> int:
             product = below[:, column, None] * row
             below *= pivot
             below -= product
-            below %= _PRIME_INT64
+            below %= _PRIME
     # nothing lies below the last row: it counts if it is not zero
     return rank + bool(mat[-1:].any())
 
@@ -233,11 +232,8 @@ def _modp_rank_live(mat: np.ndarray) -> int:
     """
     if mat.shape[1] > mat.shape[0]:
         mat = np.ascontiguousarray(mat.T)
-    nrows, ncols = mat.shape
     rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
+    for col in range(mat.shape[1]):
         nz = mat[rank:, col].nonzero()[0]
         if nz.size == 0:
             continue
@@ -253,7 +249,7 @@ def _modp_rank_live(mat: np.ndarray) -> int:
             block = mat[live, col + 1 :]
             block *= mat[rank, col]
             block -= mat[live, col, None] * mat[rank, col + 1 :]
-            block %= _PRIME_INT64
+            block %= _PRIME
             mat[live, col + 1 :] = block
         rank += 1
     return rank
@@ -269,7 +265,7 @@ def _modp_independent_rows(stack: np.ndarray) -> np.ndarray:
     once the rows above it are eliminated makes its matrix dependent mod p
     (its pivot 0 then zeroes the rows below, which decide nothing more).
     """
-    mat = stack % _PRIME_INT64
+    mat = stack % _PRIME
     batch = np.arange(len(mat))
     independent = np.ones(len(mat), dtype=bool)
     for k in range(mat.shape[1]):
@@ -281,18 +277,18 @@ def _modp_independent_rows(stack: np.ndarray) -> np.ndarray:
         head = below[batch, :, column]
         below *= pivot[:, None, None]
         below -= head[:, :, None] * row[:, None, :]
-        below %= _PRIME_INT64
+        below %= _PRIME
     return independent
 
 
 def _to_modp_array(rows) -> np.ndarray:
     arr = np.array(rows)
     if arr.dtype == np.int64:
-        arr %= _PRIME_INT64
+        arr %= _PRIME
         return arr
     # entries beyond int64 (or not integers at all): reduce in Python
     index = operator.index
-    return np.array([[index(x) % _PRIME for x in row] for row in rows], dtype=np.int64)
+    return np.array([[index(x) % int(_PRIME) for x in row] for row in rows], dtype=np.int64)
 
 
 def exact_rank(rows, *, ceiling=None) -> int:

@@ -12,8 +12,9 @@ L = x_0 + ... + x_n, which is what the monomial fast path does; general
 ideals are tested against sampled linear forms and the best rank wins
 (rank is lower semicontinuous, so the max over samples is the generic rank).
 A monomial ideal's map is written on its quotient bases, the monomials
-outside I_j and outside I_{j+1}, by index: ``_up_table`` maps x^e to each
-x^e * x_i one degree up, and ``_positions`` maps a monomial to its column.
+outside I_j and outside I_{j+1}, by index: ``algebra._shift_table(n, t, 1)``
+maps x^e to each x^e * x_i one degree up, and ``_positions`` maps a monomial
+to its column.
 ``has_wlp`` scans only the degrees that can fail: from d-1 (below it the
 map is a multiplication on R itself) up to the first surjective degree
 (after it every map is surjective).
@@ -39,6 +40,7 @@ from typing import Optional
 from .algebra import (
     Form,
     LinearSystem,
+    _shift_table,
     linear_substitution,
     monomial_basis,
     multiples_matrix,
@@ -93,25 +95,18 @@ class WlpReport:
         return self.rank == min(self.dim_source, self.dim_target)
 
 
-@lru_cache(maxsize=None)
-def _up_table(n: int, t: int) -> array:
-    """Flat table of the degree-t monomials' up-neighbours: entry
-    k*(n+1) + i is the index of x^e * x_i in ``monomial_basis(n, t+1)``,
-    x^e the k-th monomial of ``monomial_basis(n, t)``."""
-    column = {e: k for k, e in enumerate(monomial_basis(n, t + 1))}
-    return array("i", [column[shifted(e, i)] for e in monomial_basis(n, t) for i in range(n + 1)])
-
-
 def _positions(spec: IdealSpec, t: int) -> tuple:
     """(positions, h(t)) of a monomial ideal, memoized in ``spec._dim_cache``:
     entry k is the quotient-basis column of the k-th monomial of degree t,
     or -1 inside I_t.  Below d nothing is in I, I_d is the generators, and
     above d I_t = x_0 I_{t-1} + ... + x_n I_{t-1}, marked through the
-    ``_up_table``, each degree filled upward from the highest one held."""
+    columns of ``_shift_table(n, t-1, 1)``.  Each degree is filled upward
+    from the highest one held, in a loop: asking for a degree far above d
+    first must not recurse once per degree."""
     cache = spec._dim_cache
     if t in cache:
         return cache[t]
-    n, width = spec.n, spec.n + 1
+    n = spec.n
     low = t
     while low > spec.d and low - 1 not in cache:
         low -= 1
@@ -120,12 +115,8 @@ def _positions(spec: IdealSpec, t: int) -> tuple:
             gens = frozenset(spec.exponents()) if s == spec.d else ()
             inside = {k for k, e in enumerate(monomial_basis(n, s)) if e in gens}
         else:
-            up = _up_table(n, s - 1)
-            inside = {
-                above
-                for k, column in enumerate(cache[s - 1][0]) if column < 0
-                for above in up[k * width : k * width + width]
-            }
+            ups, below = _shift_table(n, s - 1, 1).values(), cache[s - 1][0]
+            inside = {up[k] for k, column in enumerate(below) if column < 0 for up in ups}
         size, columns = comb(n + s, s), count()
         positions = array("i", [-1 if k in inside else next(columns) for k in range(size)])
         cache[s] = (positions, size - len(inside))
@@ -211,18 +202,18 @@ def is_artinian(spec: IdealSpec) -> bool:
 
 
 def h_vector(spec: IdealSpec):
-    """(h(0), h(1), ..., h(s)) up to the socle degree.  Requires artinian."""
+    """(h(0), h(1), ..., h(s)) up to the socle degree.  Requires artinian.
+    The scan stops at ``artinian_bound``, where every artinian ideal has
+    h = 0: a Hilbert function still positive there raises ArithmeticError."""
     if not is_artinian(spec):
         raise ValueError("ideal is not artinian")
     values = []
-    t = 0
-    while True:
+    for t in range(artinian_bound(spec) + 1):
         h = hilbert_function(spec, t)
         if h == 0:
-            break
+            return tuple(values)
         values.append(h)
-        t += 1
-    return tuple(values)
+    raise ArithmeticError(f"h({t}) = {h} > 0 at the artinian bound of an artinian ideal")
 
 
 @lru_cache(maxsize=None)
@@ -235,17 +226,17 @@ def _quotient_map_rows(spec: IdealSpec, sources, coeffs, t: int) -> list:
     ideal, L = sum c_i x_i with integer ``coeffs``: one row per source, the
     index k of x^e in ``monomial_basis(n, t-1)``, one column per monomial
     outside I_t, and the row of x^e holds c_i at x^e * x_i (read off the
-    ``_up_table``) for each c_i whose product stays outside I_t.  Rows that
-    come out zero are dropped, so the mod-p screen checks full rank against
-    min(rows, cols)."""
+    x_i column of ``_shift_table(n, t-1, 1)``) for each c_i whose product
+    stays outside I_t.  Rows that come out zero are dropped, so the mod-p
+    screen checks full rank against min(rows, cols)."""
     target, size = _positions(spec, t)
-    up, width = _up_table(spec.n, t - 1), spec.n + 1
-    live = [(i, c) for i, c in enumerate(coeffs) if c]
+    ups = _shift_table(spec.n, t - 1, 1).values()  # x_0, ..., x_n
+    live = [(up, c) for up, c in zip(ups, coeffs) if c]
     rows = []
     for k in sources:
         row = [0] * size
-        for i, c in live:
-            column = target[up[k * width + i]]
+        for up, c in live:
+            column = target[up[k]]
             if column >= 0:
                 row[column] = c
         if any(row):
@@ -328,17 +319,20 @@ def has_wlp(spec: IdealSpec, *, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
     d-1; and a surjective map in degree j means [R/(I, L)]_{j+1} = 0, so
     the maps of every higher degree are surjective too and the scan stops
     there.  A rank reaching dim (R/I)_{j+1} is a certified ceiling, for a
-    sampled L as well.  The socle degree is always surjective (onto 0).
+    sampled L as well.  The socle degree is always surjective (onto 0), and
+    it lies below ``artinian_bound``: a scan that passes it raises
+    ArithmeticError.
     """
     if not is_artinian(spec):
         raise ValueError("ideal is not artinian")
     failures = []
-    for j in count(spec.d - 1):
+    for j in range(spec.d - 1, artinian_bound(spec) + 1):
         report = certified_lefschetz_report(spec, j, seed=seed, trials=trials)
         if report.rank == report.dim_target:
             return (not failures, failures)
         if not report.maximal_rank:
             failures.append(j)
+    raise ArithmeticError(f"x L is not surjective in degree {j}, past the artinian bound")
 
 
 def generator_bound(n: int, d: int) -> int:
@@ -499,7 +493,7 @@ def trivial_type_b_test(spec: IdealSpec) -> TypeBResult:
         # unit rows, so dim(I_3 meet x_i*M*R_1) = (n+1) - rank of the rows of
         # x M on the sources x_i*x_k, k = 0..n, kept on the columns outside
         # I_3: nonzero iff that rank falls short
-        sources = _up_table(n, 1)[i * (n + 1) : (i + 1) * (n + 1)]  # x_i * x_k
+        sources = _shift_table(n, 1, 1)[pure_power(n, i)]  # x_i * x_k
         if exact_rank(_quotient_map_rows(spec, sources, [1] * (n + 1), 3)) < n + 1:
             witness = i
     return TypeBResult(sufficient, witness is not None, witness)

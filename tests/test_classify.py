@@ -697,8 +697,7 @@ def test_the_census_screen_is_sound_at_a_small_prime(monkeypatch, run3, prime):
     # at p = 3 every candidate's rows are dependent mod p, at p = 2 those of
     # 297; certify_candidate must rule out the non-Togliatti ones exactly
     certified = _counting_certify(monkeypatch)
-    monkeypatch.setattr(linalg, "_PRIME", prime)
-    monkeypatch.setattr(linalg, "_PRIME_INT64", np.int64(prime))
+    monkeypatch.setattr(linalg, "_PRIME", np.int64(prime))
     run = enumerate_cubic_togliatti(3)
     assert [record.to_json_dict() for record in run.records] == [
         record.to_json_dict() for record in run3.records

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lefschetz import cli
+from lefschetz import bundles, cli
 
 TOG = [
     "--gen", "x^3", "--gen", "y^3", "--gen", "z^3", "--gen", "x*y*z",
@@ -126,6 +126,36 @@ def test_document_lists_of_strings_exit_two(capsys, tmp_path, key, value):
     code, out, err = run_cli(capsys, "wlp", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {key} must be a list of strings, not {value!r}")
+
+
+# (a file's text, or argv in place of a file; the message it exits 2 with)
+DOCUMENT_ERRORS = {
+    "unreadable": (None, "cannot read "),
+    "invalid-json": ("{", " is not valid JSON: "),
+    "json-list": ("[]", "an ideal document is a JSON object"),
+    "no-degree": (
+        '{"variables": ["x", "y"], "generators": ["x^3"]}', "document needs a degree"
+    ),
+    "gen-without-variables": (["--gen", "x^3", "--degree", "3"], "--gen needs --variables"),
+    "gen-without-degree": (["--gen", "x^3", "--variables", "x,y"], "--gen needs --degree"),
+    "duplicate-names": (
+        ["--gen", "x^3", "--variables", "x,y,x", "--degree", "3"], "duplicate variable names"
+    ),
+}
+
+
+@pytest.mark.parametrize("source, message", DOCUMENT_ERRORS.values(), ids=DOCUMENT_ERRORS)
+def test_document_errors_exit_two(capsys, tmp_path, source, message):
+    if isinstance(source, list):
+        argv = source
+    else:
+        path = tmp_path / "doc.json"
+        if source is not None:
+            path.write_text(source)
+        argv = [str(path)]
+    code, out, err = run_cli(capsys, "wlp", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 ONE_VARIABLE = ["--variables", "x", "--degree", "3", "--gen", "x^3"]
@@ -344,6 +374,15 @@ def test_polytope_degenerate_payload(capsys):
     assert payload["points"] == [[0, 3], [1, 2], [2, 1], [3, 0]]
 
 
+def test_polytope_of_a_segment(capsys):
+    payload = run_json(
+        capsys, "polytope", "--system",
+        "--gen", "x^3", "--gen", "x^2*y", "--gen", "y^3", "--variables", "x,y", "--degree", "3",
+    )
+    assert payload["points"] == [[0], [2], [3]]
+    assert (payload["normalized_volume"], payload["verdict"]) == (3, "quasi-smooth")
+
+
 def test_polytope_rejects_non_monomial(capsys):
     code, out, err = run_cli(
         capsys, "polytope", "--system",
@@ -469,6 +508,25 @@ def test_verify_r4_cli(capsys):
     assert "verdict: ok" in out
 
 
+def test_verify_r4_violation_exits_one_after_its_full_report(capsys, monkeypatch):
+    # the orbit of x y z^2 is made to fail WLP in degree 3
+    has_wlp = bundles.has_wlp
+
+    def one_orbit_fails(spec, **kwargs):
+        if spec.is_monomial and (1, 1, 2) in spec.exponents():
+            return False, [3]
+        return has_wlp(spec, **kwargs)
+
+    monkeypatch.setattr(bundles, "has_wlp", one_orbit_fails)
+    code, out, err = run_cli(capsys, "verify-r4", "--dmin", "4", "--dmax", "4", "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert (report["ok"], report["violations"]) == (False, ["d=4: full WLP failures"])
+    (entry,) = report["per_degree"]
+    assert entry["full_wlp_failures"] == [["monomial", [1, 1, 2], [3]]]
+    assert err == "analysis failed: d=4: full WLP failures\n"
+
+
 def test_verify_r4_at_d_three_exits_zero(capsys):
     payload = run_json(capsys, "verify-r4", "--dmin", "3", "--dmax", "3")
     assert payload["ok"] is True
@@ -512,6 +570,22 @@ def test_example_round_trip(capsys, tmp_path):
 def test_example_case_name_that_is_no_number_exits_two(capsys, name):
     code, out, err = run_cli(capsys, "example", "--name", name)
     assert (code, out, err) == (2, "", "error: cases are case-1 .. case-4\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--name", "truncated-simplex"], "--n is required for 'truncated-simplex'"),
+        (["--name", "case-2", "--n", "4"], "the classification cases live on P^3"),
+        (["--name", "partition", "--n", "3", "--partition", "0,1||2"],
+         "empty part in --partition"),
+        (["--name", "partition", "--n", "3", "--partition", "0,a|2"],
+         "bad --partition: invalid literal for int() with base 10: 'a'"),
+    ],
+    ids=["no-n", "case-off-p3", "empty-part", "bad-part"],
+)
+def test_example_errors_exit_two(capsys, argv, message):
+    assert run_cli(capsys, "example", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_example_case_names(capsys):

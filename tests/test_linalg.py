@@ -133,14 +133,13 @@ def python_rank_mod_p(rows, p):
     return rank
 
 
-@pytest.mark.parametrize("prime", [linalg._PRIME, 3, 2])
+@pytest.mark.parametrize("prime", [int(linalg._PRIME), 3, 2])
 def test_modp_rank_matches_python_rank_mod_p(monkeypatch, prime):
     # residues at p - 1 or spread over [0, p) are where a fraction-free
     # int64 update has the least headroom; tall and wide shapes both occur.
     # The kernel must read the patched prime when it is called: the
     # small-prime tests rely on it.
-    monkeypatch.setattr(linalg, "_PRIME", prime)
-    monkeypatch.setattr(linalg, "_PRIME_INT64", np.int64(prime))
+    monkeypatch.setattr(linalg, "_PRIME", np.int64(prime))
     p = prime
     rng = rng_for(p, "linalg-modp")
     cells = linalg._ROWWISE_CELLS
@@ -471,8 +470,7 @@ def test_deficient_ranks_are_sound_at_a_small_prime(
             by_ceiling.append(modp == kwargs.get("ceiling"))
         return rank
 
-    monkeypatch.setattr(linalg, "_PRIME", prime)
-    monkeypatch.setattr(linalg, "_PRIME_INT64", np.int64(prime))
+    monkeypatch.setattr(linalg, "_PRIME", np.int64(prime))
     for name in RANK_MODULES:
         module = importlib.import_module(f"lefschetz.{name}")
         monkeypatch.setattr(module, "exact_rank", checked_rank)
@@ -483,12 +481,11 @@ def test_deficient_ranks_are_sound_at_a_small_prime(
     assert [(rank, true) for rank, true in checked if rank != true] == []
 
 
-@pytest.mark.parametrize("prime", [linalg._PRIME, 3, 2])
+@pytest.mark.parametrize("prime", [int(linalg._PRIME), 3, 2])
 def test_stacked_screen_decides_each_matrix_by_its_mod_p_rank(monkeypatch, prime):
     # zero rows and multiples of other rows make matrices dependent over Q;
     # at p = 3 or 2 some independent ones are dependent mod p as well
-    monkeypatch.setattr(linalg, "_PRIME", prime)
-    monkeypatch.setattr(linalg, "_PRIME_INT64", np.int64(prime))
+    monkeypatch.setattr(linalg, "_PRIME", np.int64(prime))
     rng = rng_for(prime, "linalg-stacked-screen")
     verdicts = Counter()
     for trial in range(80):

@@ -249,7 +249,7 @@ def test_volume_is_lattice_invariant_and_scales(m):
 SWEPT_SUBSETS = 250_000
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_volume_closed_forms(m, k):
     cube = list(itertools.product([0, k], repeat=m))

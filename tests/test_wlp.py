@@ -10,6 +10,7 @@ from lefschetz import linalg, wlp
 from lefschetz.wlp import (
     IdealSpec,
     TypeBResult,
+    WlpReport,
     _sum_hyperplane_table,
     artinian_bound,
     certified_lefschetz_report,
@@ -184,6 +185,46 @@ def test_quotient_bases_are_the_monomials_no_generator_divides(corpus):
         checked += 1
     assert checked == 286
 
+
+def test_a_degree_far_above_d_is_filled_without_recursion():
+    # asked first, degree d + 1200 is filled upward from d in one loop
+    spec = IdealSpec.from_monomials(1, 2, [(2, 0), (0, 2)])
+    assert hilbert_function(spec, 1202) == 0
+    assert h_vector(spec) == (1, 2, 1)
+
+
+class _Runaway(Exception):
+    """Raised by a fake that a degree scan keeps calling past its cap."""
+
+
+def _runaway(value, limit):
+    """A fake returning ``value(*args)`` that raises ``_Runaway`` once it
+    has been called more than ``limit`` times."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > limit:
+            raise _Runaway
+        return value(*args)
+
+    return fake
+
+
+def test_degree_scans_stop_at_the_artinian_bound(monkeypatch, togliatti_cubic):
+    # fakes that never reach h = 0 or a surjective map: the scans must raise
+    # at the artinian bound, and an uncapped scan hits the sentinel instead
+    # of running on
+    spec, bound = togliatti_cubic, artinian_bound(togliatti_cubic)
+    monkeypatch.setattr(wlp, "hilbert_function", _runaway(lambda spec, t: 1, bound + 2))
+    with pytest.raises(ArithmeticError, match=rf"^h\({bound}\) = 1 > 0 "):
+        h_vector(spec)
+    never_onto = _runaway(lambda spec, j: WlpReport(j, 1, 2, 1, Form(2, 1)), bound + 2)
+    monkeypatch.setattr(wlp, "certified_lefschetz_report", never_onto)
+    with pytest.raises(ArithmeticError, match=f"not surjective in degree {bound},"):
+        has_wlp(spec)
+
+
 def test_togliatti_fails_only_in_degree_two(togliatti_cubic):
     ok, failures = has_wlp(togliatti_cubic, seed=0, trials=3)
     assert not ok
@@ -300,6 +341,10 @@ def test_restricted_generators_rank(togliatti_cubic):
 def test_is_togliatti(togliatti_cubic, control_cubic):
     assert is_togliatti(togliatti_cubic, seed=0, trials=3)
     assert not is_togliatti(control_cubic, seed=0, trials=3)
+    # x^2 (x + y + z) vanishes on the hyperplane, but the ideal is not artinian
+    cone = IdealSpec.from_monomials(2, 3, [(3, 0, 0), (2, 1, 0), (2, 0, 1)])
+    assert fails_in_degree_dminus1(cone)
+    assert not is_togliatti(cone)
 
 
 def test_trivial_type_a_absent(togliatti_cubic, control_cubic):
