@@ -116,8 +116,10 @@ class Form:
     def _of_clean_terms(cls, n: int, degree: int, terms: dict) -> "Form":
         """A form on terms already clean (nonzero ``_exact`` coefficients on
         exponents of degree ``degree`` in n+1 variables), built without the
-        per-term pass of ``__post_init__``."""
-        form = cls(n, degree)
+        per-term pass of ``__post_init__``: no dataclass ``__init__`` runs."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "n", n)
+        object.__setattr__(form, "degree", degree)
         object.__setattr__(form, "terms", terms)
         return form
 

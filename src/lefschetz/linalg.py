@@ -7,16 +7,21 @@ exact.  There are exactly two elimination routines, independent of each other:
 
 * ``_bareiss``: fraction-free one-step Bareiss elimination on integer
   matrices.  Integer pivots, exact divisions, no rationals.  Authoritative.
+  A row whose entry under the pivot (its head) is zero is only rescaled by
+  pivot / previous pivot, at its nonzero entries, and not at all when the
+  two pivots are equal.
   ``bareiss_rank`` (its rank), ``det_int`` (sign times last pivot),
   ``integer_kernel`` (with ``kernel_basis``, its vectors over Q) and
   ``primitive_kernel_vector`` are read off it; the kernels share one integer
   back-substitution, ``_back_substitute``.
   Entries are read through ``operator.index``, so a ``Fraction`` or
   ``float`` entry raises ``TypeError`` instead of being truncated.
-* ``_rref``: Gauss-Jordan elimination over ``Fraction`` to the reduced row
-  echelon form.  It serves only ``rational_rank`` (the pivot count, the
-  cross-check route; property tests assert both routes agree) and
-  ``solve_exact`` (reduce ``[A | b]``).
+* ``_echelon``: forward Gaussian elimination over Q to a row echelon form.
+  Rows with a zero head are skipped, the others are updated only at the
+  pivot row's nonzero columns, and no pivot row is normalised.  It serves
+  only ``rational_rank`` (the pivot count, the cross-check route; property
+  tests assert both routes agree) and ``solve_exact`` (reduce ``[A | b]``,
+  then back-substitute).
 
 ``exact_rank`` wraps Bareiss with a certified shortcut: the rank of the matrix
 reduced mod a fixed prime is a lower bound for the rational rank, so whenever
@@ -133,11 +138,17 @@ def _bareiss(rows):
         for i in range(rank + 1, nrows):
             row_i = mat[i]
             head = row_i[col]
-            # the division by the previous pivot is exact, and it must run
-            # even when head == 0 to keep entries minor-sized
-            for j in range(col + 1, ncols):
-                row_i[j] = (pivot * row_i[j] - head * row_p[j]) // prev
-            row_i[col] = 0
+            # the division by the previous pivot is exact.  With a zero
+            # head the update is pivot * row // prev: it rescales only the
+            # nonzero entries, and leaves the row alone when pivot == prev
+            if head:
+                for j in range(col + 1, ncols):
+                    row_i[j] = (pivot * row_i[j] - head * row_p[j]) // prev
+                row_i[col] = 0
+            elif pivot != prev:
+                for j in range(col + 1, ncols):
+                    if row_i[j]:
+                        row_i[j] = pivot * row_i[j] // prev
         prev = pivot
         pivots.append(col)
         rank += 1
@@ -158,13 +169,18 @@ def det_int(rows) -> int:
     return sign * last_pivot if rank == n else 0
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+def _echelon(rows, ncols):
+    """Row echelon form over Q by forward Gaussian elimination.
 
-    Returns (reduced rows, pivot columns); reduced row i holds the pivot of
-    column pivots[i] scaled to 1, and the rows after the pivots are zero.
+    Returns (echelon rows, pivot columns): row i has its pivot in column
+    pivots[i] and zeros to the left of it, and the rows after the pivots
+    are zero.  Pivot rows are not normalised and nothing above a pivot is
+    eliminated.  Only the rows below a pivot with a nonzero head are
+    updated, and only at the pivot row's nonzero columns to its right.
+    Int entries stay ints while the multipliers are integral; any other
+    entry is read as a ``Fraction``.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
     nrows = len(mat)
     pivots = []
     for col in range(ncols):
@@ -179,19 +195,25 @@ def _rref(rows, ncols):
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(nrows):
-            if i != rank and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        row_p = mat[rank]
+        pivot = row_p[col]
+        tail = [(j, row_p[j]) for j in range(col + 1, ncols) if row_p[j]]
+        for row_i in mat[rank + 1 :]:
+            head = row_i[col]
+            if head:
+                factor = Fraction(head, pivot)
+                if factor.denominator == 1:
+                    factor = factor.numerator
+                for j, x in tail:
+                    row_i[j] -= factor * x
+                row_i[col] = 0
         pivots.append(col)
     return mat, pivots
 
 
 def rational_rank(rows) -> int:
-    """Rank by Gaussian elimination over Fraction.  Cross-check route."""
-    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
+    """Rank by Gaussian elimination over Q (``_echelon``).  Cross-check route."""
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
 def _modp_rank(mat: np.ndarray) -> int:
@@ -385,16 +407,22 @@ def primitive_kernel_vector(rows, ncols):
 def solve_exact(columns, target):
     """Solve sum_j y_j * columns[j] = target over Q, or return None.
 
-    Reduces [A | b]; a pivot in the last column means no solution.
+    Reduces [A | b] to echelon form; a pivot in the last column means no
+    solution.  Otherwise back-substitution with every free variable 0 gives
+    the solution the reduced row echelon form reads off.
     """
     ncols = len(columns)
     aug = [[column[i] for column in columns] + [b] for i, b in enumerate(target)]
-    mat, pivots = _rref(aug, ncols + 1)
+    mat, pivots = _echelon(aug, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None
     solution = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        solution[col] = mat[i][ncols]
+    for i in range(len(pivots) - 1, -1, -1):
+        row = mat[i]
+        known = row[ncols]
+        for k in pivots[i + 1 :]:
+            known -= row[k] * solution[k]
+        solution[pivots[i]] = Fraction(known, row[pivots[i]])
     return solution
 
 

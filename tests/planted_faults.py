@@ -154,6 +154,20 @@ MUTANTS = (
         "tests/test_classify.py::test_n3_verdicts_agree_with_the_laplace_criteria",
     ),
     (
+        "Bareiss leaving rows with a zero head unscaled",
+        "linalg.py",
+        "elif pivot != prev:",
+        "elif False:",
+        "tests/test_linalg.py::test_bareiss_matches_the_dense_loop",
+    ),
+    (
+        "rational elimination skipping the row under each pivot",
+        "linalg.py",
+        "for row_i in mat[rank + 1 :]:",
+        "for row_i in mat[rank + 2 :]:",
+        "tests/test_linalg.py::test_rational_routes_match_gauss_jordan",
+    ),
+    (
         "row-wise screen skipping the row under each pivot",
         "linalg.py",
         "below = mat[k + 1 :]",

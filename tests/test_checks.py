@@ -45,10 +45,10 @@ def _enclosing_functions(name: str) -> list:
     return found
 
 
-def test_rref_serves_only_the_cross_check_and_solve_exact():
+def test_echelon_serves_only_the_cross_check_and_solve_exact():
     # one rational elimination, kept as the cross-check: every kernel and
     # rank in the package is read off the integer routines instead
-    assert sorted(_enclosing_functions("_rref")) == [
+    assert sorted(_enclosing_functions("_echelon")) == [
         ("linalg.py", "rational_rank"),
         ("linalg.py", "solve_exact"),
     ]
@@ -68,7 +68,7 @@ def test_fraction_is_named_only_where_coefficients_are_read_or_printed():
         ("algebra.py", "__rmul__"),
         ("algebra.py", "_exact"),  # Form: int when integral, else Fraction
         ("algebra.py", "linear_substitution"),  # one division per output term
-        ("linalg.py", "_rref"),  # the rational cross-check route
+        ("linalg.py", "_echelon"),  # the rational cross-check route
         ("linalg.py", "kernel_basis"),  # the kernel over Q
         ("linalg.py", "scale_to_integers"),
         ("linalg.py", "solve_exact"),

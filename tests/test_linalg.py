@@ -37,6 +37,77 @@ def test_known_ranks():
     assert bareiss_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
 
 
+def dense_bareiss(rows):
+    """``linalg._bareiss`` as a dense loop: every row below a pivot is
+    updated at every column to its right, zero head or not."""
+    mat = [[int(x) for x in row] for row in rows]
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    rank, sign, prev, pivots = 0, 1, 1, []
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        pivot_row = next((i for i in range(rank, nrows) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+            sign = -sign
+        row_p = mat[rank]
+        pivot = row_p[col]
+        for i in range(rank + 1, nrows):
+            row_i = mat[i]
+            head = row_i[col]
+            for j in range(col + 1, ncols):
+                row_i[j] = (pivot * row_i[j] - head * row_p[j]) // prev
+            row_i[col] = 0
+        prev = pivot
+        pivots.append(col)
+        rank += 1
+    return rank, sign, prev, pivots, mat[:rank]
+
+
+def test_bareiss_matches_the_dense_loop():
+    # rows with a zero head are only rescaled by pivot / prev, at their
+    # nonzero entries: rank, sign, last pivot, pivots and echelon rows must
+    # all be the dense loop's, bit for bit
+    rng = rng_for(0, "linalg-bareiss-dense")
+    seen = Counter()
+    for trial in range(400):
+        nrows = rng.randrange(1, 14)
+        ncols = rng.randrange(1, 14)
+        kind = trial % 4
+        if kind == 0:  # sparse
+            density = rng.uniform(0.1, 0.5)
+            rows = [
+                [rng.randrange(-9, 10) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+        elif kind == 1:  # a low-rank product
+            k = rng.randrange(1, min(nrows, ncols) + 1)
+            left = [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(nrows)]
+            right = [[rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(r, c)) for c in zip(*right)] for r in left]
+        elif kind == 2:  # zero rows and zero columns
+            rows = [[rng.randrange(-5, 6) for _ in range(ncols)] for _ in range(nrows)]
+            for i in rng.sample(range(nrows), rng.randrange(nrows + 1)):
+                rows[i] = [0] * ncols
+            for j in rng.sample(range(ncols), rng.randrange(ncols)):
+                for row in rows:
+                    row[j] = 0
+        else:  # sparse, entries beyond int64
+            rows = [
+                [rng.choice([-1, 1]) * rng.randrange(2**63, 2**90) if rng.random() < 0.3 else 0
+                 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+        expected = dense_bareiss(rows)
+        assert linalg._bareiss(rows) == expected
+        rank, _, last, _, _ = expected
+        seen["deficient" if rank < min(nrows, ncols) else "full"] += 1
+        seen["beyond int64"] += abs(last) >= 2**63
+    assert min(seen.values()) >= 50
+
+
 def test_rank_routes_agree_on_random_matrices():
     rng = rng_for(0, "linalg-random")
     for trial in range(200):
@@ -218,9 +289,99 @@ def test_kernel_basis_annihilates_and_counts():
             assert rational_rank(basis) == len(basis)
 
 
+def gauss_jordan(rows, ncols):
+    """Reduced row echelon form over Fraction: (reduced rows, pivot columns).
+
+    The reference route: every pivot row is scaled to 1 and its column is
+    cleared above and below the pivot, zero or not.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        mat[rank] = [x / mat[rank][col] for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def gauss_jordan_solve(columns, target):
+    """``solve_exact`` read off the reduced row echelon form of [A | b]."""
+    ncols = len(columns)
+    aug = [[column[i] for column in columns] + [b] for i, b in enumerate(target)]
+    mat, pivots = gauss_jordan(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    solution = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        solution[col] = mat[i][ncols]
+    return solution
+
+
+def _random_rational_matrix(rng, nrows, ncols):
+    """A sparse, low-rank or dense matrix of ints or of Fractions."""
+    kind = rng.choice(["sparse", "low rank", "dense"])
+    fractions = rng.random() < 0.5
+
+    def entry():
+        if fractions:
+            return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+        return rng.randrange(-6, 7)
+
+    if kind == "low rank":
+        k = rng.randrange(1, min(nrows, ncols) + 1)
+        left = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(k)]
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    density = rng.uniform(0.1, 0.5) if kind == "sparse" else 1.0
+    return [
+        [entry() if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def test_rational_routes_match_gauss_jordan():
+    # forward elimination over Q skips the rows with a zero head and stops
+    # at the echelon form: its pivot count, and the back-substituted
+    # solution with the free variables at 0, are the reduced echelon form's
+    rng = rng_for(0, "linalg-echelon")
+    seen = Counter()
+    for trial in range(300):
+        nrows = rng.randrange(1, 12)
+        ncols = rng.randrange(1, 12)
+        rows = _random_rational_matrix(rng, nrows, ncols)
+        rank = len(gauss_jordan(rows, ncols)[1])
+        assert rational_rank(rows) == rank
+        seen["deficient" if rank < min(nrows, ncols) else "full"] += 1
+        columns = [list(col) for col in zip(*rows)]
+        # b in the column space (solvable) or a random vector (often not)
+        if rng.random() < 0.5:
+            y = [rng.randrange(-3, 4) for _ in range(ncols)]
+            target = [sum(a * b for a, b in zip(row, y)) for row in rows]
+        else:
+            target = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(nrows)]
+        solution = solve_exact(columns, target)
+        assert solution == gauss_jordan_solve(columns, target)
+        if solution is None:
+            seen["unsolvable"] += 1
+        else:
+            seen["solvable"] += 1
+            assert all(type(v) is Fraction for v in solution)
+            assert [sum(a * y for a, y in zip(row, solution)) for row in rows] == target
+    assert min(seen.values()) >= 30 and len(seen) == 4
+    assert rational_rank([]) == 0 and rational_rank([[0, 0], [0, 0]]) == 0
+
+
 def rref_kernel_basis(rows, ncols):
-    """The reduced-echelon kernel basis read off ``_rref``, Gauss-Jordan."""
-    mat, pivots = linalg._rref(rows, ncols)
+    """The reduced-echelon kernel basis read off ``gauss_jordan``."""
+    mat, pivots = gauss_jordan(rows, ncols)
     basis = []
     for free in range(ncols):
         if free not in pivots:
@@ -294,7 +455,8 @@ def test_back_substitution_scales_by_the_minor_left_of_the_free_column():
 
 
 def rref_kernel_vector(rows, ncols):
-    """The first _rref kernel vector, cleared, primitive, first nonzero positive."""
+    """The first Gauss-Jordan kernel vector, cleared, primitive, first
+    nonzero positive."""
     basis = rref_kernel_basis(rows, ncols)
     if not basis:
         return None
