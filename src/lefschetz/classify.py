@@ -80,6 +80,7 @@ from .polytope import (
     VERDICT_DEGENERATE,
     build_polytope,
     normalized_volume,
+    simplex_table,
     smoothness_report,
 )
 from .wlp import (
@@ -292,7 +293,8 @@ def certify_candidate(
         raise AnalysisError(
             f"Togliatti candidate {generators} has no lattice quadric certificate"
         )
-    polytope = build_polytope(system)
+    # every apolar exponent lies in 3 * simplex: its table holds every facet
+    polytope = build_polytope(system, simplex_table(n, 3))
     verdict, edge_rule_fired, degree = VERDICT_DEGENERATE, False, None
     if polytope.is_full_dimensional:
         report = smoothness_report(polytope)

@@ -53,10 +53,6 @@ rule, on a whole (B, r, c) stack of small matrices at once, one row at a
 time, and says which have rank r mod p.  The census rules out a candidate
 on that verdict alone (rank mod p at most the rank over Q); a matrix found
 dependent is left to an exact route.
-
-Lattice coordinates need no elimination at all: ``lattice_coordinate_rows``
-returns the inverse of a unimodular matrix, so coordinates on a lattice
-hyperplane are integer matrix-vector products.
 """
 
 from __future__ import annotations
@@ -434,27 +430,3 @@ def primitive_vector(vec):
     if g == 0:
         return tuple(int(x) for x in vec)
     return tuple(int(x) // g for x in vec)
-
-
-def lattice_coordinate_rows(vec):
-    """The rows of U^-1 for a unimodular U with vec . U = (g, 0, ..., 0).
-
-    Euclid's algorithm on the entries of a nonzero integer vector is a
-    sequence of unimodular column operations (they make U); only the inverse
-    row operations are kept.  Row 0 is vec / g, so it vanishes on the lattice
-    {x in Z^m : vec . x = 0}, and rows 1..m-1 give each point x of that
-    lattice its integer coordinates in the basis of U's last m-1 columns.
-    """
-    m = len(vec)
-    w = [int(x) for x in vec]
-    inverse = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for j in range(1, m):
-        while w[j]:
-            q = w[0] // w[j]
-            w[0] -= q * w[j]
-            inverse[j] = [a + q * b for a, b in zip(inverse[j], inverse[0])]
-            w[0], w[j] = w[j], w[0]
-            inverse[0], inverse[j] = inverse[j], inverse[0]
-    if w[0] == 0:
-        raise ValueError("zero vector has no primitive kernel split")
-    return [tuple(r) for r in inverse]

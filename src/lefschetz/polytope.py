@@ -8,17 +8,29 @@ embedding depends on which lattice points carry monomials.
 
 Everything is exact integer arithmetic:
 
-* Facets by brute force over all m-subsets of A: a candidate normal is the
-  vector of signed (m-1)x(m-1) minors of the difference matrix, a facet is
-  a candidate with every point of A on one side.  One numpy int64 Laplace
-  expansion, bottom row up, makes every candidate at once, each minor on a
-  column set once.  A Hadamard-bound guard refuses inputs whose minors could
-  overflow (far beyond every lattice of exponent vectors in range); it bounds
-  every intermediate, each a minor, an entry times a minor, or a partial sum
-  of fewer than m such products.  More than ``_SWEEP_SUBSETS`` subsets are
-  refused before any is made.  One pass makes its result: the
-  [normal | offset] rows with A below and the negated rows with A above, as
-  Python ints, deduplicated and sorted.
+* Facets from candidate hyperplanes.  ``_hyperplanes`` makes every
+  hyperplane through an m-subset: a normal is the vector of signed
+  (m-1)x(m-1) minors of the difference matrix, all from one numpy int64
+  Laplace expansion, bottom row up, each minor on a column set once.  Each
+  is stored once, primitive, its first nonzero entry positive.  A
+  Hadamard-bound guard refuses inputs whose minors could overflow (far
+  beyond every lattice of exponent vectors in range); it bounds every
+  intermediate, each a minor, an entry times a minor, or a partial sum of
+  fewer than m such products.  More than ``_SWEEP_SUBSETS`` subsets are
+  refused before any is made.  ``_facets`` then reads the facets off any
+  candidate set known to hold them all: a candidate supports A when every
+  point lies on one side, and a supporting candidate is a facet when its
+  contact set holds at least m points and lies in no other's (a lower face
+  lies in a facet, and no face holds a facet's points but the facet).  It
+  keeps [normal | offset] with A below and [-normal | -offset] with A
+  above, as Python ints, sorted.  The sweep of A is ``_facets`` over A's
+  own hyperplanes, where every supporting candidate is a facet.
+* The simplex table.  Every point of a cubic census record lies in
+  d * simplex, so ``simplex_table(n, d)`` sweeps its lattice points once
+  (228 hyperplanes for n = 3, 3,470 for n = 4) and keeps the side of each
+  point against each hyperplane as int8.  A record's facets are read off
+  the rows of its points, with no subset of its own listed.  Past the
+  subset budget (n >= 5 at d = 3) there is no table, and a record sweeps.
 * One membership test, the incidence table: one int64 product,
   points @ normals.T == offsets, which the sweep's guard already bounds.
   Vertices and edges are read off it with no linear algebra (a face is the
@@ -34,25 +46,29 @@ Everything is exact integer arithmetic:
   facet) times (normalized volume of the facet), which holds for any apex
   in P since every height is >= 0.  The recursion starts from the facets
   the polytope already holds and works on plain point lists, facets only.
-  A facet's points get integer lattice coordinates as U^-1 (p - base),
-  with U the unimodular split of its primitive normal from
-  ``lattice_coordinate_rows``.  The recursion ends at polygons: twice the
-  shoelace area of the monotone-chain hull, so a 3-polytope sweeps nothing
-  past its own facets.  One guard: a zero volume, at any m, is a
-  degenerate section.  A full-dimensional hull has positive volume, and a
-  flat set sweeps to the two sides of its hyperplane, at height 0, or to
-  nothing.
+  A facet's section is projected to Z^(m-1) by dropping a coordinate k
+  with normal[k] != 0.  The projection is one-to-one on the facet's
+  lattice, and since the normal is primitive the image is a sublattice of
+  index |normal[k]| (the residue of sum_{i != k} normal[i] y_i mod
+  normal[k] takes every value), so the facet's volume is the projection's
+  divided by |normal[k]|; a remainder raises ``ArithmeticError``.  The
+  recursion ends at polygons: twice the shoelace area of the monotone-chain
+  hull, so a 3-polytope sweeps nothing past its own facets.  One guard: a
+  zero volume, at any m, is a degenerate section.  A full-dimensional hull
+  has positive volume, and a flat set sweeps to the two sides of its
+  hyperplane, at height 0, or to nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, gcd
 
 import numpy as np
 
-from .linalg import det_int, exact_rank, lattice_coordinate_rows
+from .linalg import det_int, exact_rank
 
 VERDICT_SMOOTH = "smooth"
 VERDICT_QUASI_SMOOTH = "quasi-smooth"
@@ -103,8 +119,10 @@ def _cofactors(diffs: np.ndarray) -> np.ndarray:
     return normals.T
 
 
-def _facet_sweep(points):
-    """All supporting hyperplanes spanned by m-subsets (the facets)."""
+def _hyperplanes(points):
+    """The distinct hyperplanes spanned by m-subsets of points in Z^m, as
+    int64 (normals, offsets): each normal primitive, its first nonzero
+    entry positive."""
     m = len(points[0])
     bound = max((abs(c) for p in points for c in p), default=0)
     # Hadamard bound on the minors plus the support products must fit int64
@@ -116,20 +134,69 @@ def _facet_sweep(points):
     pts = np.array(points, dtype=np.int64)
     combos = np.array(
         list(itertools.combinations(range(len(points)), m)), dtype=np.int64
-    ).reshape(-1, m)  # fewer than m points: no combos, no facets
+    ).reshape(-1, m)  # fewer than m points: no combos, no hyperplanes
     normals = _cofactors(pts[combos[:, 1:]] - pts[combos[:, :1]])
     live = np.any(normals != 0, axis=1)
     normals = normals[live]
     anchors = combos[live, 0]
-    g = np.gcd.reduce(np.abs(normals), axis=1)
-    normals = normals // g[:, None]
+    lead = normals[np.arange(len(normals)), np.argmax(normals != 0, axis=1)]
+    normals = normals // (np.gcd.reduce(np.abs(normals), axis=1) * np.sign(lead))[:, None]
     offsets = np.einsum("ij,ij->i", normals, pts[anchors])
-    values = pts @ normals.T  # (points, candidates)
-    below = (values <= offsets[None, :]).all(axis=0)
-    above = (values >= offsets[None, :]).all(axis=0)
-    table = np.column_stack((normals, offsets))  # rows [normal | offset]
-    rows = {tuple(row) for row in np.concatenate((table[below], -table[above])).tolist()}
-    return tuple((row[:-1], row[-1]) for row in sorted(rows))
+    rows = {tuple(row) for row in np.column_stack((normals, offsets)).tolist()}
+    table = np.array(list(rows), dtype=np.int64).reshape(-1, m + 1)
+    return table[:, :-1], table[:, -1]
+
+
+def _facets(points, normals, offsets, sides=None):
+    """The facets of the hull of points in Z^m among candidate hyperplanes
+    that hold every one of them, oriented with the points below, sorted.
+
+    ``sides[k, j]`` is the sign of normals[j] . points[k] - offsets[j],
+    computed here unless the caller has it.  A candidate with every point
+    on one side supports the hull; a facet is a supporting candidate whose
+    contact set holds at least m points and lies in no other's.
+    """
+    m = len(points[0])
+    if sides is None:
+        sides = np.sign(np.array(points, dtype=np.int64) @ normals.T - offsets)
+    below = (sides <= 0).all(axis=0)
+    above = (sides >= 0).all(axis=0)
+    contact = sides == 0
+    support = np.flatnonzero((below | above) & (contact.sum(axis=0) >= m))
+    sets = [frozenset(np.flatnonzero(on).tolist()) for on in contact[:, support].T]
+    keep = support[[not any(s < o for o in sets) for s in sets]]
+    table = np.column_stack((normals[keep], offsets[keep]))
+    rows = np.concatenate((table[below[keep]], -table[above[keep]]))
+    return tuple((tuple(row[:-1]), row[-1]) for row in sorted(rows.tolist()))
+
+
+def _facet_sweep(points):
+    """All supporting hyperplanes spanned by m-subsets (the facets)."""
+    return _facets(points, *_hyperplanes(points))
+
+
+@dataclass(frozen=True)
+class HyperplaneTable:
+    """Every hyperplane spanned by lattice points of d * simplex in Z^n."""
+
+    index: dict  # lattice point -> its row in sides
+    normals: np.ndarray
+    offsets: np.ndarray
+    sides: np.ndarray  # int8 [point, hyperplane]: sign of normal . point - offset
+
+
+@lru_cache(maxsize=None)
+def simplex_table(n: int, d: int):
+    """The hyperplane table of d * simplex in Z^n, or None when its sweep
+    would pass the subset budget (n >= 5 at d = 3)."""
+    points = [p for p in itertools.product(range(d + 1), repeat=n) if sum(p) <= d]
+    if comb(len(points), n) > _SWEEP_SUBSETS:
+        return None
+    normals, offsets = _hyperplanes(points)
+    sides = np.sign(np.array(points, dtype=np.int64) @ normals.T - offsets).astype(np.int8)
+    for array in (normals, offsets, sides):
+        array.flags.writeable = False  # shared by every caller of the cache
+    return HyperplaneTable({p: k for k, p in enumerate(points)}, normals, offsets, sides)
 
 
 def _incidence(points, facets) -> np.ndarray:
@@ -140,8 +207,12 @@ def _incidence(points, facets) -> np.ndarray:
     return pts @ normals.reshape(-1, pts.shape[1]).T == offsets
 
 
-def polytope_from_points(points) -> LatticePolytope:
-    """Hull of a marked integer point set (duplicates dropped, order kept)."""
+def polytope_from_points(points, candidates=None) -> LatticePolytope:
+    """Hull of a marked integer point set (duplicates dropped, order kept).
+
+    ``candidates``, a ``simplex_table`` whose simplex holds every point,
+    gives the facets in place of a sweep of the points' own subsets.
+    """
     cleaned = []
     seen = set()
     for p in points:
@@ -160,7 +231,13 @@ def polytope_from_points(points) -> LatticePolytope:
     affine_dim = exact_rank([[p[i] - base[i] for i in range(m)] for p in cleaned[1:]])
     if affine_dim < m:
         return LatticePolytope(m, tuple(cleaned), affine_dim, (), (), ())
-    facets = _facet_sweep(cleaned)
+    if candidates is None:
+        facets = _facet_sweep(cleaned)
+    else:
+        rows = [candidates.index[p] for p in cleaned]
+        facets = _facets(
+            cleaned, candidates.normals, candidates.offsets, candidates.sides[rows]
+        )
     on = _incidence(cleaned, facets)
     incident = [frozenset(np.flatnonzero(row).tolist()) for row in on]
     # A vertex is the only point on all of its facets.  Any other point lies
@@ -182,10 +259,10 @@ def polytope_from_points(points) -> LatticePolytope:
     return LatticePolytope(m, tuple(cleaned), affine_dim, facets, vertices, edges)
 
 
-def build_polytope(system) -> LatticePolytope:
+def build_polytope(system, candidates=None) -> LatticePolytope:
     """Polytope of a monomial linear system (exponents, last coordinate dropped)."""
     exponents = system.exponents()  # raises on non-monomial members
-    return polytope_from_points([e[:-1] for e in exponents])
+    return polytope_from_points([e[:-1] for e in exponents], candidates)
 
 
 def _vertex_edge_data(polytope: LatticePolytope):
@@ -293,17 +370,12 @@ def _nvol(points, m: int, facets=None) -> int:
             height = offset - sum(a * b for a, b in zip(normal, apex))
             if height == 0:
                 continue
-            section = [p for p, hit in zip(points, column) if hit]
-            base = section[0]
-            inverse = lattice_coordinate_rows(normal)
-            coords = []
-            for p in section:
-                diff = [a - b for a, b in zip(p, base)]
-                image = [sum(a * b for a, b in zip(row, diff)) for row in inverse]
-                if image[0]:
-                    raise ArithmeticError(f"{p} is off the facet plane of {normal}")
-                coords.append(tuple(image[1:]))
-            total += height * _nvol(coords, m - 1)
+            k = next(i for i, c in enumerate(normal) if c)
+            section = [p[:k] + p[k + 1 :] for p, hit in zip(points, column) if hit]
+            volume, rest = divmod(_nvol(section, m - 1), abs(normal[k]))
+            if rest:
+                raise ArithmeticError(f"facet of {normal}: projected volume off its index")
+            total += height * volume
     if total == 0:
         raise DegeneratePolytopeError("facet recursion hit a degenerate section")
     return total

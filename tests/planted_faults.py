@@ -105,11 +105,25 @@ MUTANTS = (
         "tests/test_polytope.py::test_cofactors_are_the_signed_maximal_minors",
     ),
     (
-        "facet sweep without the negated rows of the upper side",
+        "facets without the negated rows of the upper side",
         "polytope.py",
-        "np.concatenate((table[below], -table[above]))",
-        "table[below]",
+        "np.concatenate((table[below[keep]], -table[above[keep]]))",
+        "table[below[keep]]",
         "tests/test_polytope.py::test_case_polytopes",
+    ),
+    (
+        "table facets without the maximal-contact filter",
+        "polytope.py",
+        "keep = support[[not any(s < o for o in sets) for s in sets]]",
+        "keep = support",
+        "tests/test_polytope.py::test_table_facets_equal_the_sweep",
+    ),
+    (
+        "projected facet volume not divided by |normal[k]|",
+        "polytope.py",
+        "divmod(_nvol(section, m - 1), abs(normal[k]))",
+        "divmod(_nvol(section, m - 1), 1)",
+        "tests/test_polytope.py::test_random_volumes_match_the_pyramid_recursion",
     ),
     (
         "splitting floor stop one rank short of onto",

@@ -677,19 +677,20 @@ def test_the_n3_census_opens_no_random_stream(monkeypatch):
     # mod-p screen leaves 362 of them to Bareiss
     assert certified == [True] * 224
     assert (ranks, fallbacks) == (1519, 362)
-    # one sweep per record hull: the volume recursion ends at polygons
-    assert sweeps == 224
+    # no sweep at all: each record hull reads its facets off the hyperplane
+    # table of 3 * simplex, and the volume recursion ends at polygons
+    assert sweeps == 0
 
 
 def test_n4_record_volumes_take_no_rank(monkeypatch):
-    # each of the six record hulls in Z^4 is swept once, and the volume
-    # recursion sweeps the 31 facet sections it meets, with no rank: a flat
-    # section shows as a zero volume, not as a rank below m
+    # the six record hulls in Z^4 read their facets off the hyperplane
+    # table, and the volume recursion sweeps the 31 facet sections it meets,
+    # with no rank: a flat section shows as a zero volume, not as a rank below m
     run, streams, certified, ranks, _, sweeps = _counted_census(monkeypatch, 4, max_extra=5)
     assert len(run.records) == 6
     assert streams == []
     assert certified == [True] * 6
-    assert (ranks, sweeps) == (47, 37)
+    assert (ranks, sweeps) == (47, 31)
 
 
 @pytest.mark.parametrize("prime", [3, 2])

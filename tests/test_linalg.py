@@ -3,7 +3,6 @@
 import importlib
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from lefschetz.linalg import (
     det_int,
     exact_rank,
     kernel_basis,
-    lattice_coordinate_rows,
     primitive_kernel_vector,
     primitive_vector,
     rational_rank,
@@ -561,34 +559,6 @@ def test_primitive_vector():
     assert primitive_vector([0, 0]) == (0, 0)
     assert primitive_vector([-3]) == (-1,)
     assert primitive_vector([5, 7]) == (5, 7)
-
-
-def test_lattice_coordinate_rows():
-    rng = rng_for(0, "linalg-intkernel")
-    points = rng_for(0, "linalg-intkernel-points")
-    for trial in range(40):
-        m = rng.randrange(2, 6)
-        vec = [0] * m
-        while not any(vec):
-            vec = [rng.randrange(-6, 7) for _ in range(m)]
-        vec = list(primitive_vector(vec))
-        inverse = lattice_coordinate_rows(vec)
-        # inverse is U^-1 for a unimodular U with vec . U = (+-1, 0, ..., 0):
-        # det(inverse) = +-1 and inverse[0] is +-vec
-        assert len(inverse) == m
-        assert abs(det_int([list(r) for r in inverse])) == 1
-        assert list(inverse[0]) in (vec, [-x for x in vec])
-        # a kernel point, built from the vectors vec[j] e_i - vec[i] e_j,
-        # maps to 0 in row 0
-        point = [0] * m
-        for i, j in combinations(range(m), 2):
-            c = points.randrange(-9, 10)
-            point[i] += c * vec[j]
-            point[j] -= c * vec[i]
-        assert sum(a * b for a, b in zip(vec, point)) == 0
-        assert sum(a * b for a, b in zip(inverse[0], point)) == 0
-    with pytest.raises(ValueError):
-        lattice_coordinate_rows([0, 0, 0])
 
 
 # every lefschetz module that binds exact_rank, linalg itself included

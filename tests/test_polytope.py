@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from lefschetz import polytope
-from lefschetz.classify import classification_case_system, enumerate_cubic_togliatti
-from lefschetz.linalg import det_int, lattice_coordinate_rows, rational_rank
+from lefschetz.classify import (
+    build_named_example,
+    certify_candidate,
+    classification_case_system,
+    enumerate_cubic_togliatti,
+)
+from lefschetz.linalg import det_int, primitive_vector, rational_rank
 from lefschetz.osculating import LinearSystem
 from lefschetz.polytope import (
     DegeneratePolytopeError,
@@ -300,7 +305,61 @@ def test_polygon_volume_is_twice_the_shoelace_area():
 
 # The reference route for the volume: the pyramid recursion with every
 # section swept for its own facets, down to segments, with no planar base
-# case.  ``normalized_volume`` ends at polygons instead.
+# case, and each section put in lattice coordinates by a unimodular change
+# of basis.  ``normalized_volume`` ends at polygons instead, and projects
+# each section along a coordinate.
+
+
+def lattice_coordinate_rows(vec):
+    """The rows of U^-1 for a unimodular U with vec . U = (g, 0, ..., 0).
+
+    Euclid's algorithm on the entries of a nonzero integer vector is a
+    sequence of unimodular column operations (they make U); only the inverse
+    row operations are kept.  Row 0 is vec / g, so it vanishes on the lattice
+    {x in Z^m : vec . x = 0}, and rows 1..m-1 give each point x of that
+    lattice its integer coordinates in the basis of U's last m-1 columns.
+    """
+    m = len(vec)
+    w = [int(x) for x in vec]
+    inverse = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for j in range(1, m):
+        while w[j]:
+            q = w[0] // w[j]
+            w[0] -= q * w[j]
+            inverse[j] = [a + q * b for a, b in zip(inverse[j], inverse[0])]
+            w[0], w[j] = w[j], w[0]
+            inverse[0], inverse[j] = inverse[j], inverse[0]
+    if w[0] == 0:
+        raise ValueError("zero vector has no primitive kernel split")
+    return [tuple(r) for r in inverse]
+
+
+def test_lattice_coordinate_rows():
+    rng = rng_for(0, "linalg-intkernel")
+    points = rng_for(0, "linalg-intkernel-points")
+    for trial in range(40):
+        m = rng.randrange(2, 6)
+        vec = [0] * m
+        while not any(vec):
+            vec = [rng.randrange(-6, 7) for _ in range(m)]
+        vec = list(primitive_vector(vec))
+        inverse = lattice_coordinate_rows(vec)
+        # inverse is U^-1 for a unimodular U with vec . U = (+-1, 0, ..., 0):
+        # det(inverse) = +-1 and inverse[0] is +-vec
+        assert len(inverse) == m
+        assert abs(det_int([list(r) for r in inverse])) == 1
+        assert list(inverse[0]) in (vec, [-x for x in vec])
+        # a kernel point, built from the vectors vec[j] e_i - vec[i] e_j,
+        # maps to 0 in row 0
+        point = [0] * m
+        for i, j in itertools.combinations(range(m), 2):
+            c = points.randrange(-9, 10)
+            point[i] += c * vec[j]
+            point[j] -= c * vec[i]
+        assert sum(a * b for a, b in zip(vec, point)) == 0
+        assert sum(a * b for a, b in zip(inverse[0], point)) == 0
+    with pytest.raises(ValueError):
+        lattice_coordinate_rows([0, 0, 0])
 
 
 def pyramid_volume(points):
@@ -423,6 +482,49 @@ def test_sweep_refuses_more_subsets_than_its_budget(monkeypatch):
     assert comb(64, 6) > polytope._SWEEP_SUBSETS >= SWEPT_SUBSETS
     with pytest.raises(NotImplementedError, match="74974368 point subsets: too many to sweep"):
         polytope_from_points(cube)
+
+# Census records read their facets off one hyperplane table per simplex:
+# every hyperplane through lattice points of d * simplex, of which a hull's
+# facets are the supporting ones of inclusion-maximal contact.
+
+
+def table_facets(points, n, d):
+    table = polytope.simplex_table(n, d)
+    sides = table.sides[[table.index[p] for p in points]]
+    return polytope._facets(points, table.normals, table.offsets, sides)
+
+
+def test_table_facets_equal_the_sweep():
+    runs = [enumerate_cubic_togliatti(3), enumerate_cubic_togliatti(4, max_extra=6)]
+    assert [len(run.records) for run in runs] == [224, 36]
+    cases = [
+        ([e[:-1] for e in record.apolar], run.n, 3)
+        for run in runs
+        for record in run.records
+    ]
+    rng = rng_for(0, "polytope-table-facets")
+    for n, d in [(2, 3), (3, 3), (4, 3), (2, 5)]:
+        lattice = [p for p in itertools.product(range(d + 1), repeat=n) if sum(p) <= d]
+        full = 0
+        while full < 25:
+            points = rng.sample(lattice, rng.randrange(n + 1, len(lattice) + 1))
+            if polytope_from_points(points).is_full_dimensional:
+                cases.append((points, n, d))
+                full += 1
+    for points, n, d in cases:
+        assert table_facets(points, n, d) == polytope._facet_sweep(points)
+
+
+def test_the_census_sweeps_an_n5_record_itself():
+    # 3 * simplex in Z^5 has C(56, 5) point subsets, past the sweep budget:
+    # there is no table, and an n = 5 record sweeps its own 30 points
+    assert comb(56, 5) > polytope._SWEEP_SUBSETS
+    assert polytope.simplex_table(5, 3) is None
+    spec = build_named_example("ilardi-counterexample", 5)
+    record = certify_candidate(5, spec.exponents(), 1)
+    assert len(record.apolar) == 30
+    assert (record.verdict, record.toric_degree) == ("smooth", 110)
+
 
 def test_sweep_takes_ten_times_the_ten_simplex():
     # 10 times the standard 10-simplex, the hull of x_i^10 on P^10, is just
